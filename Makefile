@@ -174,9 +174,22 @@ proptest-smoke:
 soak:
 	dune build @soak
 
+# The repository benchmark (bench/perf, see its README) at 1% size with
+# every output check on, then the checkers' own tamper test.  Fails on
+# any wrong verdict or journal byte; measures nothing worth comparing.
+perf-smoke:
+	bash bench/perf/run.sh --smoke
+	bash bench/perf/run.sh selftest
+
+# Compare two benchmark ledgers (written by `run.sh ledger`), e.g.
+#   make bench-diff OLD=bench/ledger/baseline.json NEW=new-ledger.json
+# Exits nonzero when any end-to-end metric got worse beyond its bound.
+bench-diff:
+	bash bench/perf/run.sh diff $(OLD) $(NEW)
+
 check: all test campaign-smoke faultinject-smoke telemetry-smoke \
   serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke
+  assessscale-smoke proptest-smoke perf-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -190,4 +203,4 @@ artifacts:
 
 .PHONY: all test bench examples artifacts campaign-smoke faultinject-smoke \
   telemetry-smoke serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke soak check
+  assessscale-smoke proptest-smoke perf-smoke bench-diff soak check

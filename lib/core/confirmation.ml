@@ -40,41 +40,74 @@ let overtake_probability_bounded ~honest_rate ~adversary_rate ~deficit
     ~into:(index hi)
 
 let nakamoto_double_spend ~ratio ~confirmations =
-  if ratio <= 0. then invalid_arg "Confirmation: ratio must be positive";
+  if not (ratio > 0.) then invalid_arg "Confirmation: ratio must be positive";
   if confirmations < 1 then
     invalid_arg "Confirmation: confirmations must be >= 1";
   if ratio >= 1. then 1.
   else begin
     let z = confirmations in
     let lambda = float_of_int z *. ratio in
+    let log_lambda = log lambda in
     (* sum_{k=0}^{z} poisson(k; lambda) * (1 - ratio^(z-k)), accumulated
        in linear domain (z is small; lambda <= z). *)
     let acc = ref 0. in
     let log_fact = ref 0. in
     for k = 0 to z do
       if k > 0 then log_fact := !log_fact +. log (float_of_int k);
-      let log_pois =
-        (float_of_int k *. log lambda) -. lambda -. !log_fact
-      in
+      let log_pois = (float_of_int k *. log_lambda) -. lambda -. !log_fact in
       let caught = ratio ** float_of_int (z - k) in
       acc := !acc +. (exp log_pois *. (1. -. caught))
     done;
     Nakamoto_numerics.Special.clamp ~lo:0. ~hi:1. (1. -. !acc)
   end
 
-let confirmations_for ?(limit = 10_000) ~ratio ~epsilon () =
+let default_depth_limit = 10_000
+
+(* Galloping search for the first depth [test] accepts: probe 1, 2, 4,
+   ... (the last probe capped at [limit]) until one passes, then bisect
+   between the last failing probe [lo] and the passing one.  [test]
+   returns the passing probe's witness, so the caller gets the value at
+   the answer without evaluating it again. *)
+let gallop ~limit test =
+  let rec bisect lo ((hi, _) as best) =
+    if hi - lo <= 1 then Some best
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      match test mid with
+      | Some w -> bisect lo (mid, w)
+      | None -> bisect mid best
+    end
+  in
+  let rec probe lo z =
+    match test z with
+    | Some w -> bisect lo (z, w)
+    | None -> if z >= limit then None else probe z (min limit (2 * z))
+  in
+  probe 0 1
+
+let search_probes ?(limit = default_depth_limit) depth =
+  if depth < 1 || depth > limit then
+    invalid_arg "Confirmation.search_probes: depth must lie in [1, limit]";
+  let seen = ref [] in
+  ignore
+    (gallop ~limit (fun z ->
+         seen := z :: !seen;
+         if z >= depth then Some () else None));
+  List.rev !seen
+
+let depth_search ~limit ~ratio ~epsilon =
   if not (ratio > 0. && ratio < 1.) then
     invalid_arg "Confirmation.confirmations_for: ratio must lie in (0, 1)";
   if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg "Confirmation.confirmations_for: epsilon must lie in (0, 1)";
   if limit < 1 then
     invalid_arg "Confirmation.confirmations_for: limit must be >= 1";
-  let rec search z =
-    if z > limit then None
-    else if nakamoto_double_spend ~ratio ~confirmations:z <= epsilon then Some z
-    else search (z + 1)
-  in
-  search 1
+  gallop ~limit (fun z ->
+      let risk = nakamoto_double_spend ~ratio ~confirmations:z in
+      if risk <= epsilon then Some risk else None)
+
+let confirmations_for ?(limit = default_depth_limit) ~ratio ~epsilon () =
+  Option.map fst (depth_search ~limit ~ratio ~epsilon)
 
 type assessment = {
   params : Params.t;
@@ -103,12 +136,15 @@ let assess_checked ?(epsilon = 1e-3) (params : Params.t) =
     let rate_ratio = adversary_rate /. honest_rate in
     if not (rate_ratio < 1.) then Error (Outside_consistency { rate_ratio })
     else
-      match confirmations_for ~ratio:rate_ratio ~epsilon () with
+      match
+        depth_search ~limit:default_depth_limit ~ratio:rate_ratio ~epsilon
+      with
       | None ->
-        (* A ratio this close to 1 would want >10_000 confirmations: for
-           any practical purpose the parameters are not settleable. *)
-        Error (Depth_limited { rate_ratio; limit = 10_000 })
-      | Some confirmations ->
+        (* A ratio this close to 1 would want more confirmations than the
+           search limit: for any practical purpose the parameters are not
+           settleable. *)
+        Error (Depth_limited { rate_ratio; limit = default_depth_limit })
+      | Some (confirmations, residual_risk) ->
         Ok
           {
             params;
@@ -116,7 +152,7 @@ let assess_checked ?(epsilon = 1e-3) (params : Params.t) =
             adversary_rate;
             rate_ratio;
             confirmations;
-            residual_risk = nakamoto_double_spend ~ratio:rate_ratio ~confirmations;
+            residual_risk;
           }
   end
 

@@ -44,16 +44,46 @@ val nakamoto_double_spend : ratio:float -> confirmations:int -> float
     @raise Invalid_argument unless [0 < ratio] and [confirmations >= 1];
     returns [1.] for [ratio >= 1]. *)
 
+val default_depth_limit : int
+(** The deepest confirmation count the depth search considers by default
+    ([10_000]): {!confirmations_for}'s default [limit], and the limit
+    {!assess_checked} reports in {!Depth_limited}. *)
+
 val confirmations_for :
   ?limit:int -> ratio:float -> epsilon:float -> unit -> int option
 (** [confirmations_for ~ratio ~epsilon ()] is [Some z] for the smallest
     [z >= 1] with [nakamoto_double_spend ~ratio ~confirmations:z <=
-    epsilon], or [None] when no [z <= limit] (default [10_000])
-    suffices — a well-typed "the ratio is too close to 1 to settle"
-    answer, not an exception, so sweeps over a parameter grid can
-    report the unsettleable cells instead of dying on the first one.
+    epsilon], or [None] when no [z <= limit] (default
+    {!default_depth_limit}) suffices — a well-typed "the ratio is too
+    close to 1 to settle" answer, not an exception, so sweeps over a
+    parameter grid can report the unsettleable cells instead of dying on
+    the first one.
+
+    The search gallops — it evaluates z = 1, 2, 4, ..., the last probe
+    capped at [limit], until one meets [epsilon], and answers [None] if
+    [limit] does not — then bisects between the last failing probe and
+    the first passing one.  That is O(log z) evaluations of the O(z)
+    sum, O(z log z) in all.  The answer always meets [epsilon] right
+    after a depth that does not (or is 1).  That it is the {e smallest}
+    such depth relies on the double-spend probability being
+    nonincreasing in [z]: it is mathematically, and the tests pin the
+    float evaluation nonincreasing wherever it is at least [1e-9] and
+    the search equal to a linear scan.  Far below that the [1 - sum]
+    form can wiggle at its rounding floor (around [1e-10] by z = 2000),
+    so an [epsilon] there may get a later crossing than a scan would.
     @raise Invalid_argument unless [0 < ratio < 1], [0 < epsilon < 1]
     and [limit >= 1]. *)
+
+val search_probes : ?limit:int -> int -> int list
+(** [search_probes depth] lists, in order, the depths {!confirmations_for}
+    evaluates when its answer is [Some depth] (same [limit], default
+    {!default_depth_limit}).  The search reads nothing else, so if
+    [nakamoto_double_spend] meets [epsilon] at exactly the listed depths
+    that are [>= depth], the search answers [Some depth] whatever the
+    probability does elsewhere: that is how {!Nakamoto_surface.Cert}
+    certifies a depth.  At most [ceil (log2 depth)] of them exceed
+    [depth].
+    @raise Invalid_argument unless [1 <= depth <= limit]. *)
 
 type assessment = {
   params : Params.t;

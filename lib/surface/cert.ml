@@ -112,19 +112,31 @@ let top = I.make ~lo:neg_infinity ~hi:infinity
 let nonneg = I.make ~lo:0. ~hi:infinity
 
 let certify_conf ~epsilon ~conf_limit ratio =
-  (* [Conf z] is sound because the exact searcher walks z = 1, 2, ...:
-     every depth before [z] is certified above epsilon (lo > eps), and
-     [z] itself certified at-or-below (hi <= eps), so the exact search
-     stops exactly there.  Any straddle means the exact answer could go
-     either way inside the cell — inconclusive, fall back. *)
+  (* [Conf z] is sound because the exact search reads the risk only at
+     depths below [z] and at [Confirmation.search_probes z], and returns
+     [z] once every depth it reads below [z] fails epsilon and every
+     depth it reads at or above [z] meets it.  So: walk z = 1, 2, ...
+     certifying each depth above epsilon (lo > eps) until one is
+     certified at-or-below (hi <= eps), then certify every galloping or
+     bisection probe past [z] at-or-below as well.  Any straddle means
+     the exact answer could go either way inside the cell —
+     inconclusive, fall back. *)
+  let meets z = I.hi (double_spend_iv ~ratio ~confirmations:z) <= epsilon in
+  let limit = min conf_limit Nakamoto_core.Confirmation.default_depth_limit in
   if I.lo ratio >= 1. then Conf_none
   else if I.hi ratio >= 1. then Conf_inconclusive
   else begin
     let rec search z =
-      if z > conf_limit then Conf_inconclusive
+      if z > limit then Conf_inconclusive
       else begin
         let ds = double_spend_iv ~ratio ~confirmations:z in
-        if I.hi ds <= epsilon then Conf z
+        if I.hi ds <= epsilon then
+          if
+            List.for_all
+              (fun probe -> probe <= z || meets probe)
+              (Nakamoto_core.Confirmation.search_probes z)
+          then Conf z
+          else Conf_inconclusive
         else if I.lo ds <= epsilon then Conf_inconclusive
         else search (z + 1)
       end

@@ -35,9 +35,10 @@ val default_epsilon : float
 
 val default_conf_limit : int
 (** [256]: the certified confirmation search gives up (and the cell
-    marks its depth inconclusive) well below the exact solver's 10_000
-    limit — interval evaluation of the double-spend sum is O(z^2) per
-    cell, and a cell needing hundreds of confirmations sits so close to
+    marks its depth inconclusive) well below the exact solver's
+    {!Nakamoto_core.Confirmation.default_depth_limit} — the certified
+    walk evaluates the double-spend sum at every depth up to z, O(z^2)
+    per cell, and a cell needing hundreds of confirmations sits so close to
     the consistency frontier that falling back is the right answer
     anyway. *)
 

@@ -46,30 +46,7 @@ let in_box_point rng =
   Params.create ~p:(draw box_p) ~n:(draw box_n) ~delta:(draw box_delta)
     ~nu:(draw box_nu)
 
-(* The exact depth search costs O(depth^2) and the depth diverges as the
-   rate ratio approaches 1 from below — single points near the frontier
-   take seconds.  Screen the global distribution out of the ratio band
-   (0.8, 1): below it depths stay double-digit, at or above 1 the solver
-   short-circuits to outside-consistency.  The screen only moves compute
-   cost, not coverage — the zone and outside_box logic under test do not
-   depend on the depth. *)
-let cheap_rate_ratio (p : Params.t) =
-  let mu = 1. -. p.Params.nu in
-  let log_abar = mu *. p.Params.n *. log1p (-.p.Params.p) in
-  let log_alpha1 =
-    log (p.Params.p *. mu *. p.Params.n)
-    +. ((mu *. p.Params.n) -. 1.) *. log1p (-.p.Params.p)
-  in
-  let honest = exp ((2. *. p.Params.delta *. log_abar) +. log_alpha1) in
-  p.Params.p *. p.Params.nu *. p.Params.n /. honest
-
-let global_point rng =
-  let rec draw tries =
-    let params = Arbitrary.gen P.Domain_gen.params rng in
-    let r = cheap_rate_ratio params in
-    if tries = 0 || r <= 0.8 || r >= 1. then params else draw (tries - 1)
-  in
-  draw 20
+let global_point = Arbitrary.gen P.Domain_gen.params
 
 (* 60% in-box (cached path and near-frontier fallbacks), 40% paper-scale
    (outside_box fallbacks at every scale). *)

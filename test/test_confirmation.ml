@@ -62,15 +62,40 @@ let test_nakamoto_formula () =
   close "ratio >= 1 is hopeless" 1.
     (Confirmation.nakamoto_double_spend ~ratio:1.2 ~confirmations:50);
   check_raises_invalid "z = 0" (fun () ->
-      ignore (Confirmation.nakamoto_double_spend ~ratio:0.3 ~confirmations:0))
+      ignore (Confirmation.nakamoto_double_spend ~ratio:0.3 ~confirmations:0));
+  check_raises_invalid "NaN ratio" (fun () ->
+      ignore (Confirmation.nakamoto_double_spend ~ratio:nan ~confirmations:3))
 
+(* The depth search needs the float P(z) nonincreasing wherever it can
+   cross epsilon.  Far below any practical epsilon the [1 - sum] form
+   bottoms out in rounding noise that does wiggle (around 1e-10 by
+   z = 2000), so the walk stops once P falls under 1e-9, the smallest
+   epsilon the differential property draws. *)
 let test_nakamoto_monotone () =
-  let p z = Confirmation.nakamoto_double_spend ~ratio:0.4 ~confirmations:z in
-  let ok = ref true in
-  for z = 1 to 30 do
-    if p (z + 1) > p z +. 1e-12 then ok := false
-  done;
-  check_true "decreasing in confirmations" !ok
+  for i = 1 to 19 do
+    let ratio = 0.05 *. float_of_int i in
+    let p z = Confirmation.nakamoto_double_spend ~ratio ~confirmations:z in
+    let rec walk z prev =
+      if z < 2000 && prev >= 1e-9 then begin
+        let next = p (z + 1) in
+        if next > prev then
+          Alcotest.failf "ratio %g: P(%d) = %.17g > P(%d) = %.17g" ratio
+            (z + 1) next z prev;
+        walk (z + 1) next
+      end
+    in
+    walk 1 (p 1)
+  done
+
+(* The linear scan the galloping search replaced, kept as the oracle. *)
+let linear_confirmations ~limit ~ratio ~epsilon =
+  let rec scan z =
+    if z > limit then None
+    else if Confirmation.nakamoto_double_spend ~ratio ~confirmations:z <= epsilon
+    then Some z
+    else scan (z + 1)
+  in
+  scan 1
 
 let test_confirmations_for () =
   let z =
@@ -95,6 +120,8 @@ let test_confirmations_for () =
   check_true "a ratio near 1 is unsettleable"
     (Confirmation.confirmations_for ~limit:2000 ~ratio:0.999 ~epsilon:1e-6 ()
     = None);
+  check_true "unsettleable at the default limit"
+    (Confirmation.confirmations_for ~ratio:0.999 ~epsilon:1e-3 () = None);
   check_raises_invalid "epsilon range" (fun () ->
       ignore (Confirmation.confirmations_for ~ratio:0.3 ~epsilon:0. ()));
   check_raises_invalid "limit range" (fun () ->
@@ -115,6 +142,44 @@ let test_assess () =
   check_raises_invalid "outside the consistency region" (fun () ->
       ignore (Confirmation.assess (Params.of_c ~n:1e5 ~delta:10. ~nu:0.45 ~c:0.5)))
 
+(* assess-settle's strata midpoints: every depth must be a first
+   crossing of epsilon, and a subsample must equal the linear scan. *)
+let test_settle_strata () =
+  let epsilon = 1e-3 in
+  for i = 0 to 999 do
+    let ratio = 0.05 +. (0.9 *. (float_of_int i +. 0.5) /. 1000.) in
+    let p z = Confirmation.nakamoto_double_spend ~ratio ~confirmations:z in
+    match Confirmation.confirmations_for ~ratio ~epsilon () with
+    | None -> Alcotest.failf "ratio %g: no depth" ratio
+    | Some z ->
+      if not (p z <= epsilon && (z = 1 || p (z - 1) > epsilon)) then
+        Alcotest.failf "ratio %g: depth %d is not a first crossing" ratio z;
+      if i mod 50 = 0 then
+        check_true
+          (Printf.sprintf "ratio %g matches the linear scan" ratio)
+          (linear_confirmations ~limit:Confirmation.default_depth_limit
+             ~ratio ~epsilon
+          = Some z)
+  done
+
+let test_search_probes () =
+  check_true "depth 1 is one probe" (Confirmation.search_probes 1 = [ 1 ]);
+  check_true "gallop then bisect"
+    (Confirmation.search_probes 5 = [ 1; 2; 4; 8; 6; 5 ]);
+  check_true "the last gallop probe is capped at limit"
+    (Confirmation.search_probes ~limit:3 3 = [ 1; 2; 3 ]);
+  check_raises_invalid "depth past limit" (fun () ->
+      ignore (Confirmation.search_probes ~limit:3 4));
+  for depth = 1 to 5000 do
+    let probes = Confirmation.search_probes depth in
+    let above = List.length (List.filter (fun z -> z > depth) probes) in
+    let log2_ceil = ref 0 in
+    while 1 lsl !log2_ceil < depth do incr log2_ceil done;
+    if not (List.mem depth probes && above <= !log2_ceil) then
+      Alcotest.failf "depth %d: %d probes above, bound %d" depth above
+        !log2_ceil
+  done
+
 let test_table_rendering () =
   let a = Confirmation.assess (Params.of_c ~n:1e5 ~delta:10. ~nu:0.1 ~c:6.) in
   let t = Confirmation.to_table [ a ] in
@@ -122,6 +187,14 @@ let test_table_rendering () =
 
 let props =
   [
+    prop "galloping search equals the linear scan"
+      QCheck2.Gen.(
+        triple (float_range 1e-6 0.999) (float_range (log 1e-9) (log 0.5))
+          (int_range 1 2000))
+      (fun (ratio, log_epsilon, limit) ->
+        let epsilon = exp log_epsilon in
+        Confirmation.confirmations_for ~limit ~ratio ~epsilon ()
+        = linear_confirmations ~limit ~ratio ~epsilon);
     prop "overtake decreasing in deficit"
       QCheck2.Gen.(pair (float_range 0.1 0.9) (int_range 0 20))
       (fun (ratio, deficit) ->
@@ -155,6 +228,8 @@ let suite =
     case "Nakamoto formula anchors" test_nakamoto_formula;
     case "Nakamoto monotone" test_nakamoto_monotone;
     case "confirmations_for" test_confirmations_for;
+    case "settle strata match the linear scan" test_settle_strata;
+    case "search probes" test_search_probes;
     case "assess" test_assess;
     case "table rendering" test_table_rendering;
   ]
