@@ -476,7 +476,8 @@ let surface_build_cmd =
   let epsilon_arg =
     Arg.(value & opt float Surface.Table.default_epsilon
          & info [ "epsilon" ] ~docv:"EPS"
-             ~doc:"Double-spend risk target for the certified depths.")
+             ~doc:"Double-spend risk target for the certified depths, in \
+                   [1e-9, 1).")
   in
   let conf_limit_arg =
     Arg.(value & opt int Surface.Table.default_conf_limit
@@ -641,7 +642,8 @@ let confirm_cmd =
   in
   let epsilon_arg =
     Arg.(value & opt float 1e-3
-         & info [ "epsilon" ] ~docv:"EPS" ~doc:"Acceptable double-spend probability.")
+         & info [ "epsilon" ] ~docv:"EPS"
+             ~doc:"Acceptable double-spend probability, in [1e-9, 1).")
   in
   let delta_small =
     Arg.(value & opt float 10.

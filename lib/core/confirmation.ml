@@ -62,6 +62,7 @@ let nakamoto_double_spend ~ratio ~confirmations =
   end
 
 let default_depth_limit = 10_000
+let min_epsilon = 1e-9
 
 (* Galloping search for the first depth [test] accepts: probe 1, 2, 4,
    ... (the last probe capped at [limit]) until one passes, then bisect
@@ -85,12 +86,13 @@ let gallop ~limit test =
   in
   probe 0 1
 
-let search_probes ?(limit = default_depth_limit) depth =
-  if depth < 1 || depth > limit then
-    invalid_arg "Confirmation.search_probes: depth must lie in [1, limit]";
+let search_probes depth =
+  if depth < 1 || depth > default_depth_limit then
+    invalid_arg
+      "Confirmation.search_probes: depth must lie in [1, default_depth_limit]";
   let seen = ref [] in
   ignore
-    (gallop ~limit (fun z ->
+    (gallop ~limit:default_depth_limit (fun z ->
          seen := z :: !seen;
          if z >= depth then Some () else None));
   List.rev !seen
@@ -98,8 +100,8 @@ let search_probes ?(limit = default_depth_limit) depth =
 let depth_search ~limit ~ratio ~epsilon =
   if not (ratio > 0. && ratio < 1.) then
     invalid_arg "Confirmation.confirmations_for: ratio must lie in (0, 1)";
-  if not (epsilon > 0. && epsilon < 1.) then
-    invalid_arg "Confirmation.confirmations_for: epsilon must lie in (0, 1)";
+  if not (epsilon >= min_epsilon && epsilon < 1.) then
+    invalid_arg "Confirmation.confirmations_for: epsilon must lie in [1e-9, 1)";
   if limit < 1 then
     invalid_arg "Confirmation.confirmations_for: limit must be >= 1";
   gallop ~limit (fun z ->

@@ -49,6 +49,13 @@ val default_depth_limit : int
     ([10_000]): {!confirmations_for}'s default [limit], and the limit
     {!assess_checked} reports in {!Depth_limited}. *)
 
+val min_epsilon : float
+(** The smallest risk target the depth search accepts ([1e-9]).  Below
+    it the float double-spend probability sits near its rounding floor
+    (around [1e-11] by z = 2000, [2e-10] by z = 10_000) and is no longer
+    nonincreasing in [z], so a galloping search could stop at a later
+    crossing than the first one, or find none at all. *)
+
 val confirmations_for :
   ?limit:int -> ratio:float -> epsilon:float -> unit -> int option
 (** [confirmations_for ~ratio ~epsilon ()] is [Some z] for the smallest
@@ -67,23 +74,27 @@ val confirmations_for :
     after a depth that does not (or is 1).  That it is the {e smallest}
     such depth relies on the double-spend probability being
     nonincreasing in [z]: it is mathematically, and the tests pin the
-    float evaluation nonincreasing wherever it is at least [1e-9] and
-    the search equal to a linear scan.  Far below that the [1 - sum]
-    form can wiggle at its rounding floor (around [1e-10] by z = 2000),
-    so an [epsilon] there may get a later crossing than a scan would.
-    @raise Invalid_argument unless [0 < ratio < 1], [0 < epsilon < 1]
-    and [limit >= 1]. *)
+    float evaluation down to {!min_epsilon}.  They pin it
+    nonincreasing on a grid of ratios up to 0.95, for z < 2000 while it
+    is at least [1e-9] and up to {!default_depth_limit} while it is at
+    least [1e-3].  They pin the search equal to a linear scan for
+    [epsilon] in [[1e-9, 0.5]] and limits up to 2000, and its answers
+    first crossings at 1000 ratios in [[0.05, 0.95]] at
+    [epsilon = 1e-3].
+    @raise Invalid_argument unless [0 < ratio < 1],
+    [min_epsilon <= epsilon < 1] and [limit >= 1]. *)
 
-val search_probes : ?limit:int -> int -> int list
+val search_probes : int -> int list
 (** [search_probes depth] lists, in order, the depths {!confirmations_for}
-    evaluates when its answer is [Some depth] (same [limit], default
-    {!default_depth_limit}).  The search reads nothing else, so if
-    [nakamoto_double_spend] meets [epsilon] at exactly the listed depths
+    evaluates at its default limit ({!default_depth_limit}, the one
+    {!assess_checked} uses) when its answer is [Some depth].  The search
+    reads nothing else, so if [nakamoto_double_spend] meets [epsilon] at
+    exactly the listed depths
     that are [>= depth], the search answers [Some depth] whatever the
     probability does elsewhere: that is how {!Nakamoto_surface.Cert}
     certifies a depth.  At most [ceil (log2 depth)] of them exceed
     [depth].
-    @raise Invalid_argument unless [1 <= depth <= limit]. *)
+    @raise Invalid_argument unless [1 <= depth <= default_depth_limit]. *)
 
 type assessment = {
   params : Params.t;
@@ -114,7 +125,9 @@ val unavailable_label : unavailable -> string
 val assess_checked :
   ?epsilon:float -> Params.t -> (assessment, unavailable) result
 (** Like {!assess} but total over valid {!Params.t}: the three failure
-    modes come back as [Error] instead of [Invalid_argument]. *)
+    modes come back as [Error] instead of [Invalid_argument].
+    @raise Invalid_argument when the depth search runs and [epsilon] is
+    not in [[min_epsilon, 1)]. *)
 
 val assess : ?epsilon:float -> Params.t -> assessment
 (** [assess params] computes the conservative confirmation depth in the
@@ -124,7 +137,8 @@ val assess : ?epsilon:float -> Params.t -> assessment
     @raise Invalid_argument when [nu = 0.] (nothing to defend against),
     the rate ratio is not < 1 (no finite depth is safe), or no depth
     within {!confirmations_for}'s search limit reaches [epsilon] —
-    the same cases {!assess_checked} returns as typed [Error]s. *)
+    the same cases {!assess_checked} returns as typed [Error]s — and,
+    like it, for an [epsilon] outside [[min_epsilon, 1)]. *)
 
 val to_table : assessment list -> Nakamoto_numerics.Table.t
 (** Render a sweep of assessments. *)

@@ -114,8 +114,8 @@ let certify_cell grid ~epsilon ~conf_limit ~refine id =
 let build ?(jobs = 1) ?(epsilon = default_epsilon)
     ?(conf_limit = default_conf_limit) ?(refine = default_refine) grid =
   if jobs < 1 then invalid_arg "Table.build: jobs must be >= 1";
-  if not (epsilon > 0. && epsilon < 1.) then
-    invalid_arg "Table.build: epsilon must lie in (0, 1)";
+  if not (epsilon >= Nakamoto_core.Confirmation.min_epsilon && epsilon < 1.)
+  then invalid_arg "Table.build: epsilon must lie in [1e-9, 1)";
   if conf_limit < 1 then invalid_arg "Table.build: conf_limit must be >= 1";
   if refine < 1 then invalid_arg "Table.build: refine must be >= 1";
   let nv = Grid.vertex_count grid in

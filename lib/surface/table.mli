@@ -49,8 +49,9 @@ val build :
   ?jobs:int -> ?epsilon:float -> ?conf_limit:int -> ?refine:int -> Grid.t -> t
 (** Certify every cell (in parallel for [jobs > 1] — bit-identical
     results regardless) and record exact vertex margins.
-    @raise Invalid_argument for [jobs < 1], [epsilon] outside (0, 1),
-    [conf_limit < 1] or [refine < 1]. *)
+    @raise Invalid_argument for [jobs < 1], [epsilon] outside
+    [[Nakamoto_core.Confirmation.min_epsilon, 1)] (the exact search's
+    range), [conf_limit < 1] or [refine < 1]. *)
 
 val grid : t -> Grid.t
 val epsilon : t -> float

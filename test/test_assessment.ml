@@ -145,7 +145,9 @@ let test_conf_frontier_falls_back () =
   check_int "strangled zone still certified" 1 zc;
   check_int "strangled depth inconclusive" 0 cc;
   expect_fallback ~label:"conf" ~reason:"conf_boundary" strangled
-    (Params.create ~p:1.15e-4 ~n:105. ~delta:29. ~nu:0.014)
+    (Params.create ~p:1.15e-4 ~n:105. ~delta:29. ~nu:0.014);
+  check_raises_invalid "epsilon below the exact search's floor" (fun () ->
+      ignore (box () ~epsilon:1e-12 ()))
 
 (* --- depth-limit surfacing (the assess_checked split) -------------- *)
 

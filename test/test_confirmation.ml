@@ -68,15 +68,21 @@ let test_nakamoto_formula () =
 
 (* The depth search needs the float P(z) nonincreasing wherever it can
    cross epsilon.  Far below any practical epsilon the [1 - sum] form
-   bottoms out in rounding noise that does wiggle (around 1e-10 by
-   z = 2000), so the walk stops once P falls under 1e-9, the smallest
-   epsilon the differential property draws. *)
+   bottoms out in rounding noise that does wiggle (around 1e-11 by
+   z = 2000, 2e-10 by z = 10_000), so the walk stops once P falls under
+   1e-9, the smallest epsilon the differential property draws, or at
+   z = 2000, its largest limit.  For the default epsilon 1e-3 it goes on
+   to the default limit, which covers the deep depths of ratios up to
+   0.95 (4952 at 0.95). *)
 let test_nakamoto_monotone () =
   for i = 1 to 19 do
     let ratio = 0.05 *. float_of_int i in
     let p z = Confirmation.nakamoto_double_spend ~ratio ~confirmations:z in
     let rec walk z prev =
-      if z < 2000 && prev >= 1e-9 then begin
+      if
+        (z < 2000 && prev >= 1e-9)
+        || (z < Confirmation.default_depth_limit && prev >= 1e-3)
+      then begin
         let next = p (z + 1) in
         if next > prev then
           Alcotest.failf "ratio %g: P(%d) = %.17g > P(%d) = %.17g" ratio
@@ -122,6 +128,20 @@ let test_confirmations_for () =
     = None);
   check_true "unsettleable at the default limit"
     (Confirmation.confirmations_for ~ratio:0.999 ~epsilon:1e-3 () = None);
+  (* Below min_epsilon the float P(z) wiggles at its rounding floor: at
+     ratio 0.62 and epsilon 1e-12 a scan stops at 279 while every
+     galloping probe from 512 on reads noise above epsilon, so the
+     search would call the ratio unsettleable.  It refuses instead. *)
+  check_raises_invalid "epsilon below the rounding floor" (fun () ->
+      ignore (Confirmation.confirmations_for ~ratio:0.62 ~epsilon:1e-12 ()));
+  check_raises_invalid "assess: epsilon below the rounding floor" (fun () ->
+      ignore
+        (Confirmation.assess ~epsilon:1e-12
+           (Params.of_c ~n:1e5 ~delta:10. ~nu:0.2 ~c:6.)));
+  check_true "min_epsilon itself is accepted"
+    (Confirmation.confirmations_for ~ratio:0.3 ~epsilon:Confirmation.min_epsilon
+       ()
+    <> None);
   check_raises_invalid "epsilon range" (fun () ->
       ignore (Confirmation.confirmations_for ~ratio:0.3 ~epsilon:0. ()));
   check_raises_invalid "limit range" (fun () ->
@@ -166,10 +186,14 @@ let test_search_probes () =
   check_true "depth 1 is one probe" (Confirmation.search_probes 1 = [ 1 ]);
   check_true "gallop then bisect"
     (Confirmation.search_probes 5 = [ 1; 2; 4; 8; 6; 5 ]);
-  check_true "the last gallop probe is capped at limit"
-    (Confirmation.search_probes ~limit:3 3 = [ 1; 2; 3 ]);
-  check_raises_invalid "depth past limit" (fun () ->
-      ignore (Confirmation.search_probes ~limit:3 4));
+  let limit = Confirmation.default_depth_limit in
+  check_true "the last gallop probe is capped at the limit"
+    (List.filteri (fun i _ -> i < 15) (Confirmation.search_probes limit)
+    = List.init 14 (fun i -> 1 lsl i) @ [ limit ]);
+  check_raises_invalid "depth past the limit" (fun () ->
+      ignore (Confirmation.search_probes (limit + 1)));
+  check_raises_invalid "depth 0" (fun () ->
+      ignore (Confirmation.search_probes 0));
   for depth = 1 to 5000 do
     let probes = Confirmation.search_probes depth in
     let above = List.length (List.filter (fun z -> z > depth) probes) in
@@ -192,7 +216,7 @@ let props =
         triple (float_range 1e-6 0.999) (float_range (log 1e-9) (log 0.5))
           (int_range 1 2000))
       (fun (ratio, log_epsilon, limit) ->
-        let epsilon = exp log_epsilon in
+        let epsilon = Float.max Confirmation.min_epsilon (exp log_epsilon) in
         Confirmation.confirmations_for ~limit ~ratio ~epsilon ()
         = linear_confirmations ~limit ~ratio ~epsilon);
     prop "overtake decreasing in deficit"
