@@ -9,9 +9,9 @@ test:
 # worker pool, the deterministic sharding and the journal format in one
 # shot.  Regenerate the golden (after a deliberate format change) by
 # rerunning the dune exec line with --out test/golden/campaign_smoke.jsonl.
-# The skip leg runs the same grid through the round-skipping executor at
-# two worker counts: per-trial rngs make the journal a pure function of
-# the spec, so --jobs must be invisible in the bytes.
+# The skip and aggregate legs run the same grid through the two fast
+# executors at two worker counts: per-trial rngs make the journal a pure
+# function of the spec, so --jobs must be invisible in the bytes.
 campaign-smoke:
 	dune exec bin/main.exe -- campaign -p 0.01 -n 40 --delta 3 --nu 0.15,0.4 \
 	  --trials 4 --rounds 400 --jobs 2 --seed 7 \
@@ -27,6 +27,15 @@ campaign-smoke:
 	  --out _campaign_smoke_skip.jsonl --progress-interval 0 >/dev/null
 	cmp _campaign_smoke_skip.jsonl test/golden/campaign_smoke_skip.jsonl
 	rm -f _campaign_smoke_skip.jsonl
+	dune exec bin/main.exe -- campaign -p 0.01 -n 40 --delta 3 --nu 0.15,0.4 \
+	  --trials 4 --rounds 400 --jobs 2 --seed 7 --mining aggregate \
+	  --out _campaign_smoke_aggregate.jsonl --progress-interval 0 >/dev/null
+	cmp _campaign_smoke_aggregate.jsonl test/golden/campaign_smoke_aggregate.jsonl
+	dune exec bin/main.exe -- campaign -p 0.01 -n 40 --delta 3 --nu 0.15,0.4 \
+	  --trials 4 --rounds 400 --jobs 1 --seed 7 --mining aggregate \
+	  --out _campaign_smoke_aggregate.jsonl --progress-interval 0 >/dev/null
+	cmp _campaign_smoke_aggregate.jsonl test/golden/campaign_smoke_aggregate.jsonl
+	rm -f _campaign_smoke_aggregate.jsonl
 
 # Tiny EXECSCALE run: asserts the aggregate executor out-runs exact mode
 # at n = 10^4 and that Binomial.sample cost is flat in the trial count at

@@ -120,9 +120,9 @@ let test_digest_basics () =
   check_true "single-field drift moves the digest"
     (Trace.digest a <> Trace.digest c)
 
-(* Golden digests for the Aggregate executor (with their Exact twins for
-   contrast): any change to the aggregate sampling order, the Δ-ring
-   delivery order, or the trace capture itself moves one of these.  Pins
+(* Golden digests for the Aggregate and Skip executors (with their Exact
+   twins for contrast): any change to the fast modes' sampling order, the
+   Δ-ring delivery order, or the trace capture itself moves one of these.  Pins
    were produced by this build; to re-pin after an intentional change,
    run the test and copy the printed actuals. *)
 let test_digest_golden () =
@@ -140,13 +140,17 @@ let test_digest_golden () =
     { (Sim.Scenarios.attack_zone ~seed:9L ~nu:0.3) with rounds = 300 }
   in
   let aggregate cfg = { cfg with Sim.Config.mining_mode = Sim.Config.Aggregate } in
+  let skip cfg = { cfg with Sim.Config.mining_mode = Sim.Config.Skip } in
   pin "idle exact" idle (-8529630278043617785L);
   pin "idle aggregate" (aggregate idle) 8135491591983535470L;
+  pin "idle skip" (skip idle) (-5713403842752216858L);
   pin "selfish exact" selfish 593782077359320743L;
   pin "selfish aggregate" (aggregate selfish) (-1688032004928090375L);
+  pin "selfish skip" (skip selfish) 5462542769093252640L;
   pin "private-chain exact" private_chain 824747865138562576L;
   pin "private-chain aggregate" (aggregate private_chain)
     (-6121173026786046363L);
+  pin "private-chain skip" (skip private_chain) (-6408368387510275239L);
   if !drifted <> [] then
     Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
 
