@@ -66,7 +66,7 @@ let validate t =
      recipient-independent delay policy; Balance's cross-group routing is
      inherently per-recipient.  Reject at spec level so the operator hears
      about it before any trial runs (Config.validate would re-raise, per
-     cell, with the typed Config.Incompatible for Skip). *)
+     cell, with the typed Config.Incompatible for either mode). *)
   match (t.mode, t.mining_mode, t.strategy) with
   | Full_protocol, (Sim.Config.Aggregate | Sim.Config.Skip), Sim.Adversary.Balance _
     ->

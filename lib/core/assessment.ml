@@ -32,7 +32,7 @@ let zone_to_string = function
   | Gap -> "GAP"
   | Broken -> "BROKEN"
 
-let assess (params : Params.t) =
+let assess ?epsilon (params : Params.t) =
   let c = Params.c params in
   let nu = params.nu in
   let neat_threshold =
@@ -52,7 +52,7 @@ let assess (params : Params.t) =
        ratio is so close to 1 that no depth within the search limit
        suffices — the typed reason is kept alongside so batch callers
        can report why. *)
-    match Confirmation.assess_checked params with
+    match Confirmation.assess_checked ?epsilon params with
     | Ok a -> (Some a, None)
     | Error reason -> (None, Some reason)
   in

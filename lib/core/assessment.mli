@@ -39,7 +39,7 @@ type t = {
           ([2 (1-nu)^2 / (1-2nu)]), or [infinity] for [nu >= 1/2] *)
   attack_threshold : float;  (** the PSS attack succeeds for c below this *)
   confirmations : Confirmation.assessment option;
-      (** settlement depth at the default risk target; [None] when
+      (** settlement depth at the risk target [assess] was given; [None] when
           [nu = 0] or the point is outside the consistency region *)
   confirmation_failure : Confirmation.unavailable option;
       (** why [confirmations] is [None], when it is *)
@@ -51,10 +51,14 @@ type t = {
           points (Δ ≈ 10^13) must not pay a per-assessment solve *)
 }
 
-val assess : Params.t -> t
-(** [assess params] computes the verdict.  Never raises for valid
-    {!Params.t} values (the confirmation sub-assessment degrades to
-    [None] instead). *)
+val assess : ?epsilon:float -> Params.t -> t
+(** [assess params] computes the verdict, searching the settlement depth
+    at risk target [epsilon] (default [1e-3], as
+    {!Confirmation.assess_checked}).  Never raises for valid {!Params.t}
+    values and an [epsilon] in [[Confirmation.min_epsilon, 1)] (the
+    confirmation sub-assessment degrades to [None] instead).
+    @raise Invalid_argument when the depth search runs and [epsilon] is
+    outside that range. *)
 
 val zone_to_string : zone -> string
 

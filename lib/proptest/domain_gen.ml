@@ -75,31 +75,18 @@ let delay_override ~allow_recipient_dependent rng =
     rng
 
 (* A spec is usable only if the whole executor surface accepts it:
-   [of_spec] checks the numeric region, but strategy construction (a
-   balance boundary must fit the honest count) and the aggregate
-   executor's recipient-independence requirement (which extends to the
-   strategy's *default* policy when no override is given) only surface at
-   [Execution.run] time — validate them here so generation and shrinking
-   never manufacture a configuration error out of a behavioral one. *)
+   [of_spec] validates the configuration, including the fast modes'
+   recipient-independence requirement (typed, as [Config.Incompatible]),
+   but strategy construction (a balance boundary must fit the honest
+   count) only surfaces at [Execution.run] time — check it here so
+   generation and shrinking never manufacture a configuration error out
+   of a behavioral one. *)
 let spec_valid s =
   match
     let cfg = Scenarios.of_spec s in
-    let honest_count = Config.honest_count cfg in
-    ignore (Adversary.create ~strategy:s.Scenarios.strategy ~honest_count);
-    match cfg.Config.mining_mode with
-    | Config.Exact -> ()
-    | Config.Aggregate | Config.Skip -> (
-      let policy =
-        match cfg.Config.delay_override with
-        | Some p -> p
-        | None ->
-          Adversary.delay_policy_for s.Scenarios.strategy
-            ~delta:cfg.Config.delta ~honest_count
-      in
-      match policy with
-      | Network.Immediate | Network.Fixed _ | Network.Maximal -> ()
-      | Network.Uniform_random | Network.Per_recipient _ ->
-        invalid_arg "aggregate/skip mining with a recipient-dependent policy")
+    ignore
+      (Adversary.create ~strategy:s.Scenarios.strategy
+         ~honest_count:(Config.honest_count cfg))
   with
   | () -> true
   | exception Invalid_argument _ -> false

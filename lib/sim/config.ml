@@ -2,16 +2,16 @@ type mining_mode = Exact | Aggregate | Skip
 
 exception Incompatible of { mode : mining_mode; reason : string }
 
+let mode_name = function
+  | Exact -> "exact"
+  | Aggregate -> "aggregate"
+  | Skip -> "skip"
+
 let () =
   Printexc.register_printer (function
     | Incompatible { mode; reason } ->
-      let mode_name =
-        match mode with
-        | Exact -> "exact"
-        | Aggregate -> "aggregate"
-        | Skip -> "skip"
-      in
-      Some (Printf.sprintf "Config.Incompatible(%s): %s" mode_name reason)
+      Some
+        (Printf.sprintf "Config.Incompatible(%s): %s" (mode_name mode) reason)
     | _ -> None)
 
 type t = {
@@ -33,6 +33,13 @@ let adversary_count t = int_of_float (t.nu *. float_of_int t.n)
 let honest_count t = t.n - adversary_count t
 let mu t = float_of_int (honest_count t) /. float_of_int t.n
 
+let delay_policy t =
+  match t.delay_override with
+  | Some policy -> policy
+  | None ->
+    Adversary.delay_policy_for t.strategy ~delta:t.delta
+      ~honest_count:(honest_count t)
+
 let validate t =
   if t.n < 4 then invalid_arg "Config: n must be >= 4 (paper Eq. 3)";
   if not (t.nu >= 0. && t.nu < 0.5) then
@@ -48,35 +55,30 @@ let validate t =
   | Adversary.Idle | Adversary.Private_chain _ | Adversary.Balance _
   | Adversary.Selfish_mining ->
     ());
-  (* Skip mode samples the gap to the next block-bearing round and
-     fast-forwards everything in between, so per-round adversarial delay
-     choices ([Uniform_random], [Per_recipient]) have no round to inspect.
-     Reject the combination here, typed, instead of silently degrading. *)
-  match t.mining_mode with
-  | Exact | Aggregate -> ()
-  | Skip -> (
-    let policy =
-      match t.delay_override with
-      | Some policy -> policy
-      | None ->
-        Adversary.delay_policy_for t.strategy ~delta:t.delta
-          ~honest_count:(honest_count t)
-    in
-    match policy with
-    | Nakamoto_net.Network.Immediate | Nakamoto_net.Network.Fixed _
-    | Nakamoto_net.Network.Maximal ->
-      ()
-    | Nakamoto_net.Network.Uniform_random | Nakamoto_net.Network.Per_recipient _
-      ->
-      raise
-        (Incompatible
-           {
-             mode = Skip;
-             reason =
-               "Skip mining requires a recipient-independent delay policy \
+  (* The fast modes route broadcasts through the network's shared Δ-ring
+     lane and fast-forward empty spans, so a delay chosen per recipient
+     ([Uniform_random], [Per_recipient]) has no round or recipient to
+     inspect.  Reject the combination here, typed, instead of silently
+     degrading. *)
+  match (t.mining_mode, delay_policy t) with
+  | Exact, _
+  | ( (Aggregate | Skip),
+      ( Nakamoto_net.Network.Immediate | Nakamoto_net.Network.Fixed _
+      | Nakamoto_net.Network.Maximal ) ) ->
+    ()
+  | ( ((Aggregate | Skip) as mode),
+      (Nakamoto_net.Network.Uniform_random | Nakamoto_net.Network.Per_recipient _)
+    ) ->
+    raise
+      (Incompatible
+         {
+           mode;
+           reason =
+             String.capitalize_ascii (mode_name mode)
+             ^ " mining requires a recipient-independent delay policy \
                 (Immediate, Fixed or Maximal); the effective policy needs \
                 per-round inspection";
-           }))
+         })
 
 let c t = 1. /. (t.p *. float_of_int t.n *. float_of_int t.delta)
 

@@ -19,7 +19,8 @@ type mining_mode =
           (winners and direct-send recipients) are materialized.  Round
           cost is O(blocks mined + messages due) instead of O(n).
           Requires a recipient-independent delay policy ([Immediate],
-          [Fixed] or [Maximal]) *)
+          [Fixed] or [Maximal]), enforced as a typed {!Incompatible}
+          error at {!validate} time *)
   | Skip
       (** the O(events) path on top of [Aggregate]: the executor never
           iterates empty rounds.  It samples the gap to the next
@@ -30,13 +31,12 @@ type mining_mode =
           deliveries fall due.  Distribution-identical to [Aggregate]
           (not bit-identical: the RNG is consumed per event, not per
           round); [on_round] fires only for simulated rounds.  Same
-          delay-policy restriction as [Aggregate], enforced as a typed
-          {!Incompatible} error at {!validate} time *)
+          delay-policy restriction as [Aggregate] *)
 
 exception Incompatible of { mode : mining_mode; reason : string }
 (** Raised by {!validate} when a mining mode cannot faithfully execute
     the configuration (rather than silently degrading) — currently
-    [Skip] with a delay policy that needs per-round inspection
+    [Aggregate] or [Skip] with a recipient-dependent delay policy
     ([Uniform_random] or [Per_recipient], whether from [delay_override]
     or the strategy's default, e.g. [Balance]). *)
 
@@ -69,6 +69,10 @@ val validate : t -> unit
     [nu > 0].
     @raise Incompatible when [mining_mode] cannot execute the
     configuration faithfully (see {!Incompatible}). *)
+
+val delay_policy : t -> Nakamoto_net.Network.delay_policy
+(** The policy every executor runs under: [delay_override], else the
+    strategy's default. *)
 
 val adversary_count : t -> int
 (** [floor (nu * n)]. *)

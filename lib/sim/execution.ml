@@ -110,9 +110,10 @@ let phase_stop instr span =
   | Some i -> Tel.Span.stop (span i) i.phase_started
 
 (* A convergence opportunity completed: record the gap since the previous
-   one.  [conv_round] is the true completion round — for the per-round
-   executors that is the round being observed, but skip mode can complete
-   an opportunity strictly inside a fast-forwarded span. *)
+   one.  [conv_round] is the true completion round,
+   [Pattern.last_count_round]: on a per-round step that is the round
+   being observed whenever a completion happens, but Skip can complete an
+   opportunity strictly inside a fast-forwarded span. *)
 let note_convergence i ~conv_count ~conv_round =
   if conv_count > i.last_conv_count then begin
     if i.last_conv_round > 0 then
@@ -122,39 +123,88 @@ let note_convergence i ~conv_count ~conv_round =
     i.last_conv_round <- conv_round
   end
 
-(* End-of-round bookkeeping shared by the executors; [releases] is the
-   round's release list (burst sizes), the rest are this round's already
-   computed statistics. *)
-let observe_round ?conv_round instr ~round ~h ~successes ~releases
-    ~round_reorg ~best_height ~conv_count =
-  match instr with
-  | None -> ()
-  | Some i ->
-    Tel.Counter.incr i.i_rounds;
-    Tel.Counter.add i.i_honest h;
-    Tel.Counter.add i.i_adversary successes;
-    Tel.Counter.add i.i_releases (List.length releases);
-    List.iter
-      (fun { Adversary.blocks; _ } ->
-        Tel.Histogram.observe i.i_release_burst
-          (float_of_int (List.length blocks)))
-      releases;
-    if round_reorg > 0 then begin
-      Tel.Counter.incr i.i_reorg_rounds;
-      Tel.Histogram.observe i.i_reorg_depth (float_of_int round_reorg)
-    end;
-    if h > 0 then begin
-      if i.last_block_round > 0 then
-        Tel.Histogram.observe i.i_interarrival
-          (float_of_int (round - i.last_block_round));
-      i.last_block_round <- round
-    end;
-    note_convergence i ~conv_count
-      ~conv_round:(Option.value conv_round ~default:round);
-    if best_height > i.last_best_height then begin
-      Tel.Counter.add i.i_height_growth (best_height - i.last_best_height);
-      i.last_best_height <- best_height
+(* End-of-round reporting shared by the executors: the [on_round] hook and
+   the telemetry tail.  [best_height] is only computed when one of them
+   listens; [releases] is the round's release list (burst sizes), the
+   rest are this round's already computed statistics. *)
+let observe_round ?on_round instr ~round ~h ~successes ~releases ~round_reorg
+    ~best_height ~conv_count ~conv_round =
+  if Option.is_some on_round || Option.is_some instr then begin
+    let best_height = best_height () in
+    (match on_round with
+    | None -> ()
+    | Some report ->
+      report
+        {
+          round_number = round;
+          honest_mined = h;
+          adversary_successes = successes;
+          releases_issued = List.length releases;
+          best_height;
+          reorg_depth = round_reorg;
+        });
+    match instr with
+    | None -> ()
+    | Some i ->
+      Tel.Counter.incr i.i_rounds;
+      Tel.Counter.add i.i_honest h;
+      Tel.Counter.add i.i_adversary successes;
+      Tel.Counter.add i.i_releases (List.length releases);
+      List.iter
+        (fun { Adversary.blocks; _ } ->
+          Tel.Histogram.observe i.i_release_burst
+            (float_of_int (List.length blocks)))
+        releases;
+      if round_reorg > 0 then begin
+        Tel.Counter.incr i.i_reorg_rounds;
+        Tel.Histogram.observe i.i_reorg_depth (float_of_int round_reorg)
+      end;
+      if h > 0 then begin
+        if i.last_block_round > 0 then
+          Tel.Histogram.observe i.i_interarrival
+            (float_of_int (round - i.last_block_round));
+        i.last_block_round <- round
+      end;
+      note_convergence i ~conv_count ~conv_round;
+      if best_height > i.last_best_height then begin
+        Tel.Counter.add i.i_height_growth (best_height - i.last_best_height);
+        i.last_best_height <- best_height
+      end
+  end
+
+(* Hand [blocks] to [miner] and measure how deep it rolled back its chain:
+   [max_reorg] keeps the run's deepest rollback, [round_reorg] (when given)
+   the current round's. *)
+let receive_tracked ~god ~max_reorg miner blocks ~round ~round_reorg =
+  if blocks <> [] then begin
+    let old_tip = Miner.best_tip miner in
+    Miner.receive miner blocks;
+    let new_tip = Miner.best_tip miner in
+    if not (Block.equal old_tip new_tip) then begin
+      let meet = Block_tree.common_prefix_height god old_tip new_tip in
+      let rolled_back = old_tip.Block.height - meet in
+      (match round_reorg with
+      | Some cell -> if rolled_back > !cell then cell := rolled_back
+      | None -> ());
+      if rolled_back > 2 then
+        Log.debug (fun m ->
+            m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
+              (Miner.id miner) rolled_back old_tip.Block.height
+              new_tip.Block.height);
+      if rolled_back > !max_reorg then max_reorg := rolled_back
     end
+  end
+
+let adversary_acts adversary ~round ~successes =
+  let releases = Adversary.act adversary ~round ~successes in
+  if releases <> [] then
+    Log.debug (fun m ->
+        m "round %d: adversary issued %d release(s) (%d successes this round)"
+          round (List.length releases) successes);
+  releases
+
+let blocks_of messages =
+  List.concat_map (fun (m : Network.message) -> m.blocks) messages
 
 (* ------------------------------------------------------------------ *)
 (* Exact mode: one H-query per honest miner per round, nu n sequential
@@ -169,15 +219,9 @@ let run_exact ?on_round ~instr config =
   let oracle = Pow.create ~seed:(Rng.bits64 rng) ~p:config.p in
   let net_rng = Rng.split rng in
   let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let policy =
-    match config.delay_override with
-    | Some policy -> policy
-    | None ->
-      Adversary.delay_policy_for config.strategy ~delta:config.delta
-        ~honest_count:honest_n
-  in
   let network =
-    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
+    Network.create ~delta:config.delta ~players:honest_n
+      ~policy:(Config.delay_policy config) ~rng:net_rng
   in
   let miners =
     Array.init honest_n (fun id -> Miner.create ~tie_break:config.tie_break ~id ())
@@ -194,39 +238,23 @@ let run_exact ?on_round ~instr config =
     snapshots :=
       { round; tips = Array.map Miner.best_tip miners } :: !snapshots
   in
-  (* Drain one round of deliveries for every miner, tracking how deep any
-     of them had to roll back its chain. *)
-  let deliver_round round ~track_round_reorg =
+  let deliver_round round ~round_reorg =
     Array.iter
       (fun miner ->
         let inbox = Network.deliver network ~recipient:(Miner.id miner) ~round in
-        if inbox <> [] then begin
-          let old_tip = Miner.best_tip miner in
-          Miner.receive miner
-            (List.concat_map (fun (m : Network.message) -> m.blocks) inbox);
-          let new_tip = Miner.best_tip miner in
-          if not (Block.equal old_tip new_tip) then begin
-            let meet = Block_tree.common_prefix_height god old_tip new_tip in
-            let rolled_back = old_tip.Block.height - meet in
-            (match track_round_reorg with
-            | Some cell -> if rolled_back > !cell then cell := rolled_back
-            | None -> ());
-            if rolled_back > 2 then
-              Log.debug (fun m ->
-                  m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
-                    (Miner.id miner) rolled_back old_tip.Block.height
-                    new_tip.Block.height);
-            if rolled_back > !max_reorg then max_reorg := rolled_back
-          end
-        end)
+        receive_tracked ~god ~max_reorg miner (blocks_of inbox) ~round
+          ~round_reorg)
       miners
+  in
+  let best_height () =
+    Array.fold_left (fun acc m -> max acc (Miner.chain_length m)) 0 miners
   in
   for round = 1 to config.rounds do
     let round_reorg = ref 0 in
     (* Phase 1: delivery.  Record reorg depth when a miner abandons part of
        its previously-best chain. *)
     phase_start instr (fun i -> i.sp_delivery);
-    deliver_round round ~track_round_reorg:(Some round_reorg);
+    deliver_round round ~round_reorg:(Some round_reorg);
     phase_stop instr (fun i -> i.sp_delivery);
     (* Phase 2: honest mining — one parallel H-query each (Section III's
        oracle: the query digests the miner's current parent). *)
@@ -261,11 +289,7 @@ let run_exact ?on_round ~instr config =
         ~round ~queries:adv_n
     in
     adversary_blocks := !adversary_blocks + successes;
-    let releases = Adversary.act adversary ~round ~successes in
-    if releases <> [] then
-      Log.debug (fun m ->
-          m "round %d: adversary issued %d release(s) (%d successes this round)"
-            round (List.length releases) successes);
+    let releases = adversary_acts adversary ~round ~successes in
     List.iter
       (fun { Adversary.audience; delay; blocks } ->
         let send recipient =
@@ -280,28 +304,10 @@ let run_exact ?on_round ~instr config =
         | Adversary.Only recipients -> List.iter send recipients)
       releases;
     phase_stop instr (fun i -> i.sp_adversary);
-    if Option.is_some on_round || Option.is_some instr then begin
-      let best_height =
-        Array.fold_left
-          (fun acc m -> max acc (Miner.chain_length m))
-          0 miners
-      in
-      (match on_round with
-      | None -> ()
-      | Some report ->
-        report
-          {
-            round_number = round;
-            honest_mined = h;
-            adversary_successes = successes;
-            releases_issued = List.length releases;
-            best_height;
-            reorg_depth = !round_reorg;
-          });
-      observe_round instr ~round ~h ~successes ~releases
-        ~round_reorg:!round_reorg ~best_height
-        ~conv_count:(Pattern.count pattern)
-    end;
+    observe_round ?on_round instr ~round ~h ~successes ~releases
+      ~round_reorg:!round_reorg ~best_height
+      ~conv_count:(Pattern.count pattern)
+      ~conv_round:(Pattern.last_count_round pattern);
     if round mod config.snapshot_interval = 0 || round = config.rounds then
       take_snapshot round
   done;
@@ -310,7 +316,7 @@ let run_exact ?on_round ~instr config =
      child block delivered but its parent still in transit at the cutoff,
      stranding orphans that the model says must connect. *)
   for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~track_round_reorg:None
+    deliver_round round ~round_reorg:None
   done;
   {
     config;
@@ -331,68 +337,133 @@ let run_exact ?on_round ~instr config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate mode: the paper-scale fast path.
+(* The fast modes, Aggregate and Skip: one event-stepped body.
 
-   Per-round cost is O(blocks mined + messages due) instead of O(n):
+   Per simulated round the cost is O(blocks mined + messages due)
+   instead of O(n):
 
-   - The number of honest winners is drawn from binom(mu n, p) (the exact
-     law realized by mu n independent H-queries) and *which* miners won is
-     a partial Fisher-Yates draw over the honest ids — round outcomes are
-     distribution-identical to exact mode, though not bit-identical.
-   - The adversary's nu n sequential queries collapse to one
-     binom(nu n, p) draw (their count is all Adversary.act consumes).
-   - Broadcasts ride the network's shared Δ-ring lane (O(1) per
-     broadcast); every miner whose view never diverges from that shared
-     stream is represented by one "crowd" view.  A miner is materialized
-     (cloned from the crowd) the first time it wins a block or is targeted
-     by a direct send, and from then on consumes the ring plus its own
-     event queue every round.
+   - A mining round's honest count comes from binom(mu n, p) (the law of
+     mu n independent H-queries) and *which* miners won is a partial
+     Fisher-Yates draw over the honest ids; the adversary's nu n
+     sequential queries collapse to one binom(nu n, p) count (all
+     Adversary.act consumes).  Round outcomes are distribution-identical
+     to Exact, not bit-identical.
+   - Broadcasts ride the network's shared Δ-ring lane (O(1) each); every
+     miner whose view never diverged from that shared stream is one
+     "crowd" view.  A miner is materialized (cloned from the crowd) the
+     first time it wins a block or is targeted by a direct send, and from
+     then on consumes the ring plus its own queue.  Untouched miners are
+     exact replicas of the crowd, so snapshots and final tips fill their
+     slots with the crowd tip and [orphans_remaining] counts the crowd
+     once.  Once every miner is materialized (Balance's first release
+     does it) the crowd retires from delivery, reorg and orphan
+     accounting: it would otherwise receive ring blocks whose direct-sent
+     parents it never saw and report phantom orphans no miner holds.
+   - The loop steps from event to event.  The next simulated round is
+     the earlier of the next mining round and the next due delivery
+     (Network.next_due).  Because mining is i.i.d. per round, a drawn
+     mining round stays valid across delivery-only rounds
+     (memorylessness) and is redrawn only once consumed.  Releases need
+     no event of their own: every strategy is event-driven
+     (Adversary.advance_empty verifies that no release originates inside
+     an empty span), so they surface at a simulated round.  An empty span
+     is fast-forwarded in O(1): Pattern.observe_empty advances the
+     convergence detector (reporting a mid-span completion at its true
+     round), the adversary takes one verified no-op step, telemetry adds
+     the span to its round counter, and snapshot-cadence rounds inside it
+     replay the unchanged tips.
 
-   Untouched miners are exact replicas of the crowd by construction (they
-   received exactly the shared stream and mined nothing), so snapshots and
-   final tips fill their slots with the crowd tip.  [orphans_remaining]
-   counts the crowd view once, not once per untouched miner.
-
-   The crowd stands for the untouched miners and for nothing else: once
-   every miner has been materialized (the Balance adversary forces this at
-   its first release, whose [Only] audiences cover all honest miners) the
-   crowd retires — it stops consuming the shared stream and drops out of
-   reorg and orphan accounting.  A retired crowd would otherwise keep
-   receiving ring blocks whose direct-sent parents it never saw and report
-   phantom orphans no real miner holds. *)
+   The mode supplies only the draws, as a [law]: the gap to the next
+   mining round, its honest count and its adversary count.  Aggregate's
+   gaps are all 0, so it simulates every round.  Skip's gap is
+   Geometric(1 - q0) on {0, 1, ...} where q0 = (1-p)^(mu n + nu n) is the
+   probability a round mines nothing on either side, and the mining
+   round's counts follow the conditional law (H, A) | H + A > 0: with
+   probability (1 - qh)/(1 - q0) a zero-truncated binom(mu n, p) honest
+   count with an unconditional binom(nu n, p) adversary count, else an
+   honest zero with a zero-truncated binom(nu n, p).  Multiplying out
+   recovers P(H = h) P(A = a) / (1 - q0), Aggregate's joint law
+   conditioned on a non-empty round, and empty rounds carry no other
+   randomness.  Skip is therefore distribution-identical to Aggregate,
+   not bit-identical: it consumes the RNG per event rather than per
+   round, and [on_round] fires only for simulated rounds.             *)
 (* ------------------------------------------------------------------ *)
 
-let run_aggregate ?on_round ~instr config =
+type law = {
+  gap : unit -> int;  (** empty rounds before the next mining round *)
+  honest : unit -> int;  (** drawn before the winners are placed *)
+  adversary : unit -> int;  (** drawn after them *)
+}
+
+let unit_gaps ~rng ~honest_dist ~adv_dist ~horizon:_ _network =
+  {
+    gap = (fun () -> 0);
+    honest = (fun () -> Binomial.sample rng honest_dist);
+    adversary = (fun () -> Binomial.sample rng adv_dist);
+  }
+
+let geometric_gaps ~rng ~honest_dist ~adv_dist ~horizon network =
+  (* Delivery-only rounds between mining rounds are found by next_due,
+     whose direct lane needs the due index. *)
+  Network.enable_due_index network;
+  let log_q0 =
+    Binomial.log_prob_zero honest_dist +. Binomial.log_prob_zero adv_dist
+  in
+  let p_honest_branch =
+    (* P(H > 0 | H + A > 0); pinned to 1 when the adversary has no miners
+       so the truncated adversary draw is provably never reached. *)
+    if Binomial.prob_positive adv_dist = 0. then 1.
+    else Binomial.prob_positive honest_dist /. -.(Float.expm1 log_q0)
+  in
+  (* The adversary count is drawn before the honest one and handed back
+     after the winners are placed. *)
+  let adversary = ref 0 in
+  {
+    gap =
+      (fun () ->
+        if log_q0 = neg_infinity then 0
+        else begin
+          (* Inversion: floor (log u / log q0) with u in (0, 1] is
+             Geometric(1 - q0) on {0, 1, ...}. *)
+          let u = 1. -. Rng.float rng in
+          let g = Float.log u /. log_q0 in
+          if g > float_of_int horizon then horizon else int_of_float g
+        end);
+    honest =
+      (fun () ->
+        if Rng.float rng < p_honest_branch then begin
+          adversary := Binomial.sample rng adv_dist;
+          Binomial.sample_positive rng honest_dist
+        end
+        else begin
+          adversary := Binomial.sample_positive rng adv_dist;
+          0
+        end);
+    adversary = (fun () -> !adversary);
+  }
+
+let run_events ?on_round ~instr ~law config =
   let honest_n = Config.honest_count config in
-  let adv_n = Config.adversary_count config in
   let rng = Rng.create ~seed:config.seed in
   (* Keep the stream layout of exact mode (oracle seed, then the network
-     split) so the two modes draw from decorrelated streams per seed. *)
+     split) so the modes draw from decorrelated streams per seed. *)
   let _oracle_seed = Rng.bits64 rng in
   let net_rng = Rng.split rng in
   let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let policy =
-    match config.delay_override with
-    | Some policy -> policy
-    | None ->
-      Adversary.delay_policy_for config.strategy ~delta:config.delta
-        ~honest_count:honest_n
-  in
-  (match policy with
-  | Network.Immediate | Network.Fixed _ | Network.Maximal -> ()
-  | Network.Uniform_random | Network.Per_recipient _ ->
-    invalid_arg
-      "Execution.run: Aggregate mining requires a recipient-independent \
-       delay policy (Immediate, Fixed or Maximal)");
   let network =
-    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
+    Network.create ~delta:config.delta ~players:honest_n
+      ~policy:(Config.delay_policy config) ~rng:net_rng
   in
   Network.enable_ring network;
-  let honest_dist = Binomial.create ~trials:honest_n ~p:config.p in
-  let adv_dist = Binomial.create ~trials:adv_n ~p:config.p in
-  (* The crowd: the one view shared by every miner never touched
-     individually.  Its id is never a message sender, so it consumes the
-     whole shared stream. *)
+  let horizon = config.rounds in
+  let law =
+    let binomial trials = Binomial.create ~trials ~p:config.p in
+    law ~rng ~honest_dist:(binomial honest_n)
+      ~adv_dist:(binomial (Config.adversary_count config))
+      ~horizon network
+  in
+  (* The crowd's id is never a message sender, so it consumes the whole
+     shared stream. *)
   let crowd = Miner.create ~tie_break:config.tie_break ~id:(-1) () in
   let materialized : (int, Miner.t) Hashtbl.t = Hashtbl.create 64 in
   (* Winner-selection pool: a persistent permutation of the honest ids.
@@ -407,36 +478,15 @@ let run_aggregate ?on_round ~instr config =
   let h_rounds = ref 0 in
   let h1_rounds = ref 0 in
   let max_reorg = ref 0 in
-  let receive_tracked miner blocks ~round ~track_round_reorg =
-    if blocks <> [] then begin
-      let old_tip = Miner.best_tip miner in
-      Miner.receive miner blocks;
-      let new_tip = Miner.best_tip miner in
-      if not (Block.equal old_tip new_tip) then begin
-        let meet = Block_tree.common_prefix_height god old_tip new_tip in
-        let rolled_back = old_tip.Block.height - meet in
-        (match track_round_reorg with
-        | Some cell -> if rolled_back > !cell then cell := rolled_back
-        | None -> ());
-        if rolled_back > 2 then
-          Log.debug (fun m ->
-              m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
-                (Miner.id miner) rolled_back old_tip.Block.height
-                new_tip.Block.height);
-        if rolled_back > !max_reorg then max_reorg := rolled_back
-      end
-    end
-  in
+  let processed = ref 0 in
   (* The crowd is live while it still stands for at least one untouched
      miner; materialization is monotone, so once this flips it stays. *)
   let crowd_live () = Hashtbl.length materialized < honest_n in
-  let deliver_round round ~track_round_reorg =
+  let deliver_round round ~round_reorg =
     let shared = Network.deliver_shared network ~round in
-    let shared_blocks =
-      List.concat_map (fun (m : Network.message) -> m.blocks) shared
-    in
     if crowd_live () then
-      receive_tracked crowd shared_blocks ~round ~track_round_reorg;
+      receive_tracked ~god ~max_reorg crowd (blocks_of shared) ~round
+        ~round_reorg;
     Hashtbl.iter
       (fun id miner ->
         let own_filtered =
@@ -448,11 +498,9 @@ let run_aggregate ?on_round ~instr config =
               shared
         in
         let direct = Network.deliver network ~recipient:id ~round in
-        let blocks =
-          own_filtered
-          @ List.concat_map (fun (m : Network.message) -> m.blocks) direct
-        in
-        receive_tracked miner blocks ~round ~track_round_reorg)
+        receive_tracked ~god ~max_reorg miner
+          (own_filtered @ blocks_of direct)
+          ~round ~round_reorg)
       materialized
   in
   let materialize id =
@@ -468,246 +516,10 @@ let run_aggregate ?on_round ~instr config =
     | Some miner -> Miner.best_tip miner
     | None -> Miner.best_tip crowd
   in
-  let take_snapshot round =
-    snapshots := { round; tips = Array.init honest_n tip_of } :: !snapshots
-  in
-  for round = 1 to config.rounds do
-    let round_reorg = ref 0 in
-    (* Phase 1: delivery — the shared ring stream to the crowd and every
-       materialized miner, plus per-miner direct queues. *)
-    phase_start instr (fun i -> i.sp_delivery);
-    deliver_round round ~track_round_reorg:(Some round_reorg);
-    phase_stop instr (fun i -> i.sp_delivery);
-    (* Phase 2: honest mining — one binomial draw for how many of the mu n
-       parallel H-queries won, a partial Fisher-Yates draw for which. *)
-    phase_start instr (fun i -> i.sp_mining);
-    let h = Binomial.sample rng honest_dist in
-    let mined_this_round = ref [] in
-    for i = 0 to h - 1 do
-      let j = i + Rng.int rng ~bound:(honest_n - i) in
-      let winner = pool.(j) in
-      pool.(j) <- pool.(i);
-      pool.(i) <- winner;
-      let miner = materialize winner in
-      let block = Miner.extend_tip miner ~round ~nonce:winner in
-      mined_this_round := block :: !mined_this_round;
-      Network.broadcast network
-        { Network.sender = winner; sent_round = round; blocks = [ block ] }
-    done;
-    phase_stop instr (fun i -> i.sp_mining);
-    honest_blocks := !honest_blocks + h;
-    if h > 0 then incr h_rounds;
-    if h = 1 then incr h1_rounds;
-    Pattern.observe pattern (Round_state.of_block_count h);
-    Adversary.observe adversary !mined_this_round;
-    (* Phase 3: the adversary's nu n sequential queries, as one binomial
-       draw (only the count reaches the strategy), then releases. *)
-    phase_start instr (fun i -> i.sp_adversary);
-    let successes = Binomial.sample rng adv_dist in
-    adversary_blocks := !adversary_blocks + successes;
-    let releases = Adversary.act adversary ~round ~successes in
-    if releases <> [] then
-      Log.debug (fun m ->
-          m "round %d: adversary issued %d release(s) (%d successes this round)"
-            round (List.length releases) successes);
-    List.iter
-      (fun { Adversary.audience; delay; blocks } ->
-        let msg = { Network.sender = -1; sent_round = round; blocks } in
-        match audience with
-        | Adversary.All_honest -> Network.broadcast_all network ~delay msg
-        | Adversary.Only recipients ->
-          List.iter
-            (fun recipient ->
-              ignore (materialize recipient);
-              Network.send_direct network ~recipient ~delay msg)
-            recipients)
-      releases;
-    phase_stop instr (fun i -> i.sp_adversary);
-    if Option.is_some on_round || Option.is_some instr then begin
-      let best_height =
-        Hashtbl.fold
-          (fun _ m acc -> max acc (Miner.chain_length m))
-          materialized
-          (Miner.chain_length crowd)
-      in
-      (match on_round with
-      | None -> ()
-      | Some report ->
-        report
-          {
-            round_number = round;
-            honest_mined = h;
-            adversary_successes = successes;
-            releases_issued = List.length releases;
-            best_height;
-            reorg_depth = !round_reorg;
-          });
-      observe_round instr ~round ~h ~successes ~releases
-        ~round_reorg:!round_reorg ~best_height
-        ~conv_count:(Pattern.count pattern)
-    end;
-    if round mod config.snapshot_interval = 0 || round = config.rounds then
-      take_snapshot round
-  done;
-  for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~track_round_reorg:None
-  done;
-  {
-    config;
-    snapshots = List.rev !snapshots;
-    god_view = god;
-    final_tips = Array.init honest_n tip_of;
-    convergence_opportunities = Pattern.count pattern;
-    adversary_blocks = !adversary_blocks;
-    honest_blocks = !honest_blocks;
-    h_rounds = !h_rounds;
-    h1_rounds = !h1_rounds;
-    max_reorg_depth = !max_reorg;
-    adversary_releases = Adversary.reorgs_caused adversary;
-    messages_sent = Network.messages_sent network;
-    orphans_remaining =
-      Hashtbl.fold
-        (fun _ m acc -> acc + Miner.orphan_count m)
-        materialized
-        (if crowd_live () then Miner.orphan_count crowd else 0);
-    processed_rounds = config.rounds;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Skip mode: the O(events) path on top of Aggregate.
-
-   At the paper's operating point c = 1/(p n Delta) almost every round is
-   empty — no honest or adversarial success and no delivery due — yet
-   Aggregate still pays O(1) per round.  Skip never iterates an empty
-   round:
-
-   - The gap to the next block-bearing round is one draw from
-     Geometric(1 - q0) on {0, 1, ...} where q0 = (1-p)^(mu n + nu n) is
-     the probability a round mines nothing on either side; the success
-     counts of that round are drawn from the exact conditional law
-     (H, A) | H + A > 0, split as: with probability (1 - qh)/(1 - q0) a
-     zero-truncated binom(mu n, p) honest count paired with an
-     unconditional binom(nu n, p) adversary count, else an honest zero
-     paired with a zero-truncated binom(nu n, p).  Multiplying out
-     recovers P(H = h) P(A = a) / (1 - q0) exactly, so the per-round
-     joint law matches Aggregate's two independent draws conditioned on
-     the round being non-empty — and empty rounds carry no other
-     randomness.  Zero-truncated sampling is O(1) expected
-     (Binomial.sample_positive): rejection would cost the gap length
-     back.
-   - The next simulated round is the earliest of {sampled mining round,
-     next due delivery (Network.next_due: ring scan bounded by delta + 1
-     slots plus the direct-queue due index)}.  Releases are the third
-     event source in principle, but every strategy is event-driven —
-     Adversary.advance_empty verifies at run time that no release can
-     originate inside an empty span, so releases always surface at a
-     simulated round and are visible to next_due the moment they are
-     routed.
-   - The span in between is fast-forwarded in O(1): the geometric draw
-     stands for its mining randomness, Pattern.observe_empty advances
-     the convergence detector (reporting a mid-span completion at its
-     true round), the adversary is advanced by one verified no-op act,
-     telemetry adds the span to the round counter, and snapshot-cadence
-     rounds inside the span replay the (unchanged) current tips.
-
-   Because mining is i.i.d. per round, a sampled mining round stays
-   valid across intermediate delivery-only rounds (memorylessness); it
-   is resampled only after being consumed.  Results are
-   distribution-identical to Aggregate, not bit-identical: the RNG is
-   consumed per event rather than per round.  [on_round] fires only for
-   simulated rounds — consumers reconstruct the skipped all-zero rounds
-   from [processed_rounds] vs [config.rounds].                          *)
-(* ------------------------------------------------------------------ *)
-
-let run_skip ?on_round ~instr config =
-  let honest_n = Config.honest_count config in
-  let adv_n = Config.adversary_count config in
-  let rng = Rng.create ~seed:config.seed in
-  (* Keep the stream layout of the other modes (oracle seed, then the
-     network split) so the modes draw from decorrelated streams per seed. *)
-  let _oracle_seed = Rng.bits64 rng in
-  let net_rng = Rng.split rng in
-  let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let policy =
-    match config.delay_override with
-    | Some policy -> policy
-    | None ->
-      Adversary.delay_policy_for config.strategy ~delta:config.delta
-        ~honest_count:honest_n
-  in
-  (* Config.validate rejected recipient-dependent policies (typed). *)
-  let network =
-    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
-  in
-  Network.enable_ring network;
-  Network.enable_due_index network;
-  let honest_dist = Binomial.create ~trials:honest_n ~p:config.p in
-  let adv_dist = Binomial.create ~trials:adv_n ~p:config.p in
-  let crowd = Miner.create ~tie_break:config.tie_break ~id:(-1) () in
-  let materialized : (int, Miner.t) Hashtbl.t = Hashtbl.create 64 in
-  let pool = Array.init honest_n Fun.id in
-  let pattern = Pattern.create ~delta:config.delta in
-  let god = Adversary.view adversary in
-  let snapshots = ref [] in
-  let honest_blocks = ref 0 in
-  let adversary_blocks = ref 0 in
-  let h_rounds = ref 0 in
-  let h1_rounds = ref 0 in
-  let max_reorg = ref 0 in
-  let processed = ref 0 in
-  let receive_tracked miner blocks ~track_round_reorg =
-    if blocks <> [] then begin
-      let old_tip = Miner.best_tip miner in
-      Miner.receive miner blocks;
-      let new_tip = Miner.best_tip miner in
-      if not (Block.equal old_tip new_tip) then begin
-        let meet = Block_tree.common_prefix_height god old_tip new_tip in
-        let rolled_back = old_tip.Block.height - meet in
-        (match track_round_reorg with
-        | Some cell -> if rolled_back > !cell then cell := rolled_back
-        | None -> ());
-        if rolled_back > !max_reorg then max_reorg := rolled_back
-      end
-    end
-  in
-  let crowd_live () = Hashtbl.length materialized < honest_n in
-  let deliver_round round ~track_round_reorg =
-    let shared = Network.deliver_shared network ~round in
-    let shared_blocks =
-      List.concat_map (fun (m : Network.message) -> m.blocks) shared
-    in
-    if crowd_live () then
-      receive_tracked crowd shared_blocks ~track_round_reorg;
-    Hashtbl.iter
-      (fun id miner ->
-        let own_filtered =
-          if shared = [] then []
-          else
-            List.concat_map
-              (fun (m : Network.message) ->
-                if m.sender = id then [] else m.blocks)
-              shared
-        in
-        let direct = Network.deliver network ~recipient:id ~round in
-        let blocks =
-          own_filtered
-          @ List.concat_map (fun (m : Network.message) -> m.blocks) direct
-        in
-        receive_tracked miner blocks ~track_round_reorg)
-      materialized
-  in
-  let materialize id =
-    match Hashtbl.find_opt materialized id with
-    | Some miner -> miner
-    | None ->
-      let miner = Miner.clone crowd ~id in
-      Hashtbl.add materialized id miner;
-      miner
-  in
-  let tip_of id =
-    match Hashtbl.find_opt materialized id with
-    | Some miner -> Miner.best_tip miner
-    | None -> Miner.best_tip crowd
+  let best_height () =
+    Hashtbl.fold
+      (fun _ m acc -> max acc (Miner.chain_length m))
+      materialized (Miner.chain_length crowd)
   in
   let last_snap_round = ref 0 in
   let take_snapshot round =
@@ -715,41 +527,14 @@ let run_skip ?on_round ~instr config =
     last_snap_round := round
   in
   (* Snapshot-cadence rounds inside a skipped span see exactly the state
-     after the last simulated round, so they can be emitted lazily from
-     the current tips. *)
+     after the last simulated round, so they are emitted lazily from the
+     current tips. *)
   let next_snap = ref config.snapshot_interval in
   let emit_snapshots_through r =
     while !next_snap <= r do
       take_snapshot !next_snap;
       next_snap := !next_snap + config.snapshot_interval
     done
-  in
-  (* The joint gap law. *)
-  let log_q0 =
-    Binomial.log_prob_zero honest_dist +. Binomial.log_prob_zero adv_dist
-  in
-  let one_minus_q0 = -.Float.expm1 log_q0 in
-  let p_honest_branch =
-    (* P(H > 0 | H + A > 0); pinned to 1 when the adversary has no miners
-       so the truncated adversary draw is provably never reached. *)
-    if adv_n = 0 then 1.
-    else Binomial.prob_positive honest_dist /. one_minus_q0
-  in
-  let horizon = config.rounds in
-  let sample_gap () =
-    if log_q0 = neg_infinity then 0
-    else begin
-      (* Inversion: floor (log u / log q0) with u in (0, 1] is
-         Geometric(1 - q0) on {0, 1, ...}. *)
-      let u = 1. -. Rng.float rng in
-      let g = Float.log u /. log_q0 in
-      if g > float_of_int horizon then horizon else int_of_float g
-    end
-  in
-  let sample_event_successes () =
-    if Rng.float rng < p_honest_branch then
-      (Binomial.sample_positive rng honest_dist, Binomial.sample rng adv_dist)
-    else (0, Binomial.sample_positive rng adv_dist)
   in
   let advance_empty_span ~first ~len =
     if len > 0 then begin
@@ -765,27 +550,25 @@ let run_skip ?on_round ~instr config =
     end
   in
   let cursor = ref 0 in
-  let next_mining = ref None in
+  (* The next mining round, 0 until drawn; horizon + 1 when none falls
+     within the horizon. *)
+  let next_mining = ref 0 in
   while !cursor < horizon do
-    let nm =
-      match !next_mining with
-      | Some r -> r
-      | None ->
-        let gap = sample_gap () in
-        (* horizon + 1 is the "no mining within the horizon" sentinel. *)
-        let r =
-          if gap > horizon - !cursor - 1 then horizon + 1
-          else !cursor + 1 + gap
-        in
-        next_mining := Some r;
-        r
+    if !next_mining = 0 then begin
+      let gap = law.gap () in
+      next_mining :=
+        if gap > horizon - !cursor - 1 then horizon + 1 else !cursor + 1 + gap
+    end;
+    let nm = !next_mining in
+    (* No delivery can fall due before a mining round at cursor + 1, so
+       the ring scan is only paid when a gap is pending. *)
+    let target =
+      if nm = !cursor + 1 then nm
+      else
+        match Network.next_due network ~now:!cursor with
+        | Some d -> min nm d
+        | None -> nm
     in
-    let nd =
-      match Network.next_due network ~now:!cursor with
-      | Some d -> d
-      | None -> max_int
-    in
-    let target = min nm nd in
     if target > horizon then begin
       advance_empty_span ~first:(!cursor + 1) ~len:(horizon - !cursor);
       cursor := horizon
@@ -795,18 +578,18 @@ let run_skip ?on_round ~instr config =
       let round = target in
       incr processed;
       let round_reorg = ref 0 in
+      (* Phase 1: delivery — the shared ring stream to the crowd and every
+         materialized miner, plus per-miner direct queues. *)
       phase_start instr (fun i -> i.sp_delivery);
-      deliver_round round ~track_round_reorg:(Some round_reorg);
+      deliver_round round ~round_reorg:(Some round_reorg);
       phase_stop instr (fun i -> i.sp_delivery);
+      (* Phase 2: honest mining — the law's honest count, then a partial
+         Fisher-Yates draw for which miners won.  A delivery-only round
+         mines nothing and leaves the drawn mining round pending. *)
       phase_start instr (fun i -> i.sp_mining);
-      let h, successes =
-        if round = nm then begin
-          next_mining := None;
-          sample_event_successes ()
-        end
-        else (0, 0) (* delivery-only round; the sampled mining round keeps *)
-        (* its law by memorylessness and is consumed later. *)
-      in
+      let mining = round = nm in
+      if mining then next_mining := 0;
+      let h = if mining then law.honest () else 0 in
       let mined_this_round = ref [] in
       for i = 0 to h - 1 do
         let j = i + Rng.int rng ~bound:(honest_n - i) in
@@ -825,13 +608,12 @@ let run_skip ?on_round ~instr config =
       if h = 1 then incr h1_rounds;
       Pattern.observe pattern (Round_state.of_block_count h);
       Adversary.observe adversary !mined_this_round;
+      (* Phase 3: the adversary's count (only the count reaches the
+         strategy), then releases. *)
       phase_start instr (fun i -> i.sp_adversary);
+      let successes = if mining then law.adversary () else 0 in
       adversary_blocks := !adversary_blocks + successes;
-      let releases = Adversary.act adversary ~round ~successes in
-      if releases <> [] then
-        Log.debug (fun m ->
-            m "round %d: adversary issued %d release(s) (%d successes this round)"
-              round (List.length releases) successes);
+      let releases = adversary_acts adversary ~round ~successes in
       List.iter
         (fun { Adversary.audience; delay; blocks } ->
           let msg = { Network.sender = -1; sent_round = round; blocks } in
@@ -845,31 +627,10 @@ let run_skip ?on_round ~instr config =
               recipients)
         releases;
       phase_stop instr (fun i -> i.sp_adversary);
-      if Option.is_some on_round || Option.is_some instr then begin
-        let best_height =
-          Hashtbl.fold
-            (fun _ m acc -> max acc (Miner.chain_length m))
-            materialized
-            (Miner.chain_length crowd)
-        in
-        (match on_round with
-        | None -> ()
-        | Some report ->
-          report
-            {
-              round_number = round;
-              honest_mined = h;
-              adversary_successes = successes;
-              releases_issued = List.length releases;
-              best_height;
-              reorg_depth = !round_reorg;
-            });
-        observe_round
-          ~conv_round:(Pattern.last_count_round pattern)
-          instr ~round ~h ~successes ~releases ~round_reorg:!round_reorg
-          ~best_height
-          ~conv_count:(Pattern.count pattern)
-      end;
+      observe_round ?on_round instr ~round ~h ~successes ~releases
+        ~round_reorg:!round_reorg ~best_height
+        ~conv_count:(Pattern.count pattern)
+        ~conv_round:(Pattern.last_count_round pattern);
       emit_snapshots_through round;
       cursor := round
     end
@@ -877,7 +638,7 @@ let run_skip ?on_round ~instr config =
   emit_snapshots_through horizon;
   if horizon > 0 && !last_snap_round <> horizon then take_snapshot horizon;
   for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~track_round_reorg:None
+    deliver_round round ~round_reorg:None
   done;
   {
     config;
@@ -905,5 +666,5 @@ let run ?on_round ?telemetry config =
   let instr = Option.map make_instruments telemetry in
   match config.mining_mode with
   | Config.Exact -> run_exact ?on_round ~instr config
-  | Config.Aggregate -> run_aggregate ?on_round ~instr config
-  | Config.Skip -> run_skip ?on_round ~instr config
+  | Config.Aggregate -> run_events ?on_round ~instr ~law:unit_gaps config
+  | Config.Skip -> run_events ?on_round ~instr ~law:geometric_gaps config

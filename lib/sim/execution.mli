@@ -31,7 +31,11 @@
       blocks appear or deliveries fall due are simulated — O(events)
       total.  Distribution-identical to [Aggregate]; [on_round] fires
       only for simulated rounds (compare [processed_rounds] with
-      [config.rounds]). *)
+      [config.rounds]).
+
+    The two fast modes share one event-stepped body and differ only in
+    their draws: the gap to the next mining round (always 0 under
+    [Aggregate]) and that round's honest and adversary counts. *)
 
 type snapshot = {
   round : int;
@@ -92,8 +96,7 @@ val run :
     {!result}, and the {!round_report} sequence are bit-identical with
     and without it.  When absent, the hot path performs no clock reads
     and no allocation on its behalf.
-    @raise Invalid_argument when the configuration is invalid, or when
-    [config.mining_mode] is [Aggregate] and the effective delay policy
-    depends on the recipient ([Uniform_random] or [Per_recipient]).
-    @raise Config.Incompatible when [config.mining_mode] is [Skip] with
-    such a policy (the typed variant of the same rejection). *)
+    @raise Invalid_argument when the configuration is invalid.
+    @raise Config.Incompatible when [config.mining_mode] is [Aggregate] or
+    [Skip] and the effective delay policy depends on the recipient
+    ([Uniform_random] or [Per_recipient]). *)

@@ -417,7 +417,9 @@ let assess_cached ?telemetry t (params : Params.t) =
     }
   | Error reason ->
     count_fallback reason;
-    let v = Assessment.verdict_of (Assessment.assess params) in
+    let v =
+      Assessment.verdict_of (Assessment.assess ~epsilon:t.epsilon params)
+    in
     { v with Assessment.v_fallback = Some (fallback_label reason) }
 
 (* ---------- reporting ---------- *)

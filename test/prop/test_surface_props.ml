@@ -28,32 +28,40 @@ let box_n = (100., 140.)
 let box_delta = (28., 36.)
 let box_nu = (0.012, 0.016)
 
-let table =
-  lazy
-    (Table.build
-       (Grid.create
-          ~p:(Grid.axis ~lo:(fst box_p) ~hi:(snd box_p) ~count:4 ~scale:Grid.Log)
-          ~n:(Grid.axis ~lo:(fst box_n) ~hi:(snd box_n) ~count:4 ~scale:Grid.Log)
-          ~delta:
-            (Grid.axis ~lo:(fst box_delta) ~hi:(snd box_delta) ~count:4
-               ~scale:Grid.Log)
-          ~nu:
-            (Grid.axis ~lo:(fst box_nu) ~hi:(snd box_nu) ~count:4
-               ~scale:Grid.Linear)))
+(* At epsilon = 1e-6 the same box spans depths 5-8; a smaller nu puts it
+   on the depth-4 plateau (rate ratio ~0.0047-0.0125 against a band of
+   0.0043-0.0132), where the certifier can conclude. *)
+let strict_box_nu = (0.0025, 0.003)
 
-let in_box_point rng =
+let box_grid (nu_lo, nu_hi) =
+  Grid.create
+    ~p:(Grid.axis ~lo:(fst box_p) ~hi:(snd box_p) ~count:4 ~scale:Grid.Log)
+    ~n:(Grid.axis ~lo:(fst box_n) ~hi:(snd box_n) ~count:4 ~scale:Grid.Log)
+    ~delta:
+      (Grid.axis ~lo:(fst box_delta) ~hi:(snd box_delta) ~count:4
+         ~scale:Grid.Log)
+    ~nu:
+      (Grid.axis ~lo:nu_lo ~hi:nu_hi ~count:4 ~scale:Grid.Linear)
+
+let table = lazy (Table.build (box_grid box_nu))
+
+(* A non-default risk target: cached depths and the exact fallback must
+   both answer at the table's epsilon. *)
+let strict_table = lazy (Table.build ~epsilon:1e-6 (box_grid strict_box_nu))
+
+let in_box_point nu rng =
   let draw (lo, hi) = Gen.float_range ~lo ~hi rng in
   Params.create ~p:(draw box_p) ~n:(draw box_n) ~delta:(draw box_delta)
-    ~nu:(draw box_nu)
+    ~nu:(draw nu)
 
 let global_point = Arbitrary.gen P.Domain_gen.params
 
 (* 60% in-box (cached path and near-frontier fallbacks), 40% paper-scale
    (outside_box fallbacks at every scale). *)
-let point_arb =
+let point_arb nu =
   Arbitrary.make
     ~print:(fun p -> Format.asprintf "%a" Params.pp p)
-    (Gen.frequency [ (3, in_box_point); (2, global_point) ])
+    (Gen.frequency [ (3, in_box_point nu); (2, global_point) ])
 
 let exact_confirmations exact =
   Option.map
@@ -62,11 +70,14 @@ let exact_confirmations exact =
 
 let fallback_labels = [ "outside_box"; "zone_boundary"; "conf_boundary" ]
 
-let differential_prop (params : Params.t) =
+let show_depth = function Some z -> string_of_int z | None -> "none"
+
+let differential_prop table (params : Params.t) =
   let t = Lazy.force table in
+  let epsilon = Table.epsilon t in
   let v = Table.assess_cached t params in
   if v.Assessment.v_cached then begin
-    let exact = Assessment.assess params in
+    let exact = Assessment.assess ~epsilon params in
     if v.Assessment.v_fallback <> None then
       failwith "cached verdict carries a fallback tag";
     if v.Assessment.v_zone <> exact.Assessment.zone then
@@ -79,9 +90,8 @@ let differential_prop (params : Params.t) =
     | None, None -> ()
     | a, b ->
       failwith
-        (Printf.sprintf "cached depth %s but exact depth %s"
-           (match a with Some z -> string_of_int z | None -> "none")
-           (match b with Some z -> string_of_int z | None -> "none")));
+        (Printf.sprintf "cached depth %s but exact depth %s" (show_depth a)
+           (show_depth b)));
     if
       not
         (v.Assessment.v_margin_lo <= exact.Assessment.neat_margin
@@ -98,9 +108,20 @@ let differential_prop (params : Params.t) =
     then failwith "interpolated margin outside its own enclosure"
   end
   else begin
-    (* The fallback path already ran the exact solver — re-running it
-       here would only double the suite's cost.  What must hold is the
-       explicit tag and a degenerate (point) enclosure. *)
+    (* The fallback path already ran the exact solver — re-running all of
+       it here would only double the suite's cost.  What must hold is the
+       explicit tag, a degenerate (point) enclosure, and a depth searched
+       at the table's epsilon (the search alone is cheap). *)
+    let exact_depth =
+      match Confirmation.assess_checked ~epsilon params with
+      | Ok a -> Some a.Confirmation.confirmations
+      | Error _ -> None
+    in
+    if v.Assessment.v_confirmations <> exact_depth then
+      failwith
+        (Printf.sprintf "fallback depth %s but exact depth %s at epsilon %g"
+           (show_depth v.Assessment.v_confirmations)
+           (show_depth exact_depth) epsilon);
     (match v.Assessment.v_fallback with
     | Some label when List.mem label fallback_labels -> ()
     | Some label -> failwith (Printf.sprintf "unknown fallback tag %S" label)
@@ -219,7 +240,11 @@ let determinism_prop g =
 let suite =
   [
     prop ~count:1000 "cached verdict equals exact or tags a fallback"
-      point_arb differential_prop;
+      (point_arb box_nu) (differential_prop table);
+    prop ~count:300
+      "cached verdict at epsilon 1e-6 equals exact or tags a fallback"
+      (point_arb strict_box_nu)
+      (differential_prop strict_table);
     prop ~count:300 "cell enclosures contain the exact floats" cell_point_arb
       enclosure_prop;
     prop ~count:200 "margin estimate falls along p" slice_arb monotone_prop;

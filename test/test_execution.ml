@@ -243,20 +243,6 @@ let test_aggregate_determinism () =
   check_true "aggregate deterministic per seed"
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
-let test_aggregate_rejects_recipient_dependent_policies () =
-  check_raises_invalid "balance default policy is per-recipient" (fun () ->
-      ignore
-        (Sim.Execution.run
-           (aggregate_config ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
-              ())));
-  check_raises_invalid "uniform-random override" (fun () ->
-      ignore
-        (Sim.Execution.run
-           {
-             (aggregate_config ()) with
-             delay_override = Some Nakamoto_net.Network.Uniform_random;
-           }))
-
 let test_aggregate_matches_exact_in_distribution () =
   (* Same configuration, long horizon, different executors: every counter
      is an iid-sum statistic, so the two runs must agree within a few
@@ -412,26 +398,39 @@ let test_skip_determinism () =
   check_true "skip deterministic per seed"
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
-let test_skip_typed_incompatibility_error () =
-  let expect_incompatible label cfg =
+let test_fast_modes_typed_incompatibility_error () =
+  let expect_incompatible label (cfg : Sim.Config.t) ~reason:expected =
     match ignore (Sim.Execution.run cfg) with
     | () -> Alcotest.fail (label ^ ": expected Config.Incompatible")
     | exception Sim.Config.Incompatible { mode; reason } ->
-      check_true (label ^ ": mode is Skip") (mode = Sim.Config.Skip);
-      Alcotest.(check string)
-        (label ^ ": actionable reason")
-        "Skip mining requires a recipient-independent delay policy \
-         (Immediate, Fixed or Maximal); the effective policy needs \
-         per-round inspection"
-        reason
+      check_true (label ^ ": mode") (mode = cfg.mining_mode);
+      Alcotest.(check string) (label ^ ": actionable reason") expected reason
   in
-  expect_incompatible "balance default policy"
-    (skip_config ~strategy:(Sim.Adversary.Balance { group_boundary = 10 }) ());
-  expect_incompatible "uniform-random override"
-    {
-      (skip_config ()) with
-      delay_override = Some Nakamoto_net.Network.Uniform_random;
-    }
+  List.iter
+    (fun (name, mining_mode) ->
+      let reason =
+        name
+        ^ " mining requires a recipient-independent delay policy \
+           (Immediate, Fixed or Maximal); the effective policy needs \
+           per-round inspection"
+      in
+      expect_incompatible ~reason
+        (name ^ ": balance default policy")
+        {
+          (aggregate_config
+             ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
+             ())
+          with
+          mining_mode;
+        };
+      expect_incompatible ~reason
+        (name ^ ": uniform-random override")
+        {
+          (aggregate_config ()) with
+          mining_mode;
+          delay_override = Some Nakamoto_net.Network.Uniform_random;
+        })
+    [ ("Aggregate", Sim.Config.Aggregate); ("Skip", Sim.Config.Skip) ]
 
 let test_skip_matches_aggregate_in_distribution () =
   (* Same bounds rationale as the exact-vs-aggregate test: every counter
@@ -548,8 +547,6 @@ let suite =
     case "run validates config" test_invalid_config_rejected_by_run;
     case "exact-mode regression pins" test_exact_mode_regression_pins;
     case "aggregate determinism" test_aggregate_determinism;
-    case "aggregate rejects recipient-dependent policies"
-      test_aggregate_rejects_recipient_dependent_policies;
     case "aggregate matches exact in distribution"
       test_aggregate_matches_exact_in_distribution;
     case "aggregate invariants" test_aggregate_invariants;
@@ -558,8 +555,8 @@ let suite =
     case "aggregate balance has no phantom crowd orphans"
       test_aggregate_balance_no_phantom_orphans;
     case "skip determinism" test_skip_determinism;
-    case "skip raises the typed incompatibility error"
-      test_skip_typed_incompatibility_error;
+    case "fast modes raise the typed incompatibility error"
+      test_fast_modes_typed_incompatibility_error;
     case "skip matches aggregate in distribution"
       test_skip_matches_aggregate_in_distribution;
     case "skip invariants" test_skip_invariants;
