@@ -243,6 +243,40 @@ let test_aggregate_determinism () =
   check_true "aggregate deterministic per seed"
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
+(* A fast mining mode must refuse a recipient-dependent delay policy with
+   the typed Config.Incompatible, naming the mode and saying why. *)
+let expect_fast_mode_incompatible ~name mining_mode =
+  let expected =
+    name
+    ^ " mining requires a recipient-independent delay policy \
+       (Immediate, Fixed or Maximal); the effective policy needs \
+       per-round inspection"
+  in
+  let expect_incompatible label (cfg : Sim.Config.t) =
+    match ignore (Sim.Execution.run cfg) with
+    | () -> Alcotest.fail (label ^ ": expected Config.Incompatible")
+    | exception Sim.Config.Incompatible { mode; reason } ->
+      check_true (label ^ ": mode is " ^ name) (mode = mining_mode);
+      Alcotest.(check string) (label ^ ": actionable reason") expected reason
+  in
+  expect_incompatible "balance default policy"
+    {
+      (aggregate_config
+         ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
+         ())
+      with
+      mining_mode;
+    };
+  expect_incompatible "uniform-random override"
+    {
+      (aggregate_config ()) with
+      mining_mode;
+      delay_override = Some Nakamoto_net.Network.Uniform_random;
+    }
+
+let test_aggregate_rejects_recipient_dependent_policies () =
+  expect_fast_mode_incompatible ~name:"Aggregate" Sim.Config.Aggregate
+
 let test_aggregate_matches_exact_in_distribution () =
   (* Same configuration, long horizon, different executors: every counter
      is an iid-sum statistic, so the two runs must agree within a few
@@ -398,39 +432,8 @@ let test_skip_determinism () =
   check_true "skip deterministic per seed"
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
-let test_fast_modes_typed_incompatibility_error () =
-  let expect_incompatible label (cfg : Sim.Config.t) ~reason:expected =
-    match ignore (Sim.Execution.run cfg) with
-    | () -> Alcotest.fail (label ^ ": expected Config.Incompatible")
-    | exception Sim.Config.Incompatible { mode; reason } ->
-      check_true (label ^ ": mode") (mode = cfg.mining_mode);
-      Alcotest.(check string) (label ^ ": actionable reason") expected reason
-  in
-  List.iter
-    (fun (name, mining_mode) ->
-      let reason =
-        name
-        ^ " mining requires a recipient-independent delay policy \
-           (Immediate, Fixed or Maximal); the effective policy needs \
-           per-round inspection"
-      in
-      expect_incompatible ~reason
-        (name ^ ": balance default policy")
-        {
-          (aggregate_config
-             ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
-             ())
-          with
-          mining_mode;
-        };
-      expect_incompatible ~reason
-        (name ^ ": uniform-random override")
-        {
-          (aggregate_config ()) with
-          mining_mode;
-          delay_override = Some Nakamoto_net.Network.Uniform_random;
-        })
-    [ ("Aggregate", Sim.Config.Aggregate); ("Skip", Sim.Config.Skip) ]
+let test_skip_typed_incompatibility_error () =
+  expect_fast_mode_incompatible ~name:"Skip" Sim.Config.Skip
 
 let test_skip_matches_aggregate_in_distribution () =
   (* Same bounds rationale as the exact-vs-aggregate test: every counter
@@ -547,6 +550,8 @@ let suite =
     case "run validates config" test_invalid_config_rejected_by_run;
     case "exact-mode regression pins" test_exact_mode_regression_pins;
     case "aggregate determinism" test_aggregate_determinism;
+    case "aggregate rejects recipient-dependent policies"
+      test_aggregate_rejects_recipient_dependent_policies;
     case "aggregate matches exact in distribution"
       test_aggregate_matches_exact_in_distribution;
     case "aggregate invariants" test_aggregate_invariants;
@@ -555,8 +560,8 @@ let suite =
     case "aggregate balance has no phantom crowd orphans"
       test_aggregate_balance_no_phantom_orphans;
     case "skip determinism" test_skip_determinism;
-    case "fast modes raise the typed incompatibility error"
-      test_fast_modes_typed_incompatibility_error;
+    case "skip raises the typed incompatibility error"
+      test_skip_typed_incompatibility_error;
     case "skip matches aggregate in distribution"
       test_skip_matches_aggregate_in_distribution;
     case "skip invariants" test_skip_invariants;
