@@ -106,6 +106,18 @@ telemetry-smoke:
 # Domain-hosted fleet with a mid-lease kill over both transports from
 # inside the bench binary.  The binaries are run directly from _build so
 # the processes don't contend for the dune lock.
+#
+# The daemon-side resume legs: the faultinject-smoke crashes (cut short
+# after two appends; torn mid-append), then resumed through serve +
+# worker + campaign --connect --resume.  The daemon repairs the torn
+# tail (logged) and the finished journal must match the golden.
+SERVE_RESUME = _build/default/bin/main.exe serve --socket _serve_smoke.sock \
+	  --max-campaigns 1 >/dev/null 2>_serve_smoke.log & \
+	_build/default/bin/main.exe worker --connect _serve_smoke.sock \
+	  >/dev/null & \
+	_build/default/bin/main.exe $(FAULT_SMOKE_ARGS) \
+	  --connect _serve_smoke.sock --out _serve_smoke.jsonl --resume \
+	  >/dev/null && wait
 serve-smoke:
 	dune build bin/main.exe bench/main.exe
 	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl
@@ -127,8 +139,20 @@ serve-smoke:
 	  --connect-tcp 127.0.0.1:17811 --out _serve_smoke_tcp.jsonl \
 	  --progress-interval 0 >/dev/null && wait
 	cmp _serve_smoke_tcp.jsonl test/golden/campaign_smoke.jsonl
+	_build/default/bin/main.exe $(FAULT_SMOKE_ARGS) \
+	  --out _serve_smoke.jsonl --fault crash-after-appends=2 \
+	  >/dev/null 2>&1; test $$? -eq 70
+	$(SERVE_RESUME)
+	cmp _serve_smoke.jsonl test/golden/campaign_smoke.jsonl
+	_build/default/bin/main.exe $(FAULT_SMOKE_ARGS) \
+	  --out _serve_smoke.jsonl --fault torn-write=3 \
+	  >/dev/null 2>&1; test $$? -eq 70
+	$(SERVE_RESUME)
+	grep -q "torn tail" _serve_smoke.log
+	cmp _serve_smoke.jsonl test/golden/campaign_smoke.jsonl
 	_build/default/bench/main.exe --servescale-smoke
-	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl
+	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl \
+	  _serve_smoke.log
 
 # Surface regeneration determinism: the same box built twice on one
 # domain and once on two must be byte-identical, and must match the

@@ -149,6 +149,66 @@ let test_topology_independence () =
     (contains_substring ~affix:"serve_fold_seconds" prom);
   check_true "worker shard spans exported"
     (contains_substring ~affix:"campaign_shard_seconds" prom);
+  (* The daemon's exposition counts what the in-process run counts:
+     every clock-free [sim_*] and [campaign_journal_*] sample agrees, one
+     shard span and one grant per plan entry, one fold per cell. *)
+  let inproc_prom =
+    let j = temp_path "inproc_tel" ".jsonl" in
+    let dir = temp_path "inproc_tel" "" in
+    let outcome =
+      Campaign.Campaign.run ~jobs:2 ~journal_path:j ~telemetry:dir
+        ~log:silent tiny_spec
+    in
+    List.iter cleanup
+      [
+        j; Filename.concat dir "telemetry.prom";
+        Filename.concat dir "telemetry.jsonl";
+      ];
+    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+    match outcome.Campaign.Campaign.telemetry with
+    | Some snap -> Nakamoto_telemetry.Export.prometheus snap
+    | None -> Alcotest.fail "in-process run exported no telemetry"
+  in
+  let metric line =
+    let stop =
+      match String.index_opt line '{' with
+      | Some i -> i
+      | None ->
+        Option.value ~default:(String.length line) (String.index_opt line ' ')
+    in
+    String.sub line 0 stop
+  in
+  let starts p s = String.starts_with ~prefix:p s in
+  let ends p s = String.ends_with ~suffix:p s in
+  let count_lines text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l ->
+           let m = metric l in
+           (starts "sim_" m || starts "campaign_journal_" m)
+           && not (ends "_seconds_sum" m || ends "_seconds_bucket" m))
+  in
+  let sample text name =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#' && metric l = name)
+    |> List.fold_left
+         (fun acc l ->
+           let sp = String.rindex l ' ' in
+           acc + int_of_string (String.sub l (sp + 1) (String.length l - sp - 1)))
+         0
+  in
+  let in_lines = count_lines inproc_prom in
+  check_true "in-process sim/journal counts present" (List.length in_lines > 10);
+  Alcotest.(check (list string)) "daemon sim/journal counts = in-process"
+    in_lines (count_lines prom);
+  let plan_length =
+    Spec.trial_count tiny_spec / tiny_spec.Spec.shard_size
+  in
+  check_int "one shard span per plan entry" plan_length
+    (sample prom "campaign_shard_seconds_count");
+  check_int "one fold per cell" (Array.length (Spec.cells tiny_spec))
+    (sample prom "serve_fold_seconds_count");
+  check_int "one grant per plan entry" plan_length
+    (sample prom "serve_leases_granted_total");
 
   (* (b) daemon + a worker that dies mid-lease + a healthy worker.  The
      faulty worker joins alone first, so it necessarily leases shard 0
