@@ -81,11 +81,210 @@ let shard_progress_view snap =
       all.Tel.Histogram.s_count slowest_str
   end
 
-let write_text_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+(* The plan-order fold: the one place that turns landed shards into
+   journal lines and an outcome.  [Campaign.run] drives it from the
+   worker pool's result callback and the serve coordinator from its
+   lease results; everything that makes a journal byte-identical across
+   [--jobs], transports and kill/resume lives here.  Slots merge in slot
+   order, journal lines flush in cell order, telemetry snapshots merge
+   in plan order. *)
+module Fold = struct
+  type t = {
+    spec : Spec.t;
+    cells : Spec.cell array;
+    plan : Shard.t array;
+    completed : Aggregate.t option array;
+    from_journal : bool array;
+    writer : Journal.writer option;
+    fault : Faultplan.armed option;
+    registry : Tel.Registry.t option;
+    fold_span : Tel.Span.t option;
+    shard_results : Aggregate.t option array array;
+        (* a merged cell's row is dropped to [||] *)
+    shards_done : int array;
+    shard_snaps : Tel.Registry.Snapshot.t array;  (* by plan position *)
+    resumed_cells : int;
+    started : float;
+    mutable next_flush : int;
+    mutable trials_done : int;
+    mutable cells_done : int;
+  }
+
+  let spec t = t.spec
+  let cells t = t.cells
+  let plan t = t.plan
+  let trials_done t = t.trials_done
+  let cells_done t = t.cells_done
+  let finished t = t.cells_done = Array.length t.cells
+  let close t = Option.iter Journal.close_writer t.writer
+
+  (* Journal lines go out strictly in cell order: a cell that finishes
+     early waits here until every lower-indexed cell has been flushed.
+     Recovered cells are already on disk. *)
+  let flush_prefix t =
+    let ncells = Array.length t.cells in
+    while t.next_flush < ncells && t.completed.(t.next_flush) <> None do
+      let i = t.next_flush in
+      (match (t.writer, t.completed.(i)) with
+      | Some w, Some agg when not t.from_journal.(i) ->
+        Faultplan.journal_append t.fault w
+          (Journal.Cell (t.cells.(i), Aggregate.snapshot agg))
+      | _ -> ());
+      t.next_flush <- i + 1
+    done
+
+  let create ?registry ?fault ?fold_span ?journal_path ~resume ~log spec =
+    let started = Unix.gettimeofday () in
+    let cells = Spec.cells spec in
+    let ncells = Array.length cells in
+    let completed : Aggregate.t option array = Array.make ncells None in
+    let from_journal = Array.make ncells false in
+    (* On resume, load the journal — repairing a torn tail, and starting
+       fresh over an unusable file, both logged — after a fingerprint
+       check.  The writer stays open (and fsyncs every append) until the
+       run ends. *)
+    let recovered =
+      match journal_path with
+      | Some path when resume -> (
+        match
+          Journal.fold ~log ~path ~fingerprint:(Spec.fingerprint spec)
+            ~init:() (fun () (cell : Spec.cell) snap ->
+              if cell.Spec.index < 0 || cell.Spec.index >= ncells then
+                failwith
+                  (Printf.sprintf "journal %s: cell index out of range" path);
+              completed.(cell.Spec.index) <- Some (Aggregate.of_snapshot snap);
+              from_journal.(cell.Spec.index) <- true)
+        with
+        | Journal.Fresh _ -> false
+        | Journal.Recovered { entries; _ } ->
+          log
+            (Printf.sprintf "resuming %s: %d of %d cells recovered from %s"
+               (Spec.describe spec) entries ncells path);
+          true)
+      | _ -> false
+    in
+    let writer =
+      Option.map
+        (fun path ->
+          let w =
+            Journal.create_writer ?telemetry:registry ~path
+              ~fresh:(not recovered) ()
+          in
+          if not recovered then begin
+            try
+              Faultplan.journal_append fault w
+                (Journal.Header (Journal.header_of_spec spec))
+            with e ->
+              Journal.close_writer w;
+              raise e
+          end;
+          w)
+        journal_path
+    in
+    let resumed_cells =
+      Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 from_journal
+    in
+    let tpc = spec.Spec.trials_per_cell and size = spec.Spec.shard_size in
+    let plan =
+      Shard.plan ~cells:ncells ~trials_per_cell:tpc ~shard_size:size
+        ~skip:(fun i -> completed.(i) <> None)
+    in
+    let slots = Shard.per_cell ~trials_per_cell:tpc ~shard_size:size in
+    let t =
+      {
+        spec;
+        cells;
+        plan;
+        completed;
+        from_journal;
+        writer;
+        fault;
+        registry;
+        fold_span;
+        shard_results = Array.init ncells (fun _ -> Array.make slots None);
+        shards_done = Array.make ncells 0;
+        shard_snaps = Array.map (fun _ -> Tel.Registry.Snapshot.empty) plan;
+        resumed_cells;
+        started;
+        next_flush = 0;
+        trials_done = resumed_cells * tpc;
+        cells_done = resumed_cells;
+      }
+    in
+    flush_prefix t;
+    t
+
+  let land_shard t pi agg snap =
+    let sh = t.plan.(pi) in
+    let ci = sh.Shard.cell_index in
+    t.shard_snaps.(pi) <- snap;
+    t.shard_results.(ci).(sh.Shard.slot) <- Some agg;
+    t.shards_done.(ci) <- t.shards_done.(ci) + 1;
+    t.trials_done <- t.trials_done + Shard.trials sh;
+    let complete = t.shards_done.(ci) = Array.length t.shard_results.(ci) in
+    if complete then begin
+      (* Merge in slot order — never completion order. *)
+      let merge () =
+        Array.fold_left
+          (fun acc slot ->
+            match (acc, slot) with
+            | None, Some a -> Some a
+            | Some m, Some a -> Some (Aggregate.merge m a)
+            | _, None -> assert false)
+          None t.shard_results.(ci)
+      in
+      t.completed.(ci) <-
+        (match t.fold_span with
+        | None -> merge ()
+        | Some sp -> Tel.Span.time sp merge);
+      t.shard_results.(ci) <- [||];
+      t.cells_done <- t.cells_done + 1;
+      flush_prefix t
+    end;
+    complete
+
+  let finish ?telemetry t ~jobs =
+    close t;
+    let results =
+      Array.mapi
+        (fun i cell ->
+          match t.completed.(i) with
+          | Some aggregate ->
+            { cell; aggregate; from_journal = t.from_journal.(i) }
+          | None -> assert false (* every shard has landed *))
+        t.cells
+    in
+    (* The caller's registry first, then every fresh shard in plan order
+       — never completion order — so the snapshot is deterministic. *)
+    let snapshot =
+      Option.map
+        (fun reg ->
+          Array.fold_left Tel.Registry.Snapshot.merge
+            (Tel.Registry.snapshot reg) t.shard_snaps)
+        t.registry
+    in
+    (match (telemetry, snapshot) with
+    | Some dir, Some snap ->
+      (try Unix.mkdir dir 0o755
+       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      let write name text =
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            Out_channel.output_string oc text)
+      in
+      write "telemetry.prom" (Tel.Export.prometheus snap);
+      write "telemetry.jsonl"
+        (Tel.Export.jsonl ~emitted_at:(Unix.gettimeofday ()) snap)
+    | _ -> ());
+    {
+      spec = t.spec;
+      cells = results;
+      fresh_trials = Array.fold_left (fun n sh -> n + Shard.trials sh) 0 t.plan;
+      resumed_cells = t.resumed_cells;
+      jobs;
+      elapsed = Unix.gettimeofday () -. t.started;
+      telemetry = snapshot;
+    }
+end
 
 let run ?jobs ?journal_path ?(resume = false) ?(retries = 2) ?fault
     ?(progress_interval = 0.) ?(progress_out = stderr) ?(log = default_log)
@@ -113,139 +312,32 @@ let run ?jobs ?journal_path ?(resume = false) ?(retries = 2) ?fault
   let c_salvaged =
     Option.map (fun r -> Tel.Registry.counter r "campaign_shard_salvaged_total") tel
   in
-  let started = Unix.gettimeofday () in
-  let cells = Spec.cells spec in
-  let ncells = Array.length cells in
-  let completed : Aggregate.t option array = Array.make ncells None in
-  let from_journal = Array.make ncells false in
-  let written = Array.make ncells false in
-  (* Journal setup: load on resume — repairing a torn tail and starting
-     fresh over an unusable file, both logged — after a fingerprint
-     check; start fresh otherwise.  The writer stays open (and fsyncs
-     every append) until the run ends. *)
-  let writer =
-    match journal_path with
-    | None -> None
-    | Some path ->
-      let fresh () =
-        let w = Journal.create_writer ?telemetry:tel ~path ~fresh:true () in
-        (try
-           Faultplan.journal_append fault w
-             (Journal.Header (Journal.header_of_spec spec))
-         with e ->
-           Journal.close_writer w;
-           raise e);
-        Some w
-      in
-      if not resume then fresh ()
-      else begin
-        match
-          Journal.fold ~log ~path ~fingerprint:(Spec.fingerprint spec)
-            ~init:() (fun () (cell : Spec.cell) snap ->
-              if cell.Spec.index < 0 || cell.Spec.index >= ncells then
-                failwith
-                  (Printf.sprintf "journal %s: cell index out of range" path);
-              completed.(cell.Spec.index) <- Some (Aggregate.of_snapshot snap);
-              from_journal.(cell.Spec.index) <- true;
-              written.(cell.Spec.index) <- true)
-        with
-        | Journal.Fresh _ -> fresh ()
-        | Journal.Recovered { entries; _ } ->
-          log
-            (Printf.sprintf "resuming %s: %d of %d cells recovered from %s"
-               (Spec.describe spec) entries ncells path);
-          Some (Journal.create_writer ?telemetry:tel ~path ~fresh:false ())
-      end
-  in
+  let fold = Fold.create ?registry:tel ?fault ?journal_path ~resume ~log spec in
   Fun.protect
-    ~finally:(fun () -> Option.iter Journal.close_writer writer)
+    ~finally:(fun () -> Fold.close fold)
     (fun () ->
-      let resumed_cells =
-        Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 from_journal
-      in
-      let resumed_trials = resumed_cells * spec.Spec.trials_per_cell in
-      let plan =
-        Shard.plan ~cells:ncells ~trials_per_cell:spec.Spec.trials_per_cell
-          ~shard_size:spec.Spec.shard_size
-          ~skip:(fun i -> completed.(i) <> None)
-      in
-      let fresh_trials =
-        Array.fold_left (fun acc sh -> acc + Shard.trials sh) 0 plan
-      in
+      let cells = Fold.cells fold in
       let progress =
         if progress_interval > 0. then
           Progress.create ~out:progress_out ~interval:progress_interval
-            ~resumed_trials ~total_trials:(Spec.trial_count spec) ()
+            ~resumed_trials:(Fold.trials_done fold)
+            ~total_trials:(Spec.trial_count spec) ()
         else Progress.silent ()
       in
-      let slots =
-        Shard.per_cell ~trials_per_cell:spec.Spec.trials_per_cell
-          ~shard_size:spec.Spec.shard_size
-      in
-      let shard_results = Array.init ncells (fun _ -> Array.make slots None) in
-      let shards_done = Array.make ncells 0 in
-      let trials_done = ref resumed_trials in
-      (* Journal lines go out strictly in cell order: a cell that finishes
-         early waits here until every lower-indexed cell has been flushed.
-         This is what makes journals byte-identical across worker counts. *)
-      let next_flush = ref 0 in
-      let flush_prefix () =
-        match writer with
-        | None -> ()
-        | Some w ->
-          while !next_flush < ncells && completed.(!next_flush) <> None do
-            let i = !next_flush in
-            if not written.(i) then begin
-              (match completed.(i) with
-              | Some agg ->
-                Faultplan.journal_append fault w
-                  (Journal.Cell (cells.(i), Aggregate.snapshot agg))
-              | None -> assert false);
-              written.(i) <- true
-            end;
-            incr next_flush
-          done
-      in
-      flush_prefix ();
-      (* Per-shard telemetry snapshots, indexed by plan position.  The
-         final merge folds them in plan order — never completion order —
-         so the exported snapshot is deterministic for a fixed worker
-         count.  [live] is the coordinator's running merge, read only by
-         the progress reporter's derived line (order there is harmless:
-         it is a human-facing view, not an artifact). *)
-      let shard_snaps =
-        Array.make (Array.length plan) Tel.Registry.Snapshot.empty
-      in
+      (* [live] is a running merge of shard snapshots, read only by the
+         progress reporter's derived line (order there is harmless: it is
+         a human-facing view, not an artifact). *)
       let live = ref Tel.Registry.Snapshot.empty in
       let progress_extra =
         Option.map (fun _ -> fun () -> shard_progress_view !live) tel
       in
       let pool_started = telemetry_clock () in
       let on_result task_index (agg, snap) =
-        let sh = plan.(task_index) in
-        let ci = sh.Shard.cell_index in
-        shard_snaps.(task_index) <- snap;
-        (match tel with
-        | None -> ()
-        | Some _ -> live := Tel.Registry.Snapshot.merge !live snap);
-        shard_results.(ci).(sh.Shard.slot) <- Some agg;
-        shards_done.(ci) <- shards_done.(ci) + 1;
-        trials_done := !trials_done + Shard.trials sh;
-        if shards_done.(ci) = slots then begin
-          (* Merge in slot order — never completion order. *)
-          let merged =
-            Array.fold_left
-              (fun acc slot ->
-                match (acc, slot) with
-                | None, Some a -> Some a
-                | Some m, Some a -> Some (Aggregate.merge m a)
-                | _, None -> assert false)
-              None shard_results.(ci)
-          in
-          completed.(ci) <- merged;
-          flush_prefix ()
-        end;
-        Progress.note ?extra:progress_extra progress ~trials_done:!trials_done
+        if Option.is_some tel then
+          live := Tel.Registry.Snapshot.merge !live snap;
+        ignore (Fold.land_shard fold task_index agg snap);
+        Progress.note ?extra:progress_extra progress
+          ~trials_done:(Fold.trials_done fold)
       in
       let task ~worker (sh : Shard.t) =
         Faultplan.wrap_task fault ~task:sh.Shard.id (fun () ->
@@ -287,45 +379,10 @@ let run ?jobs ?journal_path ?(resume = false) ?(retries = 2) ?fault
       in
       ignore
         (Worker_pool.run ~jobs ~retries ~on_retry ~on_salvage ~on_result task
-           plan);
-      Progress.finish ?extra:progress_extra progress ~trials_done:!trials_done;
-      let results =
-        Array.mapi
-          (fun i cell ->
-            match completed.(i) with
-            | Some aggregate ->
-              { cell; aggregate; from_journal = from_journal.(i) }
-            | None -> assert false (* the pool drained every shard *))
-          cells
-      in
-      let telemetry_snapshot =
-        match tel with
-        | None -> None
-        | Some reg ->
-          Some
-            (Array.fold_left Tel.Registry.Snapshot.merge
-               (Tel.Registry.snapshot reg) shard_snaps)
-      in
-      (match (telemetry, telemetry_snapshot) with
-      | Some dir, Some snap ->
-        (try Unix.mkdir dir 0o755
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        write_text_file
-          (Filename.concat dir "telemetry.prom")
-          (Tel.Export.prometheus snap);
-        write_text_file
-          (Filename.concat dir "telemetry.jsonl")
-          (Tel.Export.jsonl ~emitted_at:(Unix.gettimeofday ()) snap)
-      | _ -> ());
-      {
-        spec;
-        cells = results;
-        fresh_trials;
-        resumed_cells;
-        jobs;
-        elapsed = Unix.gettimeofday () -. started;
-        telemetry = telemetry_snapshot;
-      })
+           (Fold.plan fold));
+      Progress.finish ?extra:progress_extra progress
+        ~trials_done:(Fold.trials_done fold);
+      Fold.finish ?telemetry fold ~jobs)
 
 let region (cell : Spec.cell) =
   if cell.Spec.nu <= 0. then "SAFE"

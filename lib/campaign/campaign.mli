@@ -110,6 +110,71 @@ val run_shard :
     a shard computed by a remote process is bit-identical to one
     computed here.  [cells] must be [Spec.cells spec]. *)
 
+(** The plan-order fold shared by {!run} and the serve coordinator: the
+    one implementation of the determinism contract above.  It opens the
+    journal (fresh, or resumed through {!Journal.fold}), plans the
+    shards the journal does not already cover, lands shard results —
+    slot-order merge, then cell-order flush — and finally merges the
+    caller's registry with every shard snapshot in plan order.  Callers
+    own only scheduling: which shard runs where, retries, leases,
+    progress. *)
+module Fold : sig
+  type t
+
+  val create :
+    ?registry:Nakamoto_telemetry.Registry.t ->
+    ?fault:Faultplan.armed ->
+    ?fold_span:Nakamoto_telemetry.Span.t ->
+    ?journal_path:string ->
+    resume:bool ->
+    log:(string -> unit) ->
+    Spec.t ->
+    t
+  (** [create ~resume ~log spec] opens the journal at [journal_path]
+      as {!run} documents it (header on a fresh start; torn-tail repair,
+      fingerprint check and a ["resuming ..."] line to [log] on a
+      resume), plans the remaining shards, and flushes nothing new.
+      Appends go through {!Faultplan.journal_append} [fault].
+      [registry] receives the journal's instruments and is the base of
+      the final snapshot; [fold_span] times each cell's slot merge.
+      [spec] must already be valid.
+      @raise Invalid_argument on a fingerprint mismatch.
+      @raise Failure on a corrupt journal.
+      @raise Unix.Unix_error or [Sys_error] when the journal cannot be
+      opened, created or repaired. *)
+
+  val spec : t -> Spec.t
+  val cells : t -> Spec.cell array
+
+  val plan : t -> Shard.t array
+  (** The shards left to run, in plan order; {!land_shard} takes a
+      position in this array. *)
+
+  val trials_done : t -> int
+  (** Resumed plus landed trials. *)
+
+  val cells_done : t -> int
+  val finished : t -> bool  (** every cell has merged *)
+
+  val land_shard :
+    t -> int -> Aggregate.t -> Nakamoto_telemetry.Registry.Snapshot.t -> bool
+  (** [land_shard t pi agg snap] records the result of [plan t].(pi)
+      (each position exactly once).  When it completes its cell, the
+      cell's slots merge in slot order, their storage is released, and
+      every journal line now contiguous from the flushed prefix is
+      appended; the result is [true] then. *)
+
+  val close : t -> unit
+  (** Close the journal writer.  Idempotent. *)
+
+  val finish : ?telemetry:string -> t -> jobs:int -> outcome
+  (** Close the journal and build the outcome once {!finished}; with a
+      registry, the outcome's snapshot is the registry's merged with
+      every shard snapshot in plan order, and [telemetry] names a
+      directory (created if absent) that receives [telemetry.prom] and
+      [telemetry.jsonl]. *)
+end
+
 val region : Spec.cell -> string
 (** ["SAFE"] when [c] clears the neat bound [2mu/ln(mu/nu)], ["ATTACK"]
     when [nu] exceeds the PSS attack threshold at this [c], ["GAP"] for

@@ -3,8 +3,8 @@ module Msg = Nakamoto_wire.Message
 module Spec = Nakamoto_campaign.Spec
 module Shard = Nakamoto_campaign.Shard
 module Aggregate = Nakamoto_campaign.Aggregate
-module Journal = Nakamoto_campaign.Journal
 module Campaign = Nakamoto_campaign.Campaign
+module Fold = Campaign.Fold
 module Core = Nakamoto_core
 module Tel = Nakamoto_telemetry
 
@@ -27,30 +27,15 @@ type conn = {
 
 type lease_info = { l_plan : int; l_conn : int; l_deadline : float }
 
-(* One in-flight campaign.  The arrays mirror [Campaign.run]'s local
-   state exactly: that is the point — the fold must be the same fold. *)
+(* One in-flight campaign: the shared plan-order fold plus the lease
+   state around it. *)
 type campaign = {
-  g_spec : Spec.t;
-  g_cells : Spec.cell array;
-  g_slots : int;  (** shards per cell *)
+  g_fold : Fold.t;
   g_plan : Shard.t array;
-  g_completed : Aggregate.t option array;
-  g_from_journal : bool array;
-  g_written : bool array;
-  g_writer : Journal.writer option;
   g_journal_path : string option;
-  mutable g_next_flush : int;
-  g_shard_results : Aggregate.t option array array;
-  g_shards_done : int array;
-  g_shard_snaps : Tel.Registry.Snapshot.t array;
   mutable g_pending : int list;  (** plan indices awaiting a lease *)
   g_leases : (int, lease_info) Hashtbl.t;
-  mutable g_trials_done : int;
-  mutable g_cells_done : int;
-  g_resumed_cells : int;
-  g_fresh_trials : int;
   g_client : int;  (** conn id of the submitter, for progress / done *)
-  g_started : float;
   g_workers : (int, unit) Hashtbl.t;  (** conn ids ever granted a lease *)
 }
 
@@ -58,12 +43,6 @@ exception Done_serving
 
 let default_log msg = Printf.eprintf "serve: %s\n%!" msg
 let max_grants_per_request = 64
-
-let write_text_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
 
 let listen_unix path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -249,200 +228,76 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
       send_msg client
         (Msg.Progress
            {
-             Msg.p_trials_done = g.g_trials_done;
-             p_trials_total = Spec.trial_count g.g_spec;
-             p_cells_done = g.g_cells_done;
-             p_cells_total = Array.length g.g_cells;
+             Msg.p_trials_done = Fold.trials_done g.g_fold;
+             p_trials_total = Spec.trial_count (Fold.spec g.g_fold);
+             p_cells_done = Fold.cells_done g.g_fold;
+             p_cells_total = Array.length (Fold.cells g.g_fold);
            })
   in
 
-  (* --- journal flush: strictly in cell order --------------------- *)
-  let flush_prefix g =
-    let ncells = Array.length g.g_cells in
-    while
-      g.g_next_flush < ncells && g.g_completed.(g.g_next_flush) <> None
-    do
-      let i = g.g_next_flush in
-      (match g.g_writer with
-      | Some w when not g.g_written.(i) ->
-        (match g.g_completed.(i) with
-        | Some agg ->
-          Journal.append w (Journal.Cell (g.g_cells.(i), Aggregate.snapshot agg))
-        | None -> assert false);
-        g.g_written.(i) <- true
-      | _ -> ());
-      g.g_next_flush <- g.g_next_flush + 1
-    done
-  in
-
   (* --- campaign completion --------------------------------------- *)
-  let finalize g =
-    Option.iter Journal.close_writer g.g_writer;
-    let results =
-      Array.mapi
-        (fun i cell ->
-          match g.g_completed.(i) with
-          | Some aggregate ->
-            { Campaign.cell; aggregate; from_journal = g.g_from_journal.(i) }
-          | None -> assert false)
-        g.g_cells
-    in
-    let telemetry_snapshot =
-      match tel with
-      | None -> None
-      | Some reg ->
-        Some
-          (Array.fold_left Tel.Registry.Snapshot.merge
-             (Tel.Registry.snapshot reg) g.g_shard_snaps)
-    in
-    let outcome =
-      {
-        Campaign.spec = g.g_spec;
-        cells = results;
-        fresh_trials = g.g_fresh_trials;
-        resumed_cells = g.g_resumed_cells;
-        jobs = max 1 (Hashtbl.length g.g_workers);
-        elapsed = Unix.gettimeofday () -. g.g_started;
-        telemetry = telemetry_snapshot;
-      }
-    in
-    let table =
-      Nakamoto_numerics.Table.render (Campaign.summary_table outcome)
-    in
-    (match (telemetry, telemetry_snapshot) with
-    | Some dir, Some snap ->
-      (try Unix.mkdir dir 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      write_text_file
-        (Filename.concat dir "telemetry.prom")
-        (Tel.Export.prometheus snap);
-      write_text_file
-        (Filename.concat dir "telemetry.jsonl")
-        (Tel.Export.jsonl ~emitted_at:(Unix.gettimeofday ()) snap)
-    | _ -> ());
-    (match Hashtbl.find_opt conns g.g_client with
-    | None -> ()
-    | Some client ->
-      send_msg client (Msg.Done { table; journal = g.g_journal_path }));
-    incr campaigns_served;
-    current := None;
-    log
-      (Printf.sprintf "campaign %d complete: %s" !campaigns_served
-         (Spec.describe g.g_spec));
-    match max_campaigns with
-    | Some n when !campaigns_served >= n -> raise Done_serving
-    | _ -> ()
-  in
   let maybe_finish g =
-    if g.g_cells_done = Array.length g.g_cells then begin
-      flush_prefix g;
-      finalize g
+    if Fold.finished g.g_fold then begin
+      let outcome =
+        Fold.finish ?telemetry g.g_fold
+          ~jobs:(max 1 (Hashtbl.length g.g_workers))
+      in
+      let table =
+        Nakamoto_numerics.Table.render (Campaign.summary_table outcome)
+      in
+      (match Hashtbl.find_opt conns g.g_client with
+      | None -> ()
+      | Some client ->
+        send_msg client (Msg.Done { table; journal = g.g_journal_path }));
+      incr campaigns_served;
+      current := None;
+      log
+        (Printf.sprintf "campaign %d complete: %s" !campaigns_served
+           (Spec.describe outcome.Campaign.spec));
+      match max_campaigns with
+      | Some n when !campaigns_served >= n -> raise Done_serving
+      | _ -> ()
     end
   in
 
   (* --- message handlers ------------------------------------------ *)
+  (* A journal the daemon cannot open, repair or trust is the
+     submitter's error, reported as a typed refusal; the daemon keeps
+     serving. *)
   let start_campaign conn (s : Msg.submit) =
     match !current with
     | Some _ -> send_msg conn (Msg.Error "busy: a campaign is already running")
     | None -> (
-      match Spec.validate s.Msg.sub_spec with
-      | exception Invalid_argument m -> send_msg conn (Msg.Error m)
-      | () -> (
-        let spec = s.Msg.sub_spec in
-        let cells = Spec.cells spec in
-        let ncells = Array.length cells in
-        let completed : Aggregate.t option array = Array.make ncells None in
-        let from_journal = Array.make ncells false in
-        let written = Array.make ncells false in
-        match
-          match s.Msg.sub_journal with
-          | None -> Ok None
-          | Some path -> (
-            let fresh () =
-              let w = Journal.create_writer ?telemetry:tel ~path ~fresh:true () in
-              (try
-                 Journal.append w
-                   (Journal.Header (Journal.header_of_spec spec))
-               with e ->
-                 Journal.close_writer w;
-                 raise e);
-              Ok (Some w)
-            in
-            if not s.Msg.sub_resume then fresh ()
-            else
-              match
-                Journal.fold ~log ~path ~fingerprint:(Spec.fingerprint spec)
-                  ~init:() (fun () (cell : Spec.cell) snap ->
-                    if cell.Spec.index < 0 || cell.Spec.index >= ncells then
-                      failwith
-                        (Printf.sprintf "journal %s: cell index out of range"
-                           path);
-                    completed.(cell.Spec.index) <-
-                      Some (Aggregate.of_snapshot snap);
-                    from_journal.(cell.Spec.index) <- true;
-                    written.(cell.Spec.index) <- true)
-              with
-              | Journal.Fresh _ -> fresh ()
-              | Journal.Recovered { entries; _ } ->
-                log
-                  (Printf.sprintf
-                     "resuming %s: %d of %d cells recovered from %s"
-                     (Spec.describe spec) entries ncells path);
-                Ok (Some (Journal.create_writer ?telemetry:tel ~path ~fresh:false ()))
-              | exception Invalid_argument m -> Error m
-              | exception Failure m -> Error m)
-        with
-        | Error m -> send_msg conn (Msg.Error m)
-        | Ok writer ->
-          let resumed_cells =
-            Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
-              from_journal
-          in
-          let plan =
-            Shard.plan ~cells:ncells ~trials_per_cell:spec.Spec.trials_per_cell
-              ~shard_size:spec.Spec.shard_size
-              ~skip:(fun i -> completed.(i) <> None)
-          in
-          let slots =
-            Shard.per_cell ~trials_per_cell:spec.Spec.trials_per_cell
-              ~shard_size:spec.Spec.shard_size
-          in
-          let g =
-            {
-              g_spec = spec;
-              g_cells = cells;
-              g_slots = slots;
-              g_plan = plan;
-              g_completed = completed;
-              g_from_journal = from_journal;
-              g_written = written;
-              g_writer = writer;
-              g_journal_path = s.Msg.sub_journal;
-              g_next_flush = 0;
-              g_shard_results =
-                Array.init ncells (fun _ -> Array.make slots None);
-              g_shards_done = Array.make ncells 0;
-              g_shard_snaps =
-                Array.make (Array.length plan) Tel.Registry.Snapshot.empty;
-              g_pending = List.init (Array.length plan) Fun.id;
-              g_leases = Hashtbl.create 16;
-              g_trials_done = resumed_cells * spec.Spec.trials_per_cell;
-              g_cells_done = resumed_cells;
-              g_resumed_cells = resumed_cells;
-              g_fresh_trials =
-                Array.fold_left (fun acc sh -> acc + Shard.trials sh) 0 plan;
-              g_client = conn.c_id;
-              g_started = Unix.gettimeofday ();
-              g_workers = Hashtbl.create 8;
-            }
-          in
-          flush_prefix g;
-          current := Some g;
-          log
-            (Printf.sprintf "campaign submitted by connection %d: %s"
-               conn.c_id (Spec.describe spec));
-          send_progress g;
-          maybe_finish g))
+      let spec = s.Msg.sub_spec in
+      match
+        Spec.validate spec;
+        Fold.create ?registry:tel ?fold_span:sp_fold
+          ?journal_path:s.Msg.sub_journal ~resume:s.Msg.sub_resume ~log spec
+      with
+      | exception (Invalid_argument m | Failure m | Sys_error m) ->
+        send_msg conn (Msg.Error m)
+      | exception Unix.Unix_error (e, fn, arg) ->
+        send_msg conn
+          (Msg.Error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
+      | fold ->
+        let plan = Fold.plan fold in
+        let g =
+          {
+            g_fold = fold;
+            g_plan = plan;
+            g_journal_path = s.Msg.sub_journal;
+            g_pending = List.init (Array.length plan) Fun.id;
+            g_leases = Hashtbl.create 16;
+            g_client = conn.c_id;
+            g_workers = Hashtbl.create 8;
+          }
+        in
+        current := Some g;
+        log
+          (Printf.sprintf "campaign submitted by connection %d: %s" conn.c_id
+             (Spec.describe spec));
+        send_progress g;
+        maybe_finish g)
   in
   let handle_lease_request conn ~max =
     match !current with
@@ -474,39 +329,12 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
         in
         let grants = take budget [] in
         Hashtbl.replace g.g_workers conn.c_id ();
-        send_msg conn (Msg.Lease_grant { grants; spec = g.g_spec }))
+        send_msg conn (Msg.Lease_grant { grants; spec = Fold.spec g.g_fold }))
   in
-  (* The shared fold for a landed shard result — identical whether the
-     lease was live or the result arrived late for a requeued shard. *)
+  (* A landed shard result — the same whether the lease was live or the
+     result arrived late for a requeued shard. *)
   let apply_result g ~pi agg snap =
-    let sh = g.g_plan.(pi) in
-    let ci = sh.Shard.cell_index in
-    g.g_shard_results.(ci).(sh.Shard.slot) <- Some agg;
-    g.g_shard_snaps.(pi) <- snap;
-    g.g_shards_done.(ci) <- g.g_shards_done.(ci) + 1;
-    g.g_trials_done <- g.g_trials_done + Shard.trials sh;
-    if g.g_shards_done.(ci) = g.g_slots then begin
-      (* Merge in slot order — never completion order. *)
-      let t0 =
-        match sp_fold with Some _ -> telemetry_clock () | None -> 0.
-      in
-      let merged =
-        Array.fold_left
-          (fun acc slot ->
-            match (acc, slot) with
-            | None, Some a -> Some a
-            | Some m, Some a -> Some (Aggregate.merge m a)
-            | _, None -> assert false)
-          None
-          g.g_shard_results.(ci)
-      in
-      (match sp_fold with
-      | Some sp ->
-        Tel.Span.record sp (Float.max 0. (telemetry_clock () -. t0))
-      | None -> ());
-      g.g_completed.(ci) <- merged;
-      g.g_cells_done <- g.g_cells_done + 1;
-      flush_prefix g;
+    if Fold.land_shard g.g_fold pi agg snap then begin
       send_progress g;
       maybe_finish g
     end
@@ -518,8 +346,7 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
     with
     | exception Invalid_argument m ->
       send_msg conn (Msg.Error ("malformed result: " ^ m));
-      drop_conn conn "malformed result";
-      None
+      drop_conn conn "malformed result"
     | agg, snap -> k agg snap
   in
   let handle_cell_result conn (r : Msg.cell_result) =
@@ -540,17 +367,15 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
             g.g_pending
         with
         | Some pi ->
-          ignore
-            (decode_result conn r (fun agg snap ->
-                 g.g_pending <- List.filter (fun pj -> pj <> pi) g.g_pending;
-                 Option.iter Tel.Counter.incr c_late;
-                 log
-                   (Printf.sprintf
-                      "late result for lease %d (shard %d) accepted: shard \
-                       was still unassigned"
-                      r.Msg.res_lease r.Msg.res_shard);
-                 apply_result g ~pi agg snap;
-                 Some ()))
+          decode_result conn r (fun agg snap ->
+              g.g_pending <- List.filter (fun pj -> pj <> pi) g.g_pending;
+              Option.iter Tel.Counter.incr c_late;
+              log
+                (Printf.sprintf
+                   "late result for lease %d (shard %d) accepted: shard was \
+                    still unassigned"
+                   r.Msg.res_lease r.Msg.res_shard);
+              apply_result g ~pi agg snap)
         | None ->
           Option.iter Tel.Counter.incr c_stale;
           log
@@ -567,11 +392,7 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
           g.g_pending <- l.l_plan :: g.g_pending;
           drop_conn conn "shard id mismatch"
         end
-        else
-          ignore
-            (decode_result conn r (fun agg snap ->
-                 apply_result g ~pi:l.l_plan agg snap;
-                 Some ())))
+        else decode_result conn r (apply_result g ~pi:l.l_plan))
   in
   let handle_assess conn (q : Msg.assess_params) =
     match

@@ -477,6 +477,30 @@ let test_protocol_edges () =
   cleanup journal;
   cleanup socket
 
+(* A journal path the daemon cannot open is the submitter's problem, not
+   the daemon's: a typed Error to that client, and the next submission
+   on the same daemon still runs to the oracle journal. *)
+let test_bad_journal_path () =
+  let socket = temp_path "badjournal" ".sock" in
+  let addr = Serve.Conn.Unix_path socket in
+  let daemon = spawn_daemon ~socket () in
+  let worker = spawn_worker ~addr () in
+  (match
+     Serve.Client.submit ~addr ~journal:"/nonexistent_dir/j.jsonl" tiny_spec
+   with
+  | Ok _ -> Alcotest.fail "an unopenable journal must be refused"
+  | Error e ->
+    check_true "the refusal names the path"
+      (contains_substring ~affix:"/nonexistent_dir/j.jsonl" e));
+  let journal = temp_path "badjournal" ".jsonl" in
+  submit ~addr ~journal ();
+  Alcotest.(check string) "the daemon kept serving" (Lazy.force oracle)
+    (read_file journal);
+  check_int "daemon exits cleanly" 0 (Domain.join daemon);
+  check_int "worker exits cleanly" 0 (Domain.join worker);
+  cleanup journal;
+  cleanup socket
+
 (* Surface-backed daemon: assess RPCs inside a certified cell are served
    from the table (the rendered verdict says so), everything else still
    routes through the exact solver — and the campaign path is
@@ -537,6 +561,8 @@ let suite =
       test_late_result;
     case "version mismatch and unknown tags get typed Error frames"
       test_protocol_edges;
+    case "an unopenable journal path is refused and the daemon keeps serving"
+      test_bad_journal_path;
     case "surface-backed daemon serves cached verdicts"
       test_surface_backed_assess;
   ]
