@@ -268,8 +268,9 @@ module Fold = struct
       (try Unix.mkdir dir 0o755
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       let write name text =
-        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
-            Out_channel.output_string oc text)
+        let oc = open_out_bin (Filename.concat dir name) in
+        Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+            output_string oc text)
       in
       write "telemetry.prom" (Tel.Export.prometheus snap);
       write "telemetry.jsonl"

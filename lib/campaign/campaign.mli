@@ -133,8 +133,8 @@ module Fold : sig
   (** [create ~resume ~log spec] opens the journal at [journal_path]
       as {!run} documents it (header on a fresh start; torn-tail repair,
       fingerprint check and a ["resuming ..."] line to [log] on a
-      resume), plans the remaining shards, and flushes nothing new.
-      Appends go through {!Faultplan.journal_append} [fault].
+      resume) and plans the shards the journal does not cover.  Every
+      append goes through {!Faultplan.journal_append} [fault].
       [registry] receives the journal's instruments and is the base of
       the final snapshot; [fold_span] times each cell's slot merge.
       [spec] must already be valid.

@@ -5,13 +5,16 @@
     protocol: clients submitting campaign specs and streaming progress
     back, worker processes leasing shards (singly or in batches) and
     returning aggregate + telemetry snapshots, and assessment queries.
-    The campaign fold is the in-process engine's, relocated: shard
-    aggregates merge in slot order, telemetry snapshots in plan order,
-    and journal lines flush strictly in cell order through the same
-    fsync-on-append {!Nakamoto_campaign.Journal} writer — so the journal
-    a daemon-run campaign produces is byte-identical to the one
-    [Campaign.run] writes in process, for any transport, worker count,
-    or failure schedule.
+    The campaign fold is {!Nakamoto_campaign.Campaign.Fold}, the one
+    [Campaign.run] drives in process: shard aggregates merge in slot
+    order, telemetry snapshots in plan order, and journal lines flush
+    strictly in cell order through the fsync-on-append
+    {!Nakamoto_campaign.Journal} writer — so the journal a daemon-run
+    campaign produces is byte-identical to the one [Campaign.run] writes
+    in process, for any transport, worker count, or failure schedule.  A
+    submitted journal that cannot be opened, repaired or trusted is
+    refused to the submitter with a typed [Error]; the daemon keeps
+    serving.
 
     {b Fleet hardening.}  Every accepted connection is non-blocking with
     a bounded per-connection output queue, drained opportunistically at
