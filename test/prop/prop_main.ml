@@ -9,6 +9,7 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("markov", Test_markov_props.suite);
       ("oracle", Test_oracle.suite);
+      ("audit", Test_audit_props.suite);
       ("wire", Test_wire_props.suite);
       ("surface", Test_surface_props.suite);
     ]

@@ -154,6 +154,54 @@ let test_digest_golden () =
   if !drifted <> [] then
     Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
 
+(* Every snapshot's round and every slot's tip hash, in order: what the
+   consistency audit reads.  Any change to how the executors build
+   snapshots that alters a single slot moves the digest. *)
+let snapshot_digest (r : Sim.Execution.result) =
+  let mix = Nakamoto_prob.Rng.splitmix64 in
+  let feed acc v = mix (Int64.add acc v) in
+  List.fold_left
+    (fun acc (s : Sim.Execution.snapshot) ->
+      Array.fold_left
+        (fun acc (b : Nakamoto_chain.Block.t) ->
+          feed acc (Nakamoto_chain.Hash.to_int64 b.hash))
+        (feed acc (Int64.of_int s.round))
+        s.tips)
+    (mix 0x9e3779b97f4a7c15L) r.snapshots
+
+(* The snapshot sequences of the nine digest-golden configurations.  Pins
+   were produced by this build; to re-pin after an intentional change,
+   run the test and copy the printed actuals. *)
+let test_snapshot_golden () =
+  let drifted = ref [] in
+  let pin name cfg expected =
+    let actual = snapshot_digest (Sim.Execution.run cfg) in
+    if actual <> expected then
+      drifted :=
+        Printf.sprintf "%s: snapshot digest %LdL, pinned %LdL" name actual
+          expected
+        :: !drifted
+  in
+  let idle = { Sim.Config.default with rounds = 300 } in
+  let selfish = { (Sim.Scenarios.selfish ~seed:7L ~nu:0.3) with rounds = 300 } in
+  let private_chain =
+    { (Sim.Scenarios.attack_zone ~seed:9L ~nu:0.3) with rounds = 300 }
+  in
+  let aggregate cfg = { cfg with Sim.Config.mining_mode = Sim.Config.Aggregate } in
+  let skip cfg = { cfg with Sim.Config.mining_mode = Sim.Config.Skip } in
+  pin "idle exact" idle 3197392238418536071L;
+  pin "idle aggregate" (aggregate idle) (-513683677786731998L);
+  pin "idle skip" (skip idle) (-1308106445165456054L);
+  pin "selfish exact" selfish 7688506024105082394L;
+  pin "selfish aggregate" (aggregate selfish) (-7131434680929248679L);
+  pin "selfish skip" (skip selfish) (-7915161997530884826L);
+  pin "private-chain exact" private_chain (-2364582005746846358L);
+  pin "private-chain aggregate" (aggregate private_chain)
+    (-7075864493869475206L);
+  pin "private-chain skip" (skip private_chain) (-1916187376528075582L);
+  if !drifted <> [] then
+    Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
+
 let test_summarize () =
   let t = Trace.create () in
   Trace.record t (entry ~round:1 ~hb:2 ~bh:1 ());
@@ -171,5 +219,6 @@ let suite =
     case "capture matches execution result" test_capture_matches_result;
     case "digest basics" test_digest_basics;
     case "digest goldens (exact and aggregate)" test_digest_golden;
+    case "snapshot digest goldens" test_snapshot_golden;
     case "summarize" test_summarize;
   ]
