@@ -371,7 +371,7 @@ let run_exact ?on_round ~instr config =
      convergence detector (reporting a mid-span completion at its true
      round), the adversary takes one verified no-op step, telemetry adds
      the span to its round counter, and snapshot-cadence rounds inside it
-     replay the unchanged tips.
+     reuse the previous snapshot's tips array.
 
    The mode supplies only the draws, as a [law]: the gap to the next
    mining round, its honest count and its adversary count.  Aggregate's
@@ -511,10 +511,13 @@ let run_events ?on_round ~instr ~law config =
       Hashtbl.add materialized id miner;
       miner
   in
-  let tip_of id =
-    match Hashtbl.find_opt materialized id with
-    | Some miner -> Miner.best_tip miner
-    | None -> Miner.best_tip crowd
+  (* Every slot holds the crowd tip except the materialized miners'. *)
+  let current_tips () =
+    let tips = Array.make honest_n (Miner.best_tip crowd) in
+    Hashtbl.iter
+      (fun id miner -> tips.(id) <- Miner.best_tip miner)
+      materialized;
+    tips
   in
   let best_height () =
     Hashtbl.fold
@@ -522,13 +525,21 @@ let run_events ?on_round ~instr ~law config =
       materialized (Miner.chain_length crowd)
   in
   let last_snap_round = ref 0 in
+  (* Tips can only move in a simulated round: a snapshot taken when none
+     ran since the previous one shares that snapshot's array. *)
+  let snap_tips = ref [||] in
+  let simulated_since_snap = ref true in
   let take_snapshot round =
-    snapshots := { round; tips = Array.init honest_n tip_of } :: !snapshots;
+    if !simulated_since_snap then begin
+      snap_tips := current_tips ();
+      simulated_since_snap := false
+    end;
+    snapshots := { round; tips = !snap_tips } :: !snapshots;
     last_snap_round := round
   in
   (* Snapshot-cadence rounds inside a skipped span see exactly the state
-     after the last simulated round, so they are emitted lazily from the
-     current tips. *)
+     after the last simulated round, so they are emitted lazily and share
+     the tips of the snapshot before them. *)
   let next_snap = ref config.snapshot_interval in
   let emit_snapshots_through r =
     while !next_snap <= r do
@@ -577,6 +588,7 @@ let run_events ?on_round ~instr ~law config =
       advance_empty_span ~first:(!cursor + 1) ~len:(target - !cursor - 1);
       let round = target in
       incr processed;
+      simulated_since_snap := true;
       let round_reorg = ref 0 in
       (* Phase 1: delivery — the shared ring stream to the crowd and every
          materialized miner, plus per-miner direct queues. *)
@@ -644,7 +656,7 @@ let run_events ?on_round ~instr ~law config =
     config;
     snapshots = List.rev !snapshots;
     god_view = god;
-    final_tips = Array.init honest_n tip_of;
+    final_tips = current_tips ();
     convergence_opportunities = Pattern.count pattern;
     adversary_blocks = !adversary_blocks;
     honest_blocks = !honest_blocks;

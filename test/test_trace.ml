@@ -202,6 +202,25 @@ let test_snapshot_golden () =
   if !drifted <> [] then
     Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
 
+(* Skip emits the snapshots of unsimulated rounds lazily: one taken with
+   no round simulated since the previous one shares its tips array. *)
+let test_skip_shares_snapshots () =
+  let cfg =
+    {
+      Sim.Config.default with
+      rounds = 300;
+      snapshot_interval = 1;
+      mining_mode = Sim.Config.Skip;
+    }
+  in
+  let rec shares = function
+    | (a : Sim.Execution.snapshot) :: (b :: _ as rest) ->
+      a.tips == b.tips || shares rest
+    | _ -> false
+  in
+  check_true "consecutive snapshots share an unchanged tips array"
+    (shares (Sim.Execution.run cfg).snapshots)
+
 let test_summarize () =
   let t = Trace.create () in
   Trace.record t (entry ~round:1 ~hb:2 ~bh:1 ());
@@ -220,5 +239,6 @@ let suite =
     case "digest basics" test_digest_basics;
     case "digest goldens (exact and aggregate)" test_digest_golden;
     case "snapshot digest goldens" test_snapshot_golden;
+    case "skip snapshots share unchanged tips" test_skip_shares_snapshots;
     case "summarize" test_summarize;
   ]
