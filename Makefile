@@ -193,13 +193,29 @@ assessscale-smoke:
 # instrument) and the interarrival-vs-geometric distribution check.  The
 # markov leg runs 1000 random banded ergodic chains through the sparse
 # solvers against the dense LU and power references (1e-12 agreement),
-# plus CSR round-trip and parallel bit-identity properties.
+# plus CSR round-trip and parallel bit-identity properties.  The audit
+# leg compares the consistency audit, max disagreement and snapshot
+# meets with the quadratic reference audit on generated executions, and
+# fails if no generated case violated consistency.
 # Failures print a PROPTEST_SEED / PROPTEST_REPLAY one-liner; see
 # DESIGN.md §8.
 proptest-smoke:
 	dune exec test/prop/prop_main.exe -- test oracle
+	dune exec test/prop/prop_main.exe -- test audit
 	dune exec test/prop/prop_main.exe -- test telemetry
 	dune exec test/prop/prop_main.exe -- test markov
+
+# An unknown scenario name is a usage error: cmdliner's exit 124 with
+# the valid names listed, never an uncaught exception.
+cli-smoke:
+	dune build bin/main.exe
+	for cmd in simulate trace; do \
+	  _build/default/bin/main.exe $$cmd bogus 2>_cli_smoke.log; \
+	  test $$? -eq 124 || exit 1; \
+	  grep -q "invalid value 'bogus'" _cli_smoke.log || exit 1; \
+	  if grep -q "internal error" _cli_smoke.log; then exit 1; fi; \
+	done
+	rm -f _cli_smoke.log
 
 # Opt-in statistical soak: every property rerun with PROPTEST_TRIALS=500
 # via the @soak alias.  Not part of `check` — run before releases or when
@@ -222,7 +238,7 @@ bench-diff:
 
 check: all test campaign-smoke faultinject-smoke telemetry-smoke \
   serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke perf-smoke
+  assessscale-smoke proptest-smoke cli-smoke perf-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -236,4 +252,5 @@ artifacts:
 
 .PHONY: all test bench examples artifacts campaign-smoke faultinject-smoke \
   telemetry-smoke serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke perf-smoke bench-diff soak check
+  assessscale-smoke proptest-smoke cli-smoke perf-smoke bench-diff soak \
+  check

@@ -45,6 +45,36 @@ let csv_arg =
   let doc = "Also write the table as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PATH" ~doc)
 
+(* The canned scenarios of [simulate] and [trace], as (name, scenario)
+   pairs.  An enum, so cmdliner rejects any other name with a usage
+   error that lists these. *)
+let scenario_arg =
+  let scenarios =
+    List.map
+      (fun (name, scenario) -> (name, (name, scenario)))
+      [
+        ("honest", `Honest);
+        ("safe", `Safe);
+        ("attack", `Attack);
+        ("split", `Split);
+        ("selfish", `Selfish);
+      ]
+  in
+  let doc =
+    Printf.sprintf "The scenario to run: %s." (Arg.doc_alts_enum scenarios)
+  in
+  Arg.(value
+       & pos 0 (enum scenarios) (List.assoc "honest" scenarios)
+       & info [] ~docv:"SCENARIO" ~doc)
+
+let scenario_config (_, scenario) ~seed ~nu =
+  match scenario with
+  | `Honest -> Sim.Scenarios.honest_baseline ~seed
+  | `Safe -> Sim.Scenarios.safe_zone ~seed ~nu
+  | `Attack -> Sim.Scenarios.attack_zone ~seed ~nu
+  | `Split -> Sim.Scenarios.split_world ~seed
+  | `Selfish -> Sim.Scenarios.selfish ~seed ~nu
+
 let verbose_arg =
   let doc = "Enable debug logging of reorgs and adversarial releases." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
@@ -194,17 +224,9 @@ let remark1_cmd =
 (* simulate *)
 
 let simulate_cmd =
-  let run scenario nu seed verbose =
+  let run ((scenario, _) as named) nu seed verbose =
     setup_logging verbose;
-    let cfg =
-      match scenario with
-      | "honest" -> Sim.Scenarios.honest_baseline ~seed
-      | "safe" -> Sim.Scenarios.safe_zone ~seed ~nu
-      | "attack" -> Sim.Scenarios.attack_zone ~seed ~nu
-      | "split" -> Sim.Scenarios.split_world ~seed
-      | "selfish" -> Sim.Scenarios.selfish ~seed ~nu
-      | other -> failwith (Printf.sprintf "unknown scenario %S" other)
-    in
+    let cfg = scenario_config named ~seed ~nu in
     let r = Sim.Execution.run cfg in
     let cons = Sim.Metrics.check_consistency r in
     let growth = Sim.Metrics.chain_growth r in
@@ -223,10 +245,6 @@ let simulate_cmd =
       (Sim.Metrics.chain_quality r);
     Printf.printf "  messages              %d (orphans left: %d)\n" r.messages_sent
       r.orphans_remaining
-  in
-  let scenario_arg =
-    Arg.(value & pos 0 string "honest"
-         & info [] ~docv:"SCENARIO" ~doc:"honest | safe | attack | split | selfish")
   in
   let term = Term.(const run $ scenario_arg $ nu_arg $ seed_arg $ verbose_arg) in
   Cmd.v
@@ -585,16 +603,7 @@ let sweep_cmd =
 
 let trace_cmd =
   let run scenario nu seed out =
-    let cfg =
-      match scenario with
-      | "honest" -> Sim.Scenarios.honest_baseline ~seed
-      | "safe" -> Sim.Scenarios.safe_zone ~seed ~nu
-      | "attack" -> Sim.Scenarios.attack_zone ~seed ~nu
-      | "split" -> Sim.Scenarios.split_world ~seed
-      | "selfish" -> Sim.Scenarios.selfish ~seed ~nu
-      | other -> failwith (Printf.sprintf "unknown scenario %S" other)
-    in
-    let trace = Sim.Trace.capture cfg in
+    let trace = Sim.Trace.capture (scenario_config scenario ~seed ~nu) in
     (match out with
     | None -> print_string (Sim.Trace.to_string trace)
     | Some path ->
@@ -604,10 +613,6 @@ let trace_cmd =
         (fun () -> output_string oc (Sim.Trace.to_string trace));
       Printf.printf "trace written to %s\n" path);
     print_endline (Sim.Trace.summarize trace)
-  in
-  let scenario_arg =
-    Arg.(value & pos 0 string "honest"
-         & info [] ~docv:"SCENARIO" ~doc:"honest | safe | attack | split | selfish")
   in
   let out_arg =
     Arg.(value & opt (some string) None
