@@ -525,21 +525,25 @@ let run_events ?on_round ~instr ~law config =
       materialized (Miner.chain_length crowd)
   in
   let last_snap_round = ref 0 in
-  (* Tips can only move in a simulated round: a snapshot taken when none
-     ran since the previous one shares that snapshot's array. *)
-  let snap_tips = ref [||] in
-  let simulated_since_snap = ref true in
+  (* The last snapshot's tips, dropped by every simulated round: tips
+     move only there, so a snapshot taken when none ran since the
+     previous one shares that snapshot's array. *)
+  let snap_tips = ref None in
   let take_snapshot round =
-    if !simulated_since_snap then begin
-      snap_tips := current_tips ();
-      simulated_since_snap := false
-    end;
-    snapshots := { round; tips = !snap_tips } :: !snapshots;
+    let tips =
+      match !snap_tips with
+      | Some tips -> tips
+      | None ->
+        let tips = current_tips () in
+        snap_tips := Some tips;
+        tips
+    in
+    snapshots := { round; tips } :: !snapshots;
     last_snap_round := round
   in
   (* Snapshot-cadence rounds inside a skipped span see exactly the state
-     after the last simulated round, so they are emitted lazily and share
-     the tips of the snapshot before them. *)
+     after the last simulated round, so they are emitted lazily from the
+     current tips. *)
   let next_snap = ref config.snapshot_interval in
   let emit_snapshots_through r =
     while !next_snap <= r do
@@ -588,7 +592,7 @@ let run_events ?on_round ~instr ~law config =
       advance_empty_span ~first:(!cursor + 1) ~len:(target - !cursor - 1);
       let round = target in
       incr processed;
-      simulated_since_snap := true;
+      snap_tips := None;
       let round_reorg = ref 0 in
       (* Phase 1: delivery — the shared ring stream to the crowd and every
          materialized miner, plus per-miner direct queues. *)

@@ -39,7 +39,10 @@
 
 type snapshot = {
   round : int;
-  tips : Nakamoto_chain.Block.t array;  (** indexed by honest miner *)
+  tips : Nakamoto_chain.Block.t array;
+      (** indexed by honest miner.  Consecutive snapshots may share one
+          physical array (the fast modes reuse it when no round was
+          simulated in between), so treat it as read-only. *)
 }
 
 type result = {
