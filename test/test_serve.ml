@@ -123,6 +123,52 @@ let idle_answering_pings ch ~seconds =
     | `Bad m -> Alcotest.failf "protocol error: %s" m
   done
 
+(* Exposition lines read as "name{labels} value" or "name value". *)
+let prom_metric line =
+  let stop =
+    match String.index_opt line '{' with
+    | Some i -> i
+    | None ->
+      Option.value ~default:(String.length line) (String.index_opt line ' ')
+  in
+  String.sub line 0 stop
+
+(* The sum of every sample of [name] across its label sets. *)
+let prom_sample text name =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#' && prom_metric l = name)
+  |> List.fold_left
+       (fun acc l ->
+         let sp = String.rindex l ' ' in
+         acc + int_of_string (String.sub l (sp + 1) (String.length l - sp - 1)))
+       0
+
+let temp_dir tag =
+  let dir = Filename.temp_file ("nakamoto_serve_" ^ tag) "" in
+  Sys.remove dir;
+  dir
+
+let read_prom dir = read_file (Filename.concat dir "telemetry.prom")
+
+let cleanup_telemetry dir =
+  List.iter cleanup
+    [
+      Filename.concat dir "telemetry.prom";
+      Filename.concat dir "telemetry.jsonl";
+    ];
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+let plan_length = Spec.trial_count tiny_spec / tiny_spec.Spec.shard_size
+
+(* A worker killed mid-lease hands shard 0 back, and the daemon grants
+   that lease a second time. *)
+let check_requeue_granted teldir =
+  let granted = prom_sample (read_prom teldir) "serve_leases_granted_total" in
+  if granted < plan_length + 1 then
+    Alcotest.failf
+      "leases granted = %d, expected at least %d (plan + the requeued shard 0)"
+      granted (plan_length + 1)
+
 let test_topology_independence () =
   let oracle = Lazy.force oracle in
 
@@ -130,8 +176,7 @@ let test_topology_independence () =
      telemetry on *)
   let socket = temp_path "b" ".sock" in
   let j_one = temp_path "one" ".jsonl" in
-  let teldir = Filename.temp_file "nakamoto_serve_tel" "" in
-  Sys.remove teldir;
+  let teldir = temp_dir "tel" in
   let daemon = spawn_daemon ~socket ~telemetry:teldir () in
   let addr = Serve.Conn.Unix_path socket in
   let worker = spawn_worker ~addr ~lease_batch:3 () in
@@ -142,7 +187,7 @@ let test_topology_independence () =
   check_true "progress was streamed" (!progress_frames > 0);
   Alcotest.(check string) "one-worker journal = in-process journal" oracle
     (read_file j_one);
-  let prom = read_file (Filename.concat teldir "telemetry.prom") in
+  let prom = read_prom teldir in
   check_true "daemon counters exported"
     (contains_substring ~affix:"serve_leases_granted_total" prom);
   check_true "fold span exported"
@@ -169,46 +214,25 @@ let test_topology_independence () =
     | Some snap -> Nakamoto_telemetry.Export.prometheus snap
     | None -> Alcotest.fail "in-process run exported no telemetry"
   in
-  let metric line =
-    let stop =
-      match String.index_opt line '{' with
-      | Some i -> i
-      | None ->
-        Option.value ~default:(String.length line) (String.index_opt line ' ')
-    in
-    String.sub line 0 stop
-  in
   let starts p s = String.starts_with ~prefix:p s in
   let ends p s = String.ends_with ~suffix:p s in
   let count_lines text =
     String.split_on_char '\n' text
     |> List.filter (fun l ->
-           let m = metric l in
+           let m = prom_metric l in
            (starts "sim_" m || starts "campaign_journal_" m)
            && not (ends "_seconds_sum" m || ends "_seconds_bucket" m))
-  in
-  let sample text name =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#' && metric l = name)
-    |> List.fold_left
-         (fun acc l ->
-           let sp = String.rindex l ' ' in
-           acc + int_of_string (String.sub l (sp + 1) (String.length l - sp - 1)))
-         0
   in
   let in_lines = count_lines inproc_prom in
   check_true "in-process sim/journal counts present" (List.length in_lines > 10);
   Alcotest.(check (list string)) "daemon sim/journal counts = in-process"
     in_lines (count_lines prom);
-  let plan_length =
-    Spec.trial_count tiny_spec / tiny_spec.Spec.shard_size
-  in
   check_int "one shard span per plan entry" plan_length
-    (sample prom "campaign_shard_seconds_count");
+    (prom_sample prom "campaign_shard_seconds_count");
   check_int "one fold per cell" (Array.length (Spec.cells tiny_spec))
-    (sample prom "serve_fold_seconds_count");
+    (prom_sample prom "serve_fold_seconds_count");
   check_int "one grant per plan entry" plan_length
-    (sample prom "serve_leases_granted_total");
+    (prom_sample prom "serve_leases_granted_total");
 
   (* (b) daemon + a worker that dies mid-lease + a healthy worker.  The
      faulty worker joins alone first, so it necessarily leases shard 0
@@ -216,7 +240,8 @@ let test_topology_independence () =
      requeued lease. *)
   let socket = temp_path "c" ".sock" in
   let j_kill = temp_path "kill" ".jsonl" in
-  let daemon = spawn_daemon ~socket () in
+  let teldir_kill = temp_dir "tel_kill" in
+  let daemon = spawn_daemon ~socket ~telemetry:teldir_kill () in
   let addr = Serve.Conn.Unix_path socket in
   let faulty =
     spawn_worker ~addr
@@ -238,6 +263,7 @@ let test_topology_independence () =
   check_int "healthy worker exits cleanly" 0 (Domain.join healthy);
   Alcotest.(check string) "kill-mid-lease journal = in-process journal"
     oracle (read_file j_kill);
+  check_requeue_granted teldir_kill;
 
   (* (c) server-side resume: a fresh daemon over the finished journal
      recomputes nothing and the bytes stay identical. *)
@@ -248,13 +274,8 @@ let test_topology_independence () =
   Alcotest.(check string) "resumed journal untouched" oracle
     (read_file j_kill);
 
-  List.iter cleanup
-    [
-      j_one; j_kill;
-      Filename.concat teldir "telemetry.prom";
-      Filename.concat teldir "telemetry.jsonl";
-    ];
-  (try Unix.rmdir teldir with Unix.Unix_error _ -> ())
+  List.iter cleanup [ j_one; j_kill ];
+  List.iter cleanup_telemetry [ teldir; teldir_kill ]
 
 let await_tcp_addr port =
   let rec go n =
@@ -291,11 +312,12 @@ let test_tcp_topology () =
   (* (b) TCP with a kill mid-lease, same sequencing as the Unix-socket
      leg. *)
   let j_tcp_kill = temp_path "tcpkill" ".jsonl" in
+  let teldir = temp_dir "tel_tcpkill" in
   let port = Atomic.make 0 in
   let daemon =
     spawn_daemon ~tcp:("127.0.0.1", 0)
       ~on_tcp_port:(fun p -> Atomic.set port p)
-      ()
+      ~telemetry:teldir ()
   in
   let addr = await_tcp_addr port in
   let faulty =
@@ -316,7 +338,9 @@ let test_tcp_topology () =
   check_int "healthy tcp worker exits cleanly" 0 (Domain.join healthy);
   Alcotest.(check string) "tcp kill-mid-lease journal = in-process journal"
     oracle (read_file j_tcp_kill);
-  List.iter cleanup [ j_tcp; j_tcp_kill ]
+  check_requeue_granted teldir;
+  List.iter cleanup [ j_tcp; j_tcp_kill ];
+  cleanup_telemetry teldir
 
 let test_wedged_peer () =
   (* A worker that takes a lease and then stops reading entirely.  The

@@ -211,6 +211,29 @@ let test_chain_stationary_sparse () =
   let pi' = Chain.stationary_sparse dup in
   close "coalesced pi(0)" 0.625 pi'.(0)
 
+let test_chain_stationary_sparse_power_fallback () =
+  (* A dense irreducible 600-state chain: 360 000 nonzeros already exceed
+     the censor's fill budget, so [stationary_sparse] must take its power
+     fallback and still land on the LU answer. *)
+  let n = 600 in
+  let chain =
+    Chain.create ~size:n
+      ~rows:
+        (Array.init n (fun i ->
+             let w =
+               Array.init n (fun j ->
+                   float_of_int (1 + (((i * 31) + (j * 17)) mod 13)))
+             in
+             let total = Array.fold_left ( +. ) 0. w in
+             List.init n (fun j -> (j, w.(j) /. total))))
+      ()
+  in
+  check_true "censoring blows its fill budget"
+    (Sparse.stationary_censor (Chain.to_sparse chain) = None);
+  let lu = Chain.stationary_linear_solve chain in
+  check_true "power fallback matches dense LU"
+    (Linalg.max_abs_diff (Chain.stationary_sparse chain) lu < 1e-12)
+
 let test_stationary_auto_crossover () =
   (* At or below the crossover, auto IS the dense LU result, bitwise. *)
   let below = Suffix_chain.build ~delta:255 ~alpha:0.2 in
@@ -275,6 +298,8 @@ let suite =
       test_power_nonconvergence_message;
     case "Chain.stationary_sparse and duplicate coalescing"
       test_chain_stationary_sparse;
+    case "Chain.stationary_sparse falls back to power past the fill budget"
+      test_chain_stationary_sparse_power_fallback;
     case "stationary_auto: dense below the crossover, sparse above"
       test_stationary_auto_crossover;
     case "telemetry spans and the spmv counter" test_telemetry_instrumentation;
