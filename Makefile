@@ -37,15 +37,16 @@ campaign-smoke:
 	cmp _campaign_smoke_aggregate.jsonl test/golden/campaign_smoke_aggregate.jsonl
 	rm -f _campaign_smoke_aggregate.jsonl
 
-# Tiny EXECSCALE run: asserts the aggregate executor out-runs exact mode
-# at n = 10^4 and that Binomial.sample cost is flat in the trial count at
-# fixed mean.  Emits BENCH_EXECSCALE.json with the measured cells.
+# Executor floors: the aggregate executor must out-run exact mode at
+# n = 10^4, the Skip executor must run 20x Aggregate at the c = 8,
+# Delta = 256 paper-scale cell, and Binomial.sample cost must be flat in
+# the trial count at fixed mean.  Prints the measured ratios.
 bench-exec-smoke:
 	dune exec bench/main.exe -- --execscale-smoke
 
-# The Delta = 500 MARKOVSCALE column with hard assertions: GTH censoring
-# must out-run the dense LU stationary solve 10x and every solver must
-# sit within 1e-9 of the Eq. 37 closed form.  Emits BENCH_MARKOVSCALE.json.
+# Markov floors at Delta = 500: GTH censoring must out-run the dense LU
+# stationary solve 10x and every solver must sit within 1e-9 of the
+# Eq. 37 closed form.  Prints the measured ratios.
 markov-smoke:
 	dune exec bench/main.exe -- --markovscale-smoke
 
@@ -102,10 +103,10 @@ telemetry-smoke:
 # campaign-smoke grid over the wire.  Both the Unix-socket leg and the
 # TCP-loopback leg must produce journals byte-identical to the same
 # committed golden the CLI smoke uses: the transport and topology are
-# invisible in the artifact.  The SERVESCALE smoke then drives a
-# Domain-hosted fleet with a mid-lease kill over both transports from
-# inside the bench binary.  The binaries are run directly from _build so
-# the processes don't contend for the dune lock.
+# invisible in the artifact.  (Kill-mid-lease fleets over both
+# transports, with their lease churn, are covered by test/test_serve.ml.)
+# The binaries are run directly from _build so the processes don't
+# contend for the dune lock.
 #
 # The daemon-side resume legs: the faultinject-smoke crashes (cut short
 # after two appends; torn mid-append), then resumed through serve +
@@ -119,7 +120,7 @@ SERVE_RESUME = _build/default/bin/main.exe serve --socket _serve_smoke.sock \
 	  --connect _serve_smoke.sock --out _serve_smoke.jsonl --resume \
 	  >/dev/null && wait
 serve-smoke:
-	dune build bin/main.exe bench/main.exe
+	dune build bin/main.exe
 	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl
 	_build/default/bin/main.exe serve --socket _serve_smoke.sock \
 	  --max-campaigns 1 >/dev/null & \
@@ -150,7 +151,6 @@ serve-smoke:
 	$(SERVE_RESUME)
 	grep -q "torn tail" _serve_smoke.log
 	cmp _serve_smoke.jsonl test/golden/campaign_smoke.jsonl
-	_build/default/bench/main.exe --servescale-smoke
 	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl \
 	  _serve_smoke.log
 
@@ -179,10 +179,10 @@ surface-smoke:
 	cmp _surface_smoke_header.json test/golden/surface_smoke_header.json
 	rm -f _surface_smoke.bin _surface_smoke_b.bin _surface_smoke_header.json
 
-# ASSESSSCALE smoke: cached surface queries must run at least 20x the
-# exact solver on the certified depth-3 plateau at enumerable Delta
-# (where each exact call pays a Delta-state stationary solve).  Emits
-# BENCH_ASSESSSCALE.json with the measured cell.
+# Surface floor: cached surface queries must run at least 20x the exact
+# solver on the certified depth-3 plateau at enumerable Delta (where each
+# exact call pays a Delta-state stationary solve).  Prints the measured
+# ratio; retires together with lib/surface.
 assessscale-smoke:
 	dune exec bench/main.exe -- --assessscale-smoke
 
@@ -193,7 +193,7 @@ assessscale-smoke:
 # instrument) and the interarrival-vs-geometric distribution check.  The
 # markov leg runs 1000 random banded ergodic chains through the sparse
 # solvers against the dense LU and power references (1e-12 agreement),
-# plus CSR round-trip and parallel bit-identity properties.  The audit
+# plus the CSR round-trip property.  The audit
 # leg compares the consistency audit, max disagreement and snapshot
 # meets with the quadratic reference audit on generated executions, and
 # fails if no generated case violated consistency.

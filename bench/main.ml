@@ -1,15 +1,14 @@
-(* Benchmark and regeneration harness.
+(* Paper-artifact regeneration harness.
 
-   Part 1 regenerates every table and figure of the paper (and the
-   extension experiments documented in DESIGN.md), printing the same
-   rows/series the paper reports.  Part 2 times the generators and the
-   substrate hot paths with Bechamel — one Test.make per artifact. *)
+   With no arguments it regenerates every table and figure of the paper
+   (and the extension experiments documented in DESIGN.md), printing the
+   same rows/series the paper reports.  Three smoke modes gate the fast
+   paths for `make check`; throughput figures live in bench/perf. *)
 
 module Core = Nakamoto_core
 module Sim = Nakamoto_sim
 module Markov = Nakamoto_markov
 module Prob = Nakamoto_prob
-module Campaign = Nakamoto_campaign
 module Table = Nakamoto_numerics.Table
 
 let section name = Printf.printf "\n########## %s ##########\n\n" name
@@ -737,278 +736,78 @@ let regen_abl () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* MCSCALE: campaign engine multicore scaling                          *)
+(* Smoke floors (wired into `make check`)                              *)
 (* ------------------------------------------------------------------ *)
 
-let regen_mcscale () =
-  section "MCSCALE: Monte Carlo campaign throughput, 1 -> N domains";
-  (* The reference grid: one safe and one attacked cell, full-protocol
-     trials, shard size 1 so the work queue has enough grain to spread.
-     Identical results at every jobs value is part of the engine's
-     contract, so the same spec is reused and checked across rows. *)
-  let spec =
-    {
-      Campaign.Spec.default with
-      Campaign.Spec.ps = [ 0.005 ];
-      ns = [ 40 ];
-      deltas = [ 4 ];
-      nus = [ 0.25; 0.4 ];
-      trials_per_cell = 12;
-      rounds = 1_000;
-      seed = 11L;
-      shard_size = 1;
-    }
+(* Each smoke mode races a fast path against its baseline, prints the
+   measured ratio and exits nonzero when the floor is broken.  The
+   repository benchmark in bench/perf owns every throughput figure; these
+   are pass/fail gates only. *)
+
+let fail msg =
+  print_endline ("FAIL: " ^ msg);
+  exit 1
+
+(* Simulated rounds per second of one Execution.run under Fixed-2 delays
+   with c = 1/(p n Delta) held fixed (so p scales as 1/n), plus the
+   rounds the executor actually processed. *)
+let executor_rate ~n ~mode ~rounds ~c ~delta =
+  let cfg =
+    Sim.Config.with_c
+      {
+        Sim.Config.default with
+        n;
+        nu = 0.25;
+        delta;
+        rounds;
+        seed = 17L;
+        snapshot_interval = max 1 rounds;
+        delay_override = Some (Nakamoto_net.Network.Fixed 2);
+        mining_mode = mode;
+      }
+      ~c
   in
-  let cores = Domain.recommended_domain_count () in
-  let trials = Campaign.Spec.trial_count spec in
-  let reference = ref None in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "reference grid: %d full-protocol trials x %d rounds (host \
-            reports %d core(s))"
-           trials spec.Campaign.Spec.rounds cores)
-      ~columns:[ "jobs"; "seconds"; "trials/s"; "speedup vs 1"; "identical" ]
-  in
-  let base_rate = ref 0. in
-  List.iter
-    (fun jobs ->
-      let outcome = Campaign.Campaign.run ~jobs spec in
-      let dt = outcome.Campaign.Campaign.elapsed in
-      let rate = if dt > 0. then float_of_int trials /. dt else infinity in
-      if jobs = 1 then base_rate := rate;
-      let fingerprint =
-        Array.map
-          (fun (r : Campaign.Campaign.cell_result) ->
-            Campaign.Aggregate.snapshot r.Campaign.Campaign.aggregate)
-          outcome.Campaign.Campaign.cells
-      in
-      let identical =
-        match !reference with
-        | None ->
-          reference := Some fingerprint;
-          "(ref)"
-        | Some r -> string_of_bool (r = fingerprint)
-      in
-      Table.add_row t
-        [
-          Table.Int jobs; Table.Float dt; Table.Float rate;
-          Table.Float (if !base_rate > 0. then rate /. !base_rate else nan);
-          Table.Text identical;
-        ])
-    [ 1; 2; 4 ];
-  print_table t;
-  if cores < 4 then
-    Printf.printf
-      "(host has %d core(s): speedup > 2x at 4 domains requires >= 4 cores; \
-       rows above still verify bit-identical results at every jobs value)\n"
-      cores
-
-(* ------------------------------------------------------------------ *)
-(* EXECSCALE: full-execution throughput at paper-scale n               *)
-(* ------------------------------------------------------------------ *)
-
-(* One row per (n, mining mode): rounds/second of Execution.run under a
-   Fixed-delay policy with c held at 2.5 (so p scales as 1/n and the block
-   rate per round is constant across n).  Exact mode walks every miner
-   every round — O(n) — while Aggregate draws per-round counts and rides
-   the Δ-ring, so its row should stay flat as n grows; Skip only touches
-   event rounds, so its [processed_events] column collapses below the
-   simulated horizon.  A second cell group runs at the paper's sparse
-   operating point (c = 4, Delta = 64: most rounds carry nothing at all),
-   where skipping empty rounds is the entire cost. *)
-
-type execscale_cell = {
-  es_n : int;
-  es_mode : Sim.Config.mining_mode;
-  es_c : float;
-  es_delta : int;
-  es_rounds : int;  (** simulated horizon *)
-  es_events : int;  (** rounds the executor actually processed *)
-  es_dt : float;
-  es_rate : float;  (** simulated rounds per second *)
-  es_blocks : int;
-}
-
-let mode_name = function
-  | Sim.Config.Exact -> "exact"
-  | Sim.Config.Aggregate -> "aggregate"
-  | Sim.Config.Skip -> "skip"
-
-let execscale_config ~n ~rounds ~mode ~c ~delta =
-  Sim.Config.with_c
-    {
-      Sim.Config.default with
-      n;
-      nu = 0.25;
-      delta;
-      rounds;
-      seed = 17L;
-      snapshot_interval = max 1 rounds;
-      delay_override = Some (Nakamoto_net.Network.Fixed 2);
-      mining_mode = mode;
-    }
-    ~c
-
-let time_run cfg =
   let t0 = Unix.gettimeofday () in
   let r = Sim.Execution.run cfg in
   let dt = Unix.gettimeofday () -. t0 in
-  (r, dt)
+  ( (if dt > 0. then float_of_int rounds /. dt else infinity),
+    r.Sim.Execution.processed_rounds )
 
-let measure_cell ~n ~mode ~rounds ~c ~delta =
-  let cfg = execscale_config ~n ~rounds ~mode ~c ~delta in
-  let r, dt = time_run cfg in
-  {
-    es_n = n;
-    es_mode = mode;
-    es_c = c;
-    es_delta = delta;
-    es_rounds = rounds;
-    es_events = r.Sim.Execution.processed_rounds;
-    es_dt = dt;
-    es_rate = (if dt > 0. then float_of_int rounds /. dt else infinity);
-    es_blocks = r.Sim.Execution.honest_blocks;
-  }
-
-(* Measured cells, also serialized to BENCH_EXECSCALE.json. *)
-let execscale_cells ~sizes =
-  List.concat_map
-    (fun n ->
-      (* Equal-work horizon for the exact rows, floor of 50 rounds so the
-         aggregate timer has something to chew on. *)
-      let rounds = max 50 (200_000 / n) in
-      List.map
-        (fun mode -> measure_cell ~n ~mode ~rounds ~c:2.5 ~delta:4)
-        [ Sim.Config.Exact; Sim.Config.Aggregate; Sim.Config.Skip ])
-    sizes
-
-(* The sparse paper-scale group: c = 1/(p n Delta) = 8 with Delta = 256
-   puts the per-round success probability near 1/2048 — block-bearing
-   rounds thousands of rounds apart, exactly the regime Skip exists for.
-   (Sparsity is what matters: both executors pay the same irreducible
-   price per block mined — miner materialization and fan-out delivery —
-   so Skip's advantage is the empty-round overhead divided by that
-   shared event cost.)  Exact mode is omitted: at these n it would
-   dominate the wall clock without informing the Aggregate-vs-Skip
-   comparison. *)
-let paperscale_cells ~sizes ~rounds =
-  List.concat_map
-    (fun n ->
-      List.map
-        (fun mode -> measure_cell ~n ~mode ~rounds ~c:8.0 ~delta:256)
-        [ Sim.Config.Aggregate; Sim.Config.Skip ])
-    sizes
-
-let execscale_json cells ~path =
-  let oc = open_out path in
-  let row cell =
-    Printf.sprintf
-      "  {\"n\": %d, \"mode\": \"%s\", \"c\": %.2f, \"delta\": %d, \
-       \"simulated_rounds\": %d, \"processed_events\": %d, \
-       \"seconds\": %.6f, \"rounds_per_sec\": %.1f, \"honest_blocks\": %d}"
-      cell.es_n (mode_name cell.es_mode) cell.es_c cell.es_delta
-      cell.es_rounds cell.es_events cell.es_dt cell.es_rate cell.es_blocks
-  in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row cells));
-  close_out oc;
-  Printf.printf "(json: %s)\n" path
-
-let execscale_table ~title cells =
-  let t =
-    Table.create ~title
-      ~columns:
-        [
-          "n";
-          "mode";
-          "sim rounds";
-          "events";
-          "seconds";
-          "rounds/s";
-          "speedup";
-        ]
-  in
-  (* Speedup is relative to the slowest mode measured for that n within
-     the group (exact when present, else aggregate). *)
-  let base_rate = Hashtbl.create 8 in
-  List.iter
-    (fun cell ->
-      if not (Hashtbl.mem base_rate cell.es_n) then
-        Hashtbl.replace base_rate cell.es_n cell.es_rate;
-      Table.add_row t
-        [
-          Table.Int cell.es_n;
-          Table.Text (mode_name cell.es_mode);
-          Table.Int cell.es_rounds;
-          Table.Int cell.es_events;
-          Table.Float cell.es_dt;
-          Table.Float cell.es_rate;
-          Table.Float (cell.es_rate /. Hashtbl.find base_rate cell.es_n);
-        ])
-    cells;
-  print_table t
-
-let regen_execscale () =
-  section "EXECSCALE: executor rounds/sec, Exact vs Aggregate vs Skip";
-  let cells = execscale_cells ~sizes:[ 100; 1_000; 10_000; 100_000 ] in
-  execscale_table
-    ~title:"c = 2.5, nu = 0.25, Delta = 4, Fixed-2 delays; p scales as 1/n"
-    cells;
-  let sparse = paperscale_cells ~sizes:[ 10_000; 100_000 ] ~rounds:400_000 in
-  execscale_table
-    ~title:
-      "paper-scale: c = 8, nu = 0.25, Delta = 256 — almost every round empty"
-    sparse;
-  execscale_json (cells @ sparse) ~path:"BENCH_EXECSCALE.json"
-
-(* Smoke mode (`--execscale-smoke`, wired into `make check`): a tiny
-   EXECSCALE cell plus a sampler-scaling probe, with hard assertions —
-   exits nonzero if the fast path stopped being fast. *)
+(* `--execscale-smoke`: Aggregate must not lose to Exact at n = 10^4;
+   Skip must run 20x Aggregate at the sparse paper-scale cell (c = 8,
+   Delta = 256, per-round success probability near 1/2048, so almost
+   every round is empty); Binomial.sample must cost the same at equal
+   mean whatever the trial count. *)
 let execscale_smoke () =
   section
     "EXECSCALE (smoke): aggregate must out-run exact, skip must out-run \
      aggregate 20x at the paper scale (n = 10^4)";
-  let cells = execscale_cells ~sizes:[ 10_000 ] in
-  let sparse = paperscale_cells ~sizes:[ 10_000 ] ~rounds:400_000 in
-  execscale_json (cells @ sparse) ~path:"BENCH_EXECSCALE.json";
-  let rate cells mode =
-    List.find_map
-      (fun c -> if c.es_mode = mode then Some c.es_rate else None)
-      cells
-    |> Option.get
+  let dense mode =
+    fst (executor_rate ~n:10_000 ~mode ~rounds:50 ~c:2.5 ~delta:4)
   in
-  let exact = rate cells Sim.Config.Exact
-  and agg = rate cells Sim.Config.Aggregate in
+  let exact = dense Sim.Config.Exact in
+  let agg = dense Sim.Config.Aggregate in
   Printf.printf "exact: %.1f rounds/s, aggregate: %.1f rounds/s (%.0fx)\n"
     exact agg (agg /. exact);
-  if not (agg >= exact) then begin
-    print_endline "FAIL: aggregate mode slower than exact at n = 10^4";
-    exit 1
-  end;
-  let agg_sparse = rate sparse Sim.Config.Aggregate
-  and skip_sparse = rate sparse Sim.Config.Skip in
-  let skip_events =
-    List.find_map
-      (fun c ->
-        if c.es_mode = Sim.Config.Skip then Some c.es_events else None)
-      sparse
-    |> Option.get
+  if not (agg >= exact) then
+    fail "aggregate mode slower than exact at n = 10^4";
+  let rounds = 400_000 in
+  let sparse mode =
+    executor_rate ~n:10_000 ~mode ~rounds ~c:8.0 ~delta:256
   in
+  let agg_sparse, _ = sparse Sim.Config.Aggregate in
+  let skip_sparse, skip_events = sparse Sim.Config.Skip in
   Printf.printf
     "paper-scale: aggregate %.1f rounds/s, skip %.1f rounds/s (%.0fx; \
      %d events for %d rounds)\n"
     agg_sparse skip_sparse
     (skip_sparse /. agg_sparse)
-    skip_events 400_000;
-  if not (skip_sparse >= 20. *. agg_sparse) then begin
-    print_endline
-      "FAIL: skip mode below 20x aggregate at the paper-scale cell";
-    exit 1
-  end;
-  (* Binomial.sample must not be linear in trials: two BTPE draws at equal
-     mean (10^3) but 10x apart in trials should cost about the same.  A
-     per-trial sampler would show a ~10x ratio; allow 5x for noise. *)
+    skip_events rounds;
+  if not (skip_sparse >= 20. *. agg_sparse) then
+    fail "skip mode below 20x aggregate at the paper-scale cell";
+  (* Two BTPE draws at equal mean (10^3) but 10x apart in trials should
+     cost about the same.  A per-trial sampler would show a ~10x ratio;
+     allow 5x for noise. *)
   let time_sampler ~trials ~p =
     let d = Prob.Binomial.create ~trials ~p in
     let g = Prob.Rng.create ~seed:23L in
@@ -1027,39 +826,15 @@ let execscale_smoke () =
   in
   let small = time_sampler ~trials:10_000 ~p:0.1 in
   let large = time_sampler ~trials:100_000 ~p:0.01 in
-  if large > 5. *. small then begin
-    print_endline "FAIL: Binomial.sample cost grows with trials at fixed mean";
-    exit 1
-  end;
+  Printf.printf "sampler cost ratio, 10x trials at equal mean: %.2fx\n"
+    (large /. small);
+  if large > 5. *. small then
+    fail "Binomial.sample cost grows with trials at fixed mean";
   print_endline "execscale smoke OK"
-
-(* ------------------------------------------------------------------ *)
-(* MARKOVSCALE: stationary solvers on the suffix ladder                *)
-(* ------------------------------------------------------------------ *)
-
-(* One row per (Delta, solver): seconds per stationary solve of the
-   suffix chain C_F and the resulting states/sec, with every solver
-   checked against the Eq. 37 closed form.  Dense LU factorizes the full
-   (Delta+1)^2 matrix — O(states^3) — while the banded CSR routes pay
-   O(nnz) (GTH censoring along the ladder) or O(nnz * iters) (power with
-   Aitken extrapolation), so the sparse rows should pull away cubically
-   as Delta grows.  Alphas shrink with Delta to keep abar^Delta ~ e^-4,
-   the regime the paper's tables actually probe (deep suffix mass far
-   from underflow). *)
-
-type markovscale_cell = {
-  ms_delta : int;
-  ms_alpha : float;
-  ms_states : int;
-  ms_method : string;
-  ms_dt : float;  (** seconds per solve (averaged when fast) *)
-  ms_err : float;  (** max abs deviation from the Eq. 37 closed form *)
-  ms_rate : float;  (** states per second *)
-}
 
 (* Single-shot timing of a microsecond-scale solve is all clock noise;
    rerun until ~50ms of work has accumulated and average.  The dense LU
-   rows exceed the floor in one shot and are never repeated. *)
+   solve exceeds the floor in one shot and is never repeated. *)
 let time_solver f =
   let t0 = Unix.gettimeofday () in
   let pi = f () in
@@ -1075,442 +850,104 @@ let time_solver f =
     (pi, dt)
   end
 
-let markovscale_cell ~delta ~alpha meth =
-  let exact = Core.Suffix_chain.stationary_closed_form ~delta ~alpha in
-  let finish label (pi, dt) =
-    let states = Array.length pi in
-    {
-      ms_delta = delta;
-      ms_alpha = alpha;
-      ms_states = states;
-      ms_method = label;
-      ms_dt = dt;
-      ms_err = Nakamoto_numerics.Linalg.max_abs_diff pi exact;
-      ms_rate = float_of_int states /. Float.max dt 1e-9;
-    }
-  in
-  match meth with
-  | `Dense ->
-    let chain = Core.Suffix_chain.build ~delta ~alpha in
-    finish "dense-lu"
-      (time_solver (fun () -> Markov.Chain.stationary_linear_solve chain))
-  | `Censor ->
-    let sp = Core.Suffix_chain.build_sparse ~delta ~alpha in
-    finish "gth-censor"
-      (time_solver (fun () ->
-           Option.get (Markov.Sparse.stationary_censor sp)))
-  | `Power ->
-    let sp = Core.Suffix_chain.build_sparse ~delta ~alpha in
-    finish "power"
-      (time_solver (fun () -> Markov.Sparse.stationary_power sp))
-  | `Power_pool jobs ->
-    let sp = Core.Suffix_chain.build_sparse ~delta ~alpha in
-    Markov.Sparse.Pool.with_pool ~jobs (fun pool ->
-        finish
-          (Printf.sprintf "power-x%d" jobs)
-          (time_solver (fun () -> Markov.Sparse.stationary_power ~pool sp)))
-
-let markovscale_json cells ~path =
-  let oc = open_out path in
-  let row c =
-    Printf.sprintf
-      "  {\"delta\": %d, \"alpha\": %g, \"states\": %d, \"method\": \"%s\", \
-       \"seconds\": %.6g, \"states_per_sec\": %.1f, \"max_err_vs_eq37\": \
-       %.3e}"
-      c.ms_delta c.ms_alpha c.ms_states c.ms_method c.ms_dt c.ms_rate
-      c.ms_err
-  in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row cells));
-  close_out oc;
-  Printf.printf "(json: %s)\n" path
-
-let markovscale_table ~title cells =
-  let t =
-    Table.create ~title
-      ~columns:
-        [
-          "delta";
-          "states";
-          "method";
-          "seconds";
-          "states/s";
-          "max|err| vs Eq.37";
-          "speedup";
-        ]
-  in
-  (* Speedup relative to the first solver measured for that Delta (dense
-     LU when present, else the censoring baseline). *)
-  let base_rate = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      if not (Hashtbl.mem base_rate c.ms_delta) then
-        Hashtbl.replace base_rate c.ms_delta c.ms_rate;
-      Table.add_row t
-        [
-          Table.Int c.ms_delta;
-          Table.Int c.ms_states;
-          Table.Text c.ms_method;
-          Table.Float c.ms_dt;
-          Table.Float c.ms_rate;
-          Table.Float c.ms_err;
-          Table.Float (c.ms_rate /. Hashtbl.find base_rate c.ms_delta);
-        ])
-    cells;
-  print_table t
-
-let markovscale_cells ~points ~jobs =
-  List.concat_map
-    (fun (delta, alpha) ->
-      (* Dense LU is O(states^3): past Delta = 500 it would dominate the
-         wall clock without adding information. *)
-      let methods =
-        (if delta <= 500 then [ `Dense ] else [])
-        @ [ `Censor; `Power; `Power_pool jobs ]
-      in
-      List.map (markovscale_cell ~delta ~alpha) methods)
-    points
-
-let regen_markovscale () =
-  section "MARKOVSCALE: suffix-ladder stationary solves, dense vs sparse";
-  let jobs = max 2 (min 4 (Domain.recommended_domain_count ())) in
-  let cells =
-    markovscale_cells
-      ~points:[ (64, 0.05); (500, 0.008); (2000, 0.002) ]
-      ~jobs
-  in
-  markovscale_table
-    ~title:
-      "suffix chain C_F; alpha chosen so abar^Delta ~ e^-4; dense rows \
-       omitted past Delta = 500"
-    cells;
-  markovscale_json cells ~path:"BENCH_MARKOVSCALE.json"
-
-(* Smoke mode (`--markovscale-smoke`, wired into `make check` via
-   `make markov-smoke`): the Delta = 500 column with hard assertions —
-   exits nonzero if the banded solvers stop beating dense LU or drift
-   off the closed form. *)
+(* `--markovscale-smoke`: on the Delta = 500 suffix chain C_F (alpha
+   chosen so abar^Delta ~ e^-4), GTH censoring must out-run the dense LU
+   solve 10x, and every solver must sit within 1e-9 of Eq. 37. *)
 let markovscale_smoke () =
   section
     "MARKOVSCALE (smoke): GTH censoring must out-run dense LU 10x at \
      Delta = 500, all solvers within 1e-9 of Eq. 37";
-  let cells = markovscale_cells ~points:[ (500, 0.008) ] ~jobs:2 in
-  markovscale_json cells ~path:"BENCH_MARKOVSCALE.json";
-  markovscale_table ~title:"Delta = 500, alpha = 0.008" cells;
-  let rate m = (List.find (fun c -> c.ms_method = m) cells).ms_rate in
-  let worst = List.fold_left (fun acc c -> Float.max acc c.ms_err) 0. cells in
+  let delta = 500 and alpha = 0.008 in
+  let exact = Core.Suffix_chain.stationary_closed_form ~delta ~alpha in
+  let chain = Core.Suffix_chain.build ~delta ~alpha in
+  let sp = Core.Suffix_chain.build_sparse ~delta ~alpha in
+  let solve name f =
+    let pi, dt = time_solver f in
+    let err = Nakamoto_numerics.Linalg.max_abs_diff pi exact in
+    let rate = float_of_int (Array.length pi) /. Float.max dt 1e-9 in
+    Printf.printf "%s: %.0f states/s, max|err| vs Eq. 37 %.3e\n" name rate
+      err;
+    (rate, err)
+  in
+  let dense, dense_err =
+    solve "dense-lu" (fun () -> Markov.Chain.stationary_linear_solve chain)
+  in
+  let censor, censor_err =
+    solve "gth-censor" (fun () ->
+        Option.get (Markov.Sparse.stationary_censor sp))
+  in
+  let _, power_err =
+    solve "power" (fun () -> Markov.Sparse.stationary_power sp)
+  in
+  let worst = Float.max dense_err (Float.max censor_err power_err) in
   Printf.printf "worst deviation from Eq. 37 across solvers: %.3e\n" worst;
-  if not (worst <= 1e-9) then begin
-    print_endline "FAIL: a stationary solver drifted off the closed form";
-    exit 1
-  end;
-  let dense = rate "dense-lu" and censor = rate "gth-censor" in
-  Printf.printf "dense-lu: %.0f states/s, gth-censor: %.0f states/s (%.0fx)\n"
-    dense censor (censor /. dense);
-  if not (censor >= 10. *. dense) then begin
-    print_endline "FAIL: sparse censoring below 10x dense LU at Delta = 500";
-    exit 1
-  end;
+  if not (worst <= 1e-9) then
+    fail "a stationary solver drifted off the closed form";
+  Printf.printf "gth-censor / dense-lu: %.0fx\n" (censor /. dense);
+  if not (censor >= 10. *. dense) then
+    fail "sparse censoring below 10x dense LU at Delta = 500";
   print_endline "markovscale smoke OK"
-
-(* ------------------------------------------------------------------ *)
-(* SERVESCALE: campaign daemon throughput vs worker count              *)
-(* ------------------------------------------------------------------ *)
-
-module Serve = Nakamoto_serve
-
-type ss_cell = {
-  ss_label : string;
-  ss_workers : int;
-  ss_kill : bool;
-  ss_shards : int;
-  ss_elapsed : float;
-  ss_rate : float;
-  ss_granted : int;
-  ss_journal : string;
-}
-
-(* Daemon-side counters come back through the telemetry.prom export;
-   unlabelled counters render as "name value". *)
-let prom_counter prom name =
-  List.fold_left
-    (fun acc line ->
-      if String.length line > 0 && line.[0] <> '#' then
-        match String.index_opt line ' ' with
-        | Some i when String.sub line 0 i = name -> (
-          match
-            int_of_string_opt
-              (String.sub line (i + 1) (String.length line - i - 1))
-          with
-          | Some v -> v
-          | None -> acc)
-        | _ -> acc
-      else acc)
-    0
-    (String.split_on_char '\n' prom)
-
-let servescale_spec =
-  {
-    Campaign.Spec.default with
-    Campaign.Spec.ps = [ 0.02 ];
-    ns = [ 8 ];
-    deltas = [ 2 ];
-    nus = [ 0.1; 0.3 ];
-    trials_per_cell = 16;
-    rounds = 200;
-    seed = 77L;
-    shard_size = 1;
-  }
-
-let servescale_read path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* One campaign through a real daemon + worker fleet, all in Domains.
-   [kill] arms a Raising_worker that leases shard 0 first and dies
-   computing it, so the run also pays one lease reassignment. *)
-let servescale_run ~transport ~workers ~kill () =
-  let quiet _ = () in
-  let tmp tag suffix =
-    let p = Filename.temp_file ("nakamoto_servescale_" ^ tag) suffix in
-    Sys.remove p;
-    p
-  in
-  let socket = tmp "sock" ".sock" in
-  let teldir = tmp "tel" "" in
-  let journal = tmp "journal" ".jsonl" in
-  let port = Atomic.make 0 in
-  let daemon =
-    Domain.spawn (fun () ->
-        try
-          ignore
-            (match transport with
-            | `Unix ->
-              Serve.Coordinator.serve ~socket ~max_campaigns:1
-                ~lease_timeout:10. ~telemetry:teldir ~log:quiet ()
-            | `Tcp ->
-              Serve.Coordinator.serve ~tcp:("127.0.0.1", 0) ~max_campaigns:1
-                ~lease_timeout:10. ~telemetry:teldir ~log:quiet
-                ~on_tcp_port:(fun p -> Atomic.set port p)
-                ());
-          0
-        with _ -> 1)
-  in
-  let addr =
-    match transport with
-    | `Unix -> Serve.Conn.Unix_path socket
-    | `Tcp ->
-      let rec wait n =
-        if Atomic.get port = 0 then
-          if n > 200 then failwith "servescale: daemon never reported a port"
-          else begin
-            Unix.sleepf 0.05;
-            wait (n + 1)
-          end
-      in
-      wait 0;
-      Serve.Conn.Tcp ("127.0.0.1", Atomic.get port)
-  in
-  let spawn_worker ?fault () =
-    Domain.spawn (fun () ->
-        try
-          ignore (Serve.Worker.run ~addr ~lease_batch:2 ?fault ~log:quiet ());
-          0
-        with _ -> 70)
-  in
-  let faulty =
-    if kill then
-      Some
-        (spawn_worker
-           ~fault:
-             (Campaign.Faultplan.Raising_worker { task = 0; failures = 1 })
-           ())
-    else None
-  in
-  let t0 = Unix.gettimeofday () in
-  let client =
-    Domain.spawn (fun () ->
-        match Serve.Client.submit ~addr ~journal servescale_spec with
-        | Ok _ -> 0
-        | Error _ | (exception _) -> 1)
-  in
-  (* The faulty worker joins the queue alone, so it necessarily holds
-     shard 0 when it dies; the fleet then absorbs the requeued lease. *)
-  (match faulty with
-  | Some d ->
-    if Domain.join d <> 70 then failwith "servescale: fault did not fire"
-  | None -> ());
-  let fleet = List.init workers (fun _ -> spawn_worker ()) in
-  if Domain.join client <> 0 then failwith "servescale: campaign failed";
-  let elapsed = Unix.gettimeofday () -. t0 in
-  if Domain.join daemon <> 0 then failwith "servescale: daemon failed";
-  List.iter (fun d -> ignore (Domain.join d)) fleet;
-  let prom = servescale_read (Filename.concat teldir "telemetry.prom") in
-  let cells = Array.length (Campaign.Spec.cells servescale_spec) in
-  let shards = cells * servescale_spec.Campaign.Spec.trials_per_cell in
-  let journal_bytes = servescale_read journal in
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [
-      socket; journal;
-      Filename.concat teldir "telemetry.prom";
-      Filename.concat teldir "telemetry.jsonl";
-    ];
-  (try Unix.rmdir teldir with Unix.Unix_error _ | Sys_error _ -> ());
-  {
-    ss_label =
-      (match transport with `Unix -> "unix" | `Tcp -> "tcp")
-      ^ if kill then "+kill" else "";
-    ss_workers = workers;
-    ss_kill = kill;
-    ss_shards = shards;
-    ss_elapsed = elapsed;
-    ss_rate = float_of_int shards /. Float.max 1e-9 elapsed;
-    ss_granted = prom_counter prom "serve_leases_granted_total";
-    ss_journal = journal_bytes;
-  }
-
-let servescale_table ~title cells =
-  let t =
-    Table.create ~title
-      ~columns:
-        [
-          "transport"; "workers"; "shards"; "elapsed s"; "shards/s";
-          "leases granted";
-        ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          Table.Text c.ss_label;
-          Table.Int c.ss_workers;
-          Table.Int c.ss_shards;
-          Table.Float c.ss_elapsed;
-          Table.Float c.ss_rate;
-          Table.Int c.ss_granted;
-        ])
-    cells;
-  print_table t
-
-let regen_servescale () =
-  section
-    "SERVESCALE: daemon shards/s vs worker count (32 shards, 200 rounds); \
-     +kill rows pay one mid-lease death and reassignment";
-  let cells =
-    [
-      servescale_run ~transport:`Unix ~workers:1 ~kill:false ();
-      servescale_run ~transport:`Unix ~workers:2 ~kill:false ();
-      servescale_run ~transport:`Unix ~workers:4 ~kill:false ();
-      servescale_run ~transport:`Unix ~workers:2 ~kill:true ();
-      servescale_run ~transport:`Tcp ~workers:2 ~kill:false ();
-      servescale_run ~transport:`Tcp ~workers:2 ~kill:true ();
-    ]
-  in
-  servescale_table
-    ~title:"one campaign per row, lease batch 2, Unix socket and TCP loopback"
-    cells;
-  match cells with
-  | [] -> ()
-  | first :: rest ->
-    if List.for_all (fun c -> c.ss_journal = first.ss_journal) rest then
-      print_endline
-        "journal bytes identical across every transport / fleet / kill row"
-    else begin
-      print_endline "FAIL: journals diverged across topologies";
-      exit 1
-    end
-
-(* Smoke mode (`--servescale-smoke`, wired into `make check` via
-   `make serve-smoke`): one Unix row and one TCP row with a mid-lease
-   kill, asserting completion, lease churn from the reassignment, and
-   byte-identical journals across the two transports. *)
-let servescale_smoke () =
-  section
-    "SERVESCALE (smoke): kill-mid-lease campaigns over both transports \
-     must complete with byte-identical journals";
-  let unix_cell = servescale_run ~transport:`Unix ~workers:2 ~kill:false () in
-  let tcp_cell = servescale_run ~transport:`Tcp ~workers:2 ~kill:true () in
-  servescale_table ~title:"32 shards, 200 rounds, lease batch 2"
-    [ unix_cell; tcp_cell ];
-  if unix_cell.ss_journal <> tcp_cell.ss_journal then begin
-    print_endline "FAIL: unix and tcp journals diverged";
-    exit 1
-  end;
-  if String.length unix_cell.ss_journal = 0 then begin
-    print_endline "FAIL: empty journal";
-    exit 1
-  end;
-  if unix_cell.ss_granted < unix_cell.ss_shards then begin
-    print_endline "FAIL: fewer leases granted than shards";
-    exit 1
-  end;
-  (* The killed worker's shard 0 lease must have been granted twice. *)
-  if tcp_cell.ss_granted < tcp_cell.ss_shards + 1 then begin
-    print_endline "FAIL: no lease churn recorded for the mid-lease kill";
-    exit 1
-  end;
-  print_endline "servescale smoke OK"
-
-(* ------------------------------------------------------------------ *)
-(* ASSESSSCALE: certified surface queries/sec vs the exact solver      *)
-(* ------------------------------------------------------------------ *)
 
 module Surface = Nakamoto_surface
 
-(* The box sits on the confirmation-depth plateau (rate ratio 0.02-0.04,
-   depth 3 everywhere) at enumerable Delta, where the exact assessment
-   pays a Delta-state stationary solve per point (the suffix-chain
-   health probe) — the regime a precomputed surface exists to amortize.
-   Queries draw integer Delta so every exact call pays that full cost. *)
-let assessscale_box ~count =
-  Surface.Grid.create
-    ~p:(Surface.Grid.axis ~lo:1.6e-6 ~hi:1.9e-6 ~count ~scale:Surface.Grid.Log)
-    ~n:(Surface.Grid.axis ~lo:100. ~hi:140. ~count ~scale:Surface.Grid.Log)
-    ~delta:
-      (Surface.Grid.axis ~lo:1800. ~hi:2048. ~count ~scale:Surface.Grid.Log)
-    ~nu:
-      (Surface.Grid.axis ~lo:0.012 ~hi:0.016 ~count
-         ~scale:Surface.Grid.Linear)
-
-let assessscale_queries ~count:n =
-  let rng = Prob.Rng.create ~seed:41L in
-  let log_range lo hi = lo *. exp (Prob.Rng.float rng *. log (hi /. lo)) in
-  Array.init n (fun _ ->
-      Core.Params.create
-        ~p:(log_range 1.6e-6 1.9e-6)
-        ~n:(log_range 100. 140.)
-        ~delta:(float_of_int (1800 + Prob.Rng.int rng ~bound:249))
-        ~nu:(0.012 +. (Prob.Rng.float rng *. 0.004)))
-
-type as_cell = {
-  as_count : int;
-  as_cells : int;
-  as_full : int;
-  as_build : float;
-  as_queries : int;
-  as_hits : int;
-  as_exact_rate : float;
-  as_cached_rate : float;
-}
-
-(* One density row: build the surface, keep only queries the table can
-   serve cached (interiors of fully-conclusive cells — the fair
-   comparison; fallbacks would just time the exact solver twice), then
-   race the two paths over the same points. *)
-let assessscale_cell ~count ~queries ~exact_rate =
-  let t0 = Unix.gettimeofday () in
-  let table = Surface.Table.build (assessscale_box ~count) in
-  let build = Unix.gettimeofday () -. t0 in
+(* `--assessscale-smoke`: cached surface queries must run 20x the exact
+   solver.  The box sits on the confirmation-depth plateau (rate ratio
+   0.02-0.04, depth 3 everywhere) at enumerable Delta, where each exact
+   assessment pays a Delta-state stationary solve (the suffix-chain
+   health probe).  Queries draw integer Delta so every exact call pays
+   that full cost.  Retires with lib/surface. *)
+let assessscale_smoke () =
+  section
+    "ASSESSSCALE (smoke): cached surface queries must run 20x the exact \
+     solver on the certified plateau";
+  let count = 4 in
+  let box =
+    Surface.Grid.create
+      ~p:(Surface.Grid.axis ~lo:1.6e-6 ~hi:1.9e-6 ~count ~scale:Surface.Grid.Log)
+      ~n:(Surface.Grid.axis ~lo:100. ~hi:140. ~count ~scale:Surface.Grid.Log)
+      ~delta:
+        (Surface.Grid.axis ~lo:1800. ~hi:2048. ~count ~scale:Surface.Grid.Log)
+      ~nu:
+        (Surface.Grid.axis ~lo:0.012 ~hi:0.016 ~count
+           ~scale:Surface.Grid.Linear)
+  in
+  let queries =
+    let rng = Prob.Rng.create ~seed:41L in
+    let log_range lo hi = lo *. exp (Prob.Rng.float rng *. log (hi /. lo)) in
+    Array.init 40 (fun _ ->
+        Core.Params.create
+          ~p:(log_range 1.6e-6 1.9e-6)
+          ~n:(log_range 100. 140.)
+          ~delta:(float_of_int (1800 + Prob.Rng.int rng ~bound:249))
+          ~nu:(0.012 +. (Prob.Rng.float rng *. 0.004)))
+  in
+  let exact_rate =
+    let t0 = Unix.gettimeofday () in
+    let acc = ref 0 in
+    Array.iter
+      (fun p ->
+        match (Core.Assessment.assess p).Core.Assessment.confirmations with
+        | Some c -> acc := !acc + c.Core.Confirmation.confirmations
+        | None -> ())
+      queries;
+    let dt = Unix.gettimeofday () -. t0 in
+    ignore !acc;
+    float_of_int (Array.length queries) /. dt
+  in
+  let table = Surface.Table.build box in
   let _, _, full = Surface.Table.conclusive_counts table in
+  let cells = Surface.Grid.cell_count (Surface.Table.grid table) in
+  (* Only queries the table serves cached (interiors of fully-conclusive
+     cells) are raced: a fallback would just time the exact solver
+     twice. *)
   let cached_pts =
     Array.of_list
       (List.filter
          (fun p -> (Surface.Table.assess_cached table p).Core.Assessment.v_cached)
          (Array.to_list queries))
   in
-  let reps = max 1 (50_000 / max 1 (Array.length cached_pts)) in
+  let hits = Array.length cached_pts in
+  let reps = max 1 (50_000 / max 1 hits) in
   let t0 = Unix.gettimeofday () in
   let acc = ref 0 in
   for _ = 1 to reps do
@@ -1521,249 +958,23 @@ let assessscale_cell ~count ~queries ~exact_rate =
       cached_pts
   done;
   let dt = Unix.gettimeofday () -. t0 in
-  let served = reps * Array.length cached_pts in
-  assert (!acc = served);
-  {
-    as_count = count;
-    as_cells = Surface.Grid.cell_count (Surface.Table.grid table);
-    as_full = full;
-    as_build = build;
-    as_queries = Array.length queries;
-    as_hits = Array.length cached_pts;
-    as_exact_rate = exact_rate;
-    as_cached_rate = float_of_int served /. dt;
-  }
-
-(* The exact rate is a property of the solver, not of any table: measure
-   it once over the query set and share it across density rows. *)
-let assessscale_exact_rate queries =
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0 in
-  Array.iter
-    (fun p ->
-      match (Core.Assessment.assess p).Core.Assessment.confirmations with
-      | Some c -> acc := !acc + c.Core.Confirmation.confirmations
-      | None -> ())
-    queries;
-  let dt = Unix.gettimeofday () -. t0 in
-  ignore !acc;
-  float_of_int (Array.length queries) /. dt
-
-let assessscale_json cells ~path =
-  let oc = open_out path in
-  let row c =
-    Printf.sprintf
-      "  {\"count\": %d, \"cells\": %d, \"fully_conclusive\": %d, \
-       \"build_seconds\": %.6f, \"queries\": %d, \"cached_hits\": %d, \
-       \"exact_qps\": %.1f, \"cached_qps\": %.1f, \"speedup\": %.1f}"
-      c.as_count c.as_cells c.as_full c.as_build c.as_queries c.as_hits
-      c.as_exact_rate c.as_cached_rate
-      (c.as_cached_rate /. c.as_exact_rate)
-  in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.map row cells));
-  close_out oc;
-  Printf.printf "(json: %s)\n" path
-
-let assessscale_table ~title cells =
-  let t =
-    Table.create ~title
-      ~columns:
-        [
-          "grid";
-          "cells";
-          "conclusive";
-          "build s";
-          "hit rate";
-          "exact q/s";
-          "cached q/s";
-          "speedup";
-        ]
-  in
-  List.iter
-    (fun c ->
-      Table.add_row t
-        [
-          Table.Text (Printf.sprintf "%d^4" c.as_count);
-          Table.Int c.as_cells;
-          Table.Int c.as_full;
-          Table.Float c.as_build;
-          Table.Float
-            (float_of_int c.as_hits /. float_of_int c.as_queries);
-          Table.Float c.as_exact_rate;
-          Table.Float c.as_cached_rate;
-          Table.Float (c.as_cached_rate /. c.as_exact_rate);
-        ])
-    cells;
-  print_table t
-
-let regen_assessscale () =
-  section
-    "ASSESSSCALE: certified surface lookups vs exact per-point solves \
-     (enumerable Delta 1800-2048, depth-3 plateau)";
-  let queries = assessscale_queries ~count:120 in
-  let exact_rate = assessscale_exact_rate queries in
-  let cells =
-    List.map
-      (fun count -> assessscale_cell ~count ~queries ~exact_rate)
-      [ 3; 4; 6 ]
-  in
-  assessscale_table
-    ~title:
-      "integer-Delta queries; exact pays the Delta-state suffix solve, \
-       cached interpolates the certified table"
-    cells;
-  assessscale_json cells ~path:"BENCH_ASSESSSCALE.json"
-
-(* Smoke mode (`--assessscale-smoke`, wired into `make check` via
-   `make assessscale-smoke`): one density with hard assertions — exits
-   nonzero if cached queries stop being at least 20x the exact solver,
-   or if the box stops certifying. *)
-let assessscale_smoke () =
-  section
-    "ASSESSSCALE (smoke): cached surface queries must run 20x the exact \
-     solver on the certified plateau";
-  let queries = assessscale_queries ~count:40 in
-  let exact_rate = assessscale_exact_rate queries in
-  let cell = assessscale_cell ~count:4 ~queries ~exact_rate in
-  assessscale_json [ cell ] ~path:"BENCH_ASSESSSCALE.json";
+  assert (!acc = reps * hits);
+  let cached_rate = float_of_int (reps * hits) /. dt in
   Printf.printf
     "exact: %.1f q/s, cached: %.1f q/s (%.0fx), %d/%d queries served \
      cached, %d/%d cells fully conclusive\n"
-    cell.as_exact_rate cell.as_cached_rate
-    (cell.as_cached_rate /. cell.as_exact_rate)
-    cell.as_hits cell.as_queries cell.as_full cell.as_cells;
-  if cell.as_full * 2 < cell.as_cells then begin
-    print_endline "FAIL: under half the box certified — grid drifted off the plateau";
-    exit 1
-  end;
-  if cell.as_hits * 2 < cell.as_queries then begin
-    print_endline "FAIL: under half the queries served cached";
-    exit 1
-  end;
-  if not (cell.as_cached_rate >= 20. *. cell.as_exact_rate) then begin
-    print_endline "FAIL: cached queries below 20x the exact solver";
-    exit 1
-  end;
+    exact_rate cached_rate
+    (cached_rate /. exact_rate)
+    hits (Array.length queries) full cells;
+  if full * 2 < cells then
+    fail "under half the box certified — grid drifted off the plateau";
+  if hits * 2 < Array.length queries then
+    fail "under half the queries served cached";
+  if not (cached_rate >= 20. *. exact_rate) then
+    fail "cached queries below 20x the exact solver";
   print_endline "assessscale smoke OK"
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel timing benches                                     *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let timing_tests () =
-  let stage = Staged.stage in
-  let params_small = Core.Params.create ~n:50. ~delta:3. ~p:0.01 ~nu:0.2 in
-  let suffix_chain = Core.Suffix_chain.build ~delta:50 ~alpha:0.1 in
-  let rng = Prob.Rng.create ~seed:1L in
-  let sp_cfg = { Sim.State_process.honest = 40; adversarial = 10; p = 0.01; delta = 3 } in
-  let trace =
-    Sim.State_process.run_trace ~rng:(Prob.Rng.create ~seed:2L) sp_cfg
-      ~rounds:10_000
-  in
-  let attack_cfg =
-    { (Sim.Scenarios.attack_zone ~seed:3L ~nu:0.3) with Sim.Config.rounds = 500 }
-  in
-  let binom = Prob.Binomial.create ~trials:40 ~p:0.01 in
-  [
-    Test.make ~name:"fig1:row"
-      (stage (fun () -> ignore (Core.Figure1.compute_row ~c:3. ())));
-    Test.make ~name:"fig2:census-d8"
-      (stage (fun () -> ignore (Core.Figure2.census ~delta:8 ~alpha:0.2)));
-    Test.make ~name:"tab1:table"
-      (stage (fun () -> ignore (Core.Table1.for_params Core.Params.bitcoin_like)));
-    Test.make ~name:"rmk1:regimes"
-      (stage (fun () -> ignore (Core.Theorem2.remark1_rows ())));
-    Test.make ~name:"eq37:closed-d50"
-      (stage (fun () ->
-           ignore (Core.Suffix_chain.stationary_closed_form ~delta:50 ~alpha:0.1)));
-    Test.make ~name:"eq37:solve-d50"
-      (stage (fun () -> ignore (Markov.Chain.stationary_linear_solve suffix_chain)));
-    Test.make ~name:"eq44:closed-rate"
-      (stage (fun () -> ignore (Core.Conv_chain.convergence_rate params_small)));
-    Test.make ~name:"lem:verify-chain"
-      (stage (fun () ->
-           ignore
-             (Core.Lemmas.verify_chain ~eps1:0.5 ~eps2:0.1
-                (Core.Params.of_c ~n:1e5 ~delta:1e13 ~nu:0.25 ~c:3.))));
-    Test.make ~name:"thm1:numax"
-      (stage (fun () ->
-           ignore (Core.Bounds.theorem1_numax ~n:1e5 ~delta:1e13 ~c:2. ())));
-    Test.make ~name:"sim:state-10k"
-      (stage (fun () -> ignore (Sim.State_process.run ~rng sp_cfg ~rounds:10_000)));
-    Test.make ~name:"sim:pattern-stream-10k"
-      (stage (fun () ->
-           let p = Sim.Pattern.create ~delta:3 in
-           Sim.Pattern.observe_all p trace;
-           ignore (Sim.Pattern.count p)));
-    Test.make ~name:"sim:pattern-rescan-10k"
-      (stage (fun () -> ignore (Sim.Pattern.count_by_rescan ~delta:3 trace)));
-    Test.make ~name:"sim:execution-500r"
-      (stage (fun () -> ignore (Sim.Execution.run attack_cfg)));
-    Test.make ~name:"prob:binomial-sample"
-      (stage (fun () -> ignore (Prob.Binomial.sample rng binom)));
-    Test.make ~name:"prob:rng-bits64"
-      (stage (fun () -> ignore (Prob.Rng.bits64 rng)));
-  ]
-
-let run_bechamel () =
-  section "TIMING: Bechamel OLS estimates (monotonic clock)";
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let grouped = Test.make_grouped ~name:"nakamoto" (timing_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let analyzed = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (x :: _) -> x
-          | Some [] | None -> nan
-        in
-        (name, est) :: acc)
-      analyzed []
-    |> List.sort compare
-  in
-  let t =
-    Table.create ~title:"one Test.make per artifact + substrate hot paths"
-      ~columns:[ "bench"; "ns/run"; "approx" ]
-  in
-  List.iter
-    (fun (name, ns) ->
-      let approx =
-        if Float.is_nan ns then "-"
-        else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-        else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Table.add_row t [ Table.Text name; Table.Float ns; Table.Text approx ])
-    rows;
-  print_table t
-
-let () =
-  if Array.exists (String.equal "--execscale-smoke") Sys.argv then begin
-    execscale_smoke ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--markovscale-smoke") Sys.argv then begin
-    markovscale_smoke ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--servescale-smoke") Sys.argv then begin
-    servescale_smoke ();
-    exit 0
-  end;
-  if Array.exists (String.equal "--assessscale-smoke") Sys.argv then begin
-    assessscale_smoke ();
-    exit 0
-  end;
+let regen_all () =
   regen_fig1 ();
   regen_fig2 ();
   regen_tab1 ();
@@ -1783,12 +994,18 @@ let () =
   regen_conf ();
   regen_cont ();
   regen_abl ();
-  regen_mcscale ();
-  regen_execscale ();
-  regen_markovscale ();
-  regen_servescale ();
-  regen_assessscale ();
-  run_bechamel ();
   print_newline ();
   print_endline
     "All artifacts regenerated. See EXPERIMENTS.md for the paper-vs-measured index."
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--execscale-smoke" ] -> execscale_smoke ()
+  | [ "--markovscale-smoke" ] -> markovscale_smoke ()
+  | [ "--assessscale-smoke" ] -> assessscale_smoke ()
+  | [] | [ "--csv"; _ ] -> regen_all ()
+  | _ ->
+    prerr_endline
+      "usage: main.exe [--csv DIR | --execscale-smoke | --markovscale-smoke \
+       | --assessscale-smoke]";
+    exit 2

@@ -146,7 +146,7 @@ type sparse_cross_check = {
   sparse_power : float;
 }
 
-let stationary_cross_check_sparse ?(jobs = 1) ~delta p =
+let stationary_cross_check_sparse ~delta p =
   let sp = build_sparse ~delta p in
   let target = convergence_index ~delta in
   let pi_stationary =
@@ -154,11 +154,7 @@ let stationary_cross_check_sparse ?(jobs = 1) ~delta p =
     | Some pi -> pi
     | None -> Sparse.stationary_power sp
   in
-  let pi_power =
-    if jobs > 1 then
-      Sparse.Pool.with_pool ~jobs (fun pool -> Sparse.stationary_power ~pool sp)
-    else Sparse.stationary_power sp
-  in
+  let pi_power = Sparse.stationary_power sp in
   {
     eq44 = convergence_rate p;
     eq40 = product_stationary ~delta p ~index:target;

@@ -76,12 +76,10 @@ type sparse_cross_check = {
   sparse_stationary : float;
       (** GTH censoring on the CSR chain, power fallback past the fill
           budget *)
-  sparse_power : float;
-      (** sparse power iteration, on a domain pool when [jobs > 1] *)
+  sparse_power : float;  (** sparse power iteration *)
 }
 
-val stationary_cross_check_sparse :
-  ?jobs:int -> delta:int -> Params.t -> sparse_cross_check
+val stationary_cross_check_sparse : delta:int -> Params.t -> sparse_cross_check
 (** {!stationary_cross_check} with the two solver legs routed through the
     sparse substrate — Eqs. 44 and 40 against {!Nakamoto_markov.Sparse}'s
     censoring and power solvers on the {!build_sparse} matrix.

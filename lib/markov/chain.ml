@@ -95,16 +95,11 @@ let to_sparse t =
 
 let sparse_crossover = 512
 
-let stationary_sparse ?tol ?max_iter ?jobs ?telemetry t =
+let stationary_sparse ?telemetry t =
   let sp = to_sparse t in
   match Sparse.stationary_censor ?telemetry sp with
   | Some pi -> pi
-  | None -> (
-      match jobs with
-      | Some j when j > 1 ->
-          Sparse.Pool.with_pool ~jobs:j (fun pool ->
-              Sparse.stationary_power ?tol ?max_iter ~pool ?telemetry sp)
-      | _ -> Sparse.stationary_power ?tol ?max_iter ?telemetry sp)
+  | None -> Sparse.stationary_power ?telemetry sp
 
 let stationary_linear_solve t =
   (* Solve pi P = pi with sum(pi) = 1: build A = P^T - I, replace the last
@@ -125,9 +120,9 @@ let stationary_linear_solve t =
   let pi = Linalg.solve a b in
   Linalg.normalize_l1 pi
 
-let stationary_auto ?jobs ?telemetry t =
+let stationary_auto ?telemetry t =
   if t.size <= sparse_crossover then stationary_linear_solve t
-  else stationary_sparse ?jobs ?telemetry t
+  else stationary_sparse ?telemetry t
 
 let total_variation a b =
   if Array.length a <> Array.length b then

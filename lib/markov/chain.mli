@@ -65,24 +65,17 @@ val sparse_crossover : int
     path.  Below or at this size the dense result is bit-pinned. *)
 
 val stationary_sparse :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?jobs:int ->
-  ?telemetry:Nakamoto_telemetry.Registry.t ->
-  t ->
-  float array
+  ?telemetry:Nakamoto_telemetry.Registry.t -> t -> float array
 (** [stationary_sparse t] computes the stationary distribution through
     the sparse substrate: {!Sparse.stationary_censor} (GTH state
     reduction — exact up to rounding, O(nnz) on the paper's ladder
     chains) first, falling back to {!Sparse.stationary_power} when
-    censoring exceeds its fill budget.  [jobs > 1] runs the fallback's
-    mat-vecs on a domain pool (bit-identical at every [jobs]); [tol] and
-    [max_iter] reach the fallback only.
+    censoring exceeds its fill budget.
     @raise Invalid_argument on a reducible chain (from the censor) and
-    @raise Failure when the power fallback exhausts [max_iter]. *)
+    @raise Failure when the power fallback does not converge. *)
 
 val stationary_auto :
-  ?jobs:int -> ?telemetry:Nakamoto_telemetry.Registry.t -> t -> float array
+  ?telemetry:Nakamoto_telemetry.Registry.t -> t -> float array
 (** [stationary_auto t] is {!stationary_linear_solve} when
     [size t <= sparse_crossover] (bit-identical to the historical dense
     results) and {!stationary_sparse} above it. *)

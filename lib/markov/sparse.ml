@@ -112,23 +112,17 @@ let transpose t =
   done;
   { rows = t.cols; cols = t.rows; row_ptr; col_idx; values }
 
-(* The gather kernel over a contiguous row range: each output entry is a
-   left-to-right sum over one CSR row, so any partition of [0, rows) into
-   ranges computes bit-identical results. *)
-let gather_range t src dst lo hi =
-  for i = lo to hi - 1 do
-    let acc = ref 0. in
-    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (t.values.(k) *. src.(t.col_idx.(k)))
-    done;
-    dst.(i) <- !acc
-  done
-
 let mul_vec t x =
   if Array.length x <> t.cols then
     invalid_arg "Sparse.mul_vec: dimension mismatch";
   let dst = Array.make t.rows 0. in
-  gather_range t x dst 0 t.rows;
+  for i = 0 to t.rows - 1 do
+    let acc = ref 0. in
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+    done;
+    dst.(i) <- !acc
+  done;
   dst
 
 let vec_mul x t =
@@ -143,112 +137,6 @@ let vec_mul x t =
       done
   done;
   out
-
-module Pool = struct
-  type job = { m : t; src : float array; dst : float array }
-
-  type pool = {
-    jobs : int;
-    mu : Mutex.t;
-    work : Condition.t;
-    done_c : Condition.t;
-    mutable generation : int;
-    mutable remaining : int;
-    mutable job : job option;
-    mutable stop : bool;
-    mutable domains : unit Domain.t list;
-    mutable alive : bool;
-  }
-
-  let range ~n ~jobs w = (n * w / jobs, n * (w + 1) / jobs)
-
-  let worker p w =
-    let last = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock p.mu;
-      while (not p.stop) && p.generation = !last do
-        Condition.wait p.work p.mu
-      done;
-      if p.stop then begin
-        Mutex.unlock p.mu;
-        running := false
-      end
-      else begin
-        last := p.generation;
-        let job = Option.get p.job in
-        Mutex.unlock p.mu;
-        let lo, hi = range ~n:job.m.rows ~jobs:p.jobs w in
-        gather_range job.m job.src job.dst lo hi;
-        Mutex.lock p.mu;
-        p.remaining <- p.remaining - 1;
-        if p.remaining = 0 then Condition.signal p.done_c;
-        Mutex.unlock p.mu
-      end
-    done
-
-  let create ~jobs =
-    if jobs < 1 then invalid_arg "Sparse.Pool.create: jobs must be >= 1";
-    let p =
-      {
-        jobs;
-        mu = Mutex.create ();
-        work = Condition.create ();
-        done_c = Condition.create ();
-        generation = 0;
-        remaining = 0;
-        job = None;
-        stop = false;
-        domains = [];
-        alive = true;
-      }
-    in
-    p.domains <-
-      List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker p (i + 1)));
-    p
-
-  let jobs p = p.jobs
-
-  let shutdown p =
-    if p.alive then begin
-      Mutex.lock p.mu;
-      p.stop <- true;
-      Condition.broadcast p.work;
-      Mutex.unlock p.mu;
-      List.iter Domain.join p.domains;
-      p.domains <- [];
-      p.alive <- false
-    end
-
-  let with_pool ~jobs f =
-    let p = create ~jobs in
-    Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)
-end
-
-let mul_vec_pool (p : Pool.pool) t x =
-  if not p.Pool.alive then invalid_arg "Sparse.mul_vec_pool: pool is shut down";
-  if Array.length x <> t.cols then
-    invalid_arg "Sparse.mul_vec_pool: dimension mismatch";
-  let dst = Array.make t.rows 0. in
-  if p.Pool.jobs = 1 then gather_range t x dst 0 t.rows
-  else begin
-    Mutex.lock p.Pool.mu;
-    p.Pool.job <- Some { Pool.m = t; src = x; dst };
-    p.Pool.generation <- p.Pool.generation + 1;
-    p.Pool.remaining <- p.Pool.jobs - 1;
-    Condition.broadcast p.Pool.work;
-    Mutex.unlock p.Pool.mu;
-    (* The calling domain is worker 0. *)
-    let lo, hi = Pool.range ~n:t.rows ~jobs:p.Pool.jobs 0 in
-    gather_range t x dst lo hi;
-    Mutex.lock p.Pool.mu;
-    while p.Pool.remaining > 0 do
-      Condition.wait p.Pool.done_c p.Pool.mu
-    done;
-    p.Pool.job <- None;
-    Mutex.unlock p.Pool.mu
-  end;
-  dst
 
 (* ------------------------------------------------------------------ *)
 (* Stationary solvers                                                  *)
@@ -446,7 +334,7 @@ let stationary_censor ?fill_budget ?telemetry t =
 
 let aitken_window = 16
 
-let stationary_power ?(tol = 1e-14) ?(max_iter = 1_000_000) ?pool ?telemetry t =
+let stationary_power ?(tol = 1e-14) ?(max_iter = 1_000_000) ?telemetry t =
   check_square "Sparse.stationary_power" t;
   let n = t.rows in
   let span = solver_span telemetry "power" in
@@ -457,11 +345,6 @@ let stationary_power ?(tol = 1e-14) ?(max_iter = 1_000_000) ?pool ?telemetry t =
     if n = 1 then [| 1. |]
     else begin
       let pt = transpose t in
-      let mul =
-        match pool with
-        | Some pl -> fun d -> mul_vec_pool pl pt d
-        | None -> fun d -> mul_vec pt d
-      in
       let d = ref (Array.make n (1. /. float_of_int n)) in
       let steps = ref 0 in
       let converged = ref false in
@@ -470,7 +353,7 @@ let stationary_power ?(tol = 1e-14) ?(max_iter = 1_000_000) ?pool ?telemetry t =
       let rho = ref nan in
       let projected = ref infinity in
       while (not !converged) && !steps < max_iter do
-        let next = mul !d in
+        let next = mul_vec pt !d in
         (match counter with Some c -> Counter.add c n | None -> ());
         let r = Linalg.l1_diff next !d in
         d := next;

@@ -7,13 +7,9 @@
     same computations to Δ in the thousands by never materializing the
     dense matrix.
 
-    Three layers:
+    Two layers:
     - the CSR container and its kernels ([mul_vec] / [vec_mul] /
       [transpose]), general rectangular matrices, empty rows allowed;
-    - a {!Pool} of long-lived domains for row-partitioned parallel
-      [mul_vec] — each output entry is computed by exactly one domain in
-      the same left-to-right order, so results are bit-identical at every
-      worker count;
     - stationary solvers for square stochastic matrices:
       {!stationary_censor} (GTH state reduction — censoring along the
       suffix ladder, subtraction-free and componentwise accurate) with a
@@ -56,44 +52,13 @@ val transpose : t -> t
 
 val mul_vec : t -> float array -> float array
 (** [mul_vec a x] is the column vector [A x]: a per-row gather, no
-    writes outside the output row — the parallelizable orientation.
+    writes outside the output row.
     @raise Invalid_argument on dimension mismatch. *)
 
 val vec_mul : float array -> t -> float array
 (** [vec_mul x a] is the row vector [x A] (a scatter over rows; the
     distribution-pushforward orientation when [a] holds [P] itself).
     @raise Invalid_argument on dimension mismatch. *)
-
-(** Long-lived worker domains for row-partitioned {!mul_vec}.
-
-    [jobs] counts the calling domain plus [jobs - 1] spawned ones — the
-    {!Nakamoto_campaign.Worker_pool} shape, but with static contiguous
-    row ranges instead of a work queue: partitioning by output row makes
-    every entry of the result the work of exactly one domain, summed in
-    the same order as the sequential kernel, so [mul_vec_pool] is
-    bit-identical to {!mul_vec} at every [jobs]. *)
-module Pool : sig
-  type pool
-
-  val create : jobs:int -> pool
-  (** Spawns [jobs - 1] domains that wait for work.
-      @raise Invalid_argument if [jobs < 1]. *)
-
-  val jobs : pool -> int
-
-  val shutdown : pool -> unit
-  (** Joins the domains.  Idempotent; the pool is unusable afterwards. *)
-
-  val with_pool : jobs:int -> (pool -> 'a) -> 'a
-  (** [with_pool ~jobs f] runs [f] and shuts the pool down, even on
-      exceptions. *)
-end
-
-val mul_vec_pool : Pool.pool -> t -> float array -> float array
-(** [mul_vec_pool pool a x] is [mul_vec a x] with rows split into
-    [Pool.jobs pool] contiguous ranges.  Bit-identical to the sequential
-    kernel.
-    @raise Invalid_argument on dimension mismatch or a shut-down pool. *)
 
 val stationary_censor :
   ?fill_budget:int ->
@@ -122,13 +87,11 @@ val stationary_censor :
 val stationary_power :
   ?tol:float ->
   ?max_iter:int ->
-  ?pool:Pool.pool ->
   ?telemetry:Nakamoto_telemetry.Registry.t ->
   t ->
   float array
 (** [stationary_power p] iterates [d <- d P] from uniform using the
-    transposed CSR (gather form; row-partitioned across [pool] when
-    given, bit-identical at every worker count).  Convergence is judged
+    transposed CSR (gather form).  Convergence is judged
     by Aitken-style residual projection: the L1 step residual [r_t] and
     its windowed geometric decay ratio [rho] project the remaining
     distance as [r_t * rho / (1 - rho)], so a slowly-mixing chain stops
@@ -145,5 +108,4 @@ val stationary_power :
     [markov_stationary_seconds] span (label [solver="censor"] /
     ["power"]) and the power iteration counts every state it touches into
     the [markov_spmv_states_total] counter — states-per-second is the
-    counter over the span sum, the MARKOVSCALE bench's throughput
-    metric. *)
+    counter over the span sum. *)

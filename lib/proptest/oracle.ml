@@ -253,7 +253,7 @@ let suffix_stationary ~delta ~alpha =
 
 module Sparse = Nakamoto_markov.Sparse
 
-let suffix_stationary_sparse ?(jobs = 2) ~delta ~alpha () =
+let suffix_stationary_sparse ~delta ~alpha =
   let sp = Suffix_chain.build_sparse ~delta ~alpha in
   let closed = Suffix_chain.stationary_closed_form ~delta ~alpha in
   (* The ladder structure keeps censoring at O(1) fill per state, so a
@@ -269,9 +269,6 @@ let suffix_stationary_sparse ?(jobs = 2) ~delta ~alpha () =
            delta)
   in
   let powered = Sparse.stationary_power sp in
-  let pooled =
-    Sparse.Pool.with_pool ~jobs (fun pool -> Sparse.stationary_power ~pool sp)
-  in
   for i = 0 to Array.length closed - 1 do
     let label which =
       Printf.sprintf "pi_F[%s] %s vs closed form (delta=%d alpha=%g)"
@@ -279,17 +276,11 @@ let suffix_stationary_sparse ?(jobs = 2) ~delta ~alpha () =
         which delta alpha
     in
     close ~label:(label "censor") ~rtol:1e-10 censored.(i) closed.(i);
-    close ~label:(label "sparse-power") ~rtol:1e-6 powered.(i) closed.(i);
-    if pooled.(i) <> powered.(i) then
-      failwith
-        (Printf.sprintf
-           "%s: pooled power iteration is not bit-identical to sequential \
-            (%.17g vs %.17g)"
-           (label "pooled-power") pooled.(i) powered.(i))
+    close ~label:(label "sparse-power") ~rtol:1e-6 powered.(i) closed.(i)
   done
 
-let conv_stationary_sparse ?jobs ~delta p =
-  let cc = Conv_chain.stationary_cross_check_sparse ?jobs ~delta p in
+let conv_stationary_sparse ~delta p =
+  let cc = Conv_chain.stationary_cross_check_sparse ~delta p in
   close ~label:"C_F||P Eq.44 vs Eq.40 (sparse path)" ~rtol:1e-8
     cc.Conv_chain.eq44 cc.Conv_chain.eq40;
   close ~label:"C_F||P Eq.44 vs sparse stationary" ~rtol:1e-7

@@ -73,18 +73,13 @@ val conv_stationary : delta:int -> Nakamoto_core.Params.t -> unit
     probability against each other ({!Nakamoto_core.Conv_chain.stationary_cross_check}).
     @raise Failure naming the disagreeing pair. *)
 
-val suffix_stationary_sparse :
-  ?jobs:int -> delta:int -> alpha:float -> unit -> unit
-(** The large-Δ four-way: Eq. 37's closed form against GTH censoring,
-    sequential sparse power iteration, and domain-pooled sparse power
-    iteration (default [jobs = 2]) on the band-aware CSR chain — never
+val suffix_stationary_sparse : delta:int -> alpha:float -> unit
+(** The large-Δ three-way: Eq. 37's closed form against GTH censoring
+    and sparse power iteration on the band-aware CSR chain — never
     materializing the dense matrix, so Δ in the thousands is testable.
-    The pooled leg must agree with the sequential one {e bitwise}.
-    @raise Failure naming the first disagreeing state (or the
-    bit-identity break). *)
+    @raise Failure naming the first disagreeing state. *)
 
-val conv_stationary_sparse :
-  ?jobs:int -> delta:int -> Nakamoto_core.Params.t -> unit
+val conv_stationary_sparse : delta:int -> Nakamoto_core.Params.t -> unit
 (** {!conv_stationary} through the sparse substrate: Eqs. 44 and 40
     against {!Nakamoto_core.Conv_chain.stationary_cross_check_sparse}'s
     censoring (with power fallback) and power legs.

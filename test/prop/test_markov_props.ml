@@ -1,6 +1,6 @@
 (* The sparse-substrate property tier: random banded ergodic chains
-   through every stationary solver, CSR round-trips, and domain-pool
-   bit-identity — the differential pattern of the executor oracle applied
+   through every stationary solver and CSR round-trips — the
+   differential pattern of the executor oracle applied
    to lib/markov.
 
    Every generated chain carries restart mass theta >= 0.05 to state 0,
@@ -120,25 +120,6 @@ let prop_csr_roundtrip spec =
     done
   done
 
-(* --- pooled mat-vec bit-identity across worker counts --- *)
-
-let prop_pool_bit_identity spec =
-  let sp = Chain.to_sparse (chain_of_spec spec) in
-  let x = Array.init (Sparse.cols sp) (fun i -> spec.noise.(i) -. 0.5) in
-  let expected = Sparse.mul_vec sp x in
-  List.iter
-    (fun jobs ->
-      let got = Sparse.Pool.with_pool ~jobs (fun p -> Sparse.mul_vec_pool p sp x) in
-      Array.iteri
-        (fun i v ->
-          if v <> expected.(i) then
-            failwith
-              (Printf.sprintf
-                 "jobs=%d: row %d differs from sequential (%.17g vs %.17g)"
-                 jobs i v expected.(i)))
-        got)
-    [ 1; 2; 3; 4 ]
-
 let suite =
   [
     prop
@@ -148,6 +129,4 @@ let suite =
       banded_arb prop_sparse_matches_dense;
     prop "CSR round-trip is the identity on banded chains" ~count:200
       banded_arb prop_csr_roundtrip;
-    prop "pooled sparse mat-vec is bit-identical at every worker count"
-      ~count:50 banded_arb prop_pool_bit_identity;
   ]

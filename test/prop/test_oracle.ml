@@ -32,9 +32,8 @@ let test_suffix_stationary_sweep () =
 let prop_conv_stationary (delta, params) =
   P.Oracle.conv_stationary ~delta params
 
-(* The large-Δ four-way through the sparse substrate: Eq. 37's closed
-   form vs GTH censoring vs sequential vs domain-pooled sparse power
-   iteration, at Δ two orders of magnitude past what the dense solvers
+(* The large-Δ three-way through the sparse substrate: Eq. 37's closed
+   form vs GTH censoring vs sparse power iteration, at Δ two orders of magnitude past what the dense solvers
    reach.  Alphas shrink with Δ so abar^Δ stays ~e^-4 — large enough
    that no leg needs subnormal arithmetic to agree.  The soak tier adds
    the Δ ∈ {500, 2000} legs of the acceptance bar; Δ = 64 guards the
@@ -46,12 +45,11 @@ let test_suffix_stationary_sparse () =
       ~soak:[ (64, 0.05); (500, 0.008); (2000, 0.002) ]
   in
   List.iter
-    (fun (delta, alpha) ->
-      P.Oracle.suffix_stationary_sparse ~jobs:3 ~delta ~alpha ())
+    (fun (delta, alpha) -> P.Oracle.suffix_stationary_sparse ~delta ~alpha)
     legs
 
 let prop_conv_stationary_sparse (delta, params) =
-  P.Oracle.conv_stationary_sparse ~jobs:2 ~delta params
+  P.Oracle.conv_stationary_sparse ~delta params
 
 (* --- Δ-ring vs queue-lane network equivalence --- *)
 

@@ -1,6 +1,6 @@
 (* CSR kernel unit tests: construction round-trips, mat-vec against the
-   dense reference on edge shapes, domain-pool bit-identity, and the
-   stationary solvers on chains with known distributions. *)
+   dense reference on edge shapes, and the stationary solvers on chains
+   with known distributions. *)
 
 open Helpers
 module Chain = Nakamoto_markov.Chain
@@ -95,37 +95,6 @@ let test_transpose () =
     (Linalg.transpose awkward)
     (Sparse.to_dense (Sparse.transpose sp));
   check_int "transpose nnz" (Sparse.nnz sp) (Sparse.nnz (Sparse.transpose sp))
-
-let test_pool_bit_identity () =
-  (* A 101-row banded matrix (rows not divisible by any jobs value) —
-     every worker count must reproduce the sequential kernel bitwise. *)
-  let n = 101 in
-  let m =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            if abs (i - j) <= 2 then 1. /. float_of_int (i + j + 1) else 0.))
-  in
-  let sp = Sparse.of_dense m in
-  let x = Array.init n (fun i -> sin (float_of_int (i + 1))) in
-  let expected = Sparse.mul_vec sp x in
-  List.iter
-    (fun jobs ->
-      let got =
-        Sparse.Pool.with_pool ~jobs (fun p -> Sparse.mul_vec_pool p sp x)
-      in
-      check_vec (Printf.sprintf "jobs=%d" jobs) expected got)
-    [ 1; 2; 3; 4; 7 ]
-
-let test_pool_lifecycle () =
-  let p = Sparse.Pool.create ~jobs:2 in
-  check_int "jobs" 2 (Sparse.Pool.jobs p);
-  Sparse.Pool.shutdown p;
-  Sparse.Pool.shutdown p;
-  (* idempotent *)
-  check_raises_invalid "shut-down pool rejected" (fun () ->
-      ignore (Sparse.mul_vec_pool p (Sparse.of_dense [| [| 1. |] |]) [| 1. |]));
-  check_raises_invalid "jobs < 1" (fun () ->
-      ignore (Sparse.Pool.create ~jobs:0))
 
 let weather = [| [| 0.7; 0.3 |]; [| 0.5; 0.5 |] |]
 
@@ -285,8 +254,6 @@ let suite =
     case "construction validates" test_create_validates;
     case "mat-vec matches dense on edge shapes" test_mat_vec_edge_shapes;
     case "transpose" test_transpose;
-    case "pooled mat-vec is bit-identical across jobs" test_pool_bit_identity;
-    case "pool lifecycle" test_pool_lifecycle;
     case "censoring solves the weather chain" test_censor_weather;
     case "censoring matches Eq. 37 on the delta=600 ladder"
       test_censor_ladder_matches_closed_form;
