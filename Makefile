@@ -179,13 +179,6 @@ surface-smoke:
 	cmp _surface_smoke_header.json test/golden/surface_smoke_header.json
 	rm -f _surface_smoke.bin _surface_smoke_b.bin _surface_smoke_header.json
 
-# Surface floor: cached surface queries must run at least 20x the exact
-# solver on the certified depth-3 plateau at enumerable Delta (where each
-# exact call pays a Delta-state stationary solve).  Prints the measured
-# ratio; retires together with lib/surface.
-assessscale-smoke:
-	dune exec bench/main.exe -- --assessscale-smoke
-
 # The property tier's oracle-focused run: the differential oracle (50
 # generated scenarios through Exact / Aggregate / state-process lanes),
 # the stationary cross-checks, and the Δ-ring vs queue-lane equivalence.
@@ -205,8 +198,11 @@ proptest-smoke:
 	dune exec test/prop/prop_main.exe -- test telemetry
 	dune exec test/prop/prop_main.exe -- test markov
 
-# An unknown scenario name is a usage error: cmdliner's exit 124 with
-# the valid names listed, never an uncaught exception.
+# An unknown scenario name or a non-positive assess -c is a usage error:
+# cmdliner's exit 124 with a message, never an uncaught exception.  The
+# suffix-chain probe runs only on `assess --diagnose` (one point; with
+# --stdin-jsonl it is a usage error), and a plain assess never prints
+# its line.
 cli-smoke:
 	dune build bin/main.exe
 	for cmd in simulate trace; do \
@@ -215,6 +211,18 @@ cli-smoke:
 	  grep -q "invalid value 'bogus'" _cli_smoke.log || exit 1; \
 	  if grep -q "internal error" _cli_smoke.log; then exit 1; fi; \
 	done
+	_build/default/bin/main.exe assess --delta 2000 --nu 0.014 -c 20 \
+	  --diagnose >_cli_smoke.log
+	grep -q "suffix chain C_F" _cli_smoke.log
+	_build/default/bin/main.exe assess --delta 2000 --nu 0.014 -c 20 \
+	  >_cli_smoke.log
+	if grep -q "suffix chain C_F" _cli_smoke.log; then exit 1; fi
+	echo '{"nu":0.014,"c":20}' | _build/default/bin/main.exe assess \
+	  --stdin-jsonl --diagnose >/dev/null 2>_cli_smoke.log; \
+	  test $$? -eq 124 || exit 1
+	_build/default/bin/main.exe assess --nu 0.1 -c 0 2>_cli_smoke.log; \
+	  test $$? -eq 124 || exit 1
+	if grep -q "internal error" _cli_smoke.log; then exit 1; fi
 	rm -f _cli_smoke.log
 
 # Opt-in statistical soak: every property rerun with PROPTEST_TRIALS=500
@@ -238,7 +246,7 @@ bench-diff:
 
 check: all test campaign-smoke faultinject-smoke telemetry-smoke \
   serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke cli-smoke perf-smoke
+  proptest-smoke cli-smoke perf-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -252,5 +260,4 @@ artifacts:
 
 .PHONY: all test bench examples artifacts campaign-smoke faultinject-smoke \
   telemetry-smoke serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke cli-smoke perf-smoke bench-diff soak \
-  check
+  proptest-smoke cli-smoke perf-smoke bench-diff soak check

@@ -888,92 +888,6 @@ let markovscale_smoke () =
     fail "sparse censoring below 10x dense LU at Delta = 500";
   print_endline "markovscale smoke OK"
 
-module Surface = Nakamoto_surface
-
-(* `--assessscale-smoke`: cached surface queries must run 20x the exact
-   solver.  The box sits on the confirmation-depth plateau (rate ratio
-   0.02-0.04, depth 3 everywhere) at enumerable Delta, where each exact
-   assessment pays a Delta-state stationary solve (the suffix-chain
-   health probe).  Queries draw integer Delta so every exact call pays
-   that full cost.  Retires with lib/surface. *)
-let assessscale_smoke () =
-  section
-    "ASSESSSCALE (smoke): cached surface queries must run 20x the exact \
-     solver on the certified plateau";
-  let count = 4 in
-  let box =
-    Surface.Grid.create
-      ~p:(Surface.Grid.axis ~lo:1.6e-6 ~hi:1.9e-6 ~count ~scale:Surface.Grid.Log)
-      ~n:(Surface.Grid.axis ~lo:100. ~hi:140. ~count ~scale:Surface.Grid.Log)
-      ~delta:
-        (Surface.Grid.axis ~lo:1800. ~hi:2048. ~count ~scale:Surface.Grid.Log)
-      ~nu:
-        (Surface.Grid.axis ~lo:0.012 ~hi:0.016 ~count
-           ~scale:Surface.Grid.Linear)
-  in
-  let queries =
-    let rng = Prob.Rng.create ~seed:41L in
-    let log_range lo hi = lo *. exp (Prob.Rng.float rng *. log (hi /. lo)) in
-    Array.init 40 (fun _ ->
-        Core.Params.create
-          ~p:(log_range 1.6e-6 1.9e-6)
-          ~n:(log_range 100. 140.)
-          ~delta:(float_of_int (1800 + Prob.Rng.int rng ~bound:249))
-          ~nu:(0.012 +. (Prob.Rng.float rng *. 0.004)))
-  in
-  let exact_rate =
-    let t0 = Unix.gettimeofday () in
-    let acc = ref 0 in
-    Array.iter
-      (fun p ->
-        match (Core.Assessment.assess p).Core.Assessment.confirmations with
-        | Some c -> acc := !acc + c.Core.Confirmation.confirmations
-        | None -> ())
-      queries;
-    let dt = Unix.gettimeofday () -. t0 in
-    ignore !acc;
-    float_of_int (Array.length queries) /. dt
-  in
-  let table = Surface.Table.build box in
-  let _, _, full = Surface.Table.conclusive_counts table in
-  let cells = Surface.Grid.cell_count (Surface.Table.grid table) in
-  (* Only queries the table serves cached (interiors of fully-conclusive
-     cells) are raced: a fallback would just time the exact solver
-     twice. *)
-  let cached_pts =
-    Array.of_list
-      (List.filter
-         (fun p -> (Surface.Table.assess_cached table p).Core.Assessment.v_cached)
-         (Array.to_list queries))
-  in
-  let hits = Array.length cached_pts in
-  let reps = max 1 (50_000 / max 1 hits) in
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0 in
-  for _ = 1 to reps do
-    Array.iter
-      (fun p ->
-        let v = Surface.Table.assess_cached table p in
-        if v.Core.Assessment.v_cached then incr acc)
-      cached_pts
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  assert (!acc = reps * hits);
-  let cached_rate = float_of_int (reps * hits) /. dt in
-  Printf.printf
-    "exact: %.1f q/s, cached: %.1f q/s (%.0fx), %d/%d queries served \
-     cached, %d/%d cells fully conclusive\n"
-    exact_rate cached_rate
-    (cached_rate /. exact_rate)
-    hits (Array.length queries) full cells;
-  if full * 2 < cells then
-    fail "under half the box certified — grid drifted off the plateau";
-  if hits * 2 < Array.length queries then
-    fail "under half the queries served cached";
-  if not (cached_rate >= 20. *. exact_rate) then
-    fail "cached queries below 20x the exact solver";
-  print_endline "assessscale smoke OK"
-
 let regen_all () =
   regen_fig1 ();
   regen_fig2 ();
@@ -1002,10 +916,8 @@ let () =
   match List.tl (Array.to_list Sys.argv) with
   | [ "--execscale-smoke" ] -> execscale_smoke ()
   | [ "--markovscale-smoke" ] -> markovscale_smoke ()
-  | [ "--assessscale-smoke" ] -> assessscale_smoke ()
   | [] | [ "--csv"; _ ] -> regen_all ()
   | _ ->
     prerr_endline
-      "usage: main.exe [--csv DIR | --execscale-smoke | --markovscale-smoke \
-       | --assessscale-smoke]";
+      "usage: main.exe [--csv DIR | --execscale-smoke | --markovscale-smoke]";
     exit 2

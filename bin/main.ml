@@ -358,7 +358,7 @@ let batch_error ~line msg =
        ])
 
 let assess_cmd =
-  let run nu c n delta surface_path stdin_jsonl =
+  let run nu c n delta surface_path stdin_jsonl diagnose =
     let surface =
       match surface_path with
       | None -> Ok None
@@ -366,6 +366,8 @@ let assess_cmd =
     in
     match surface with
     | Error e -> `Error (false, e)
+    | Ok _ when diagnose && stdin_jsonl ->
+      `Error (true, "--diagnose applies to one point, not to --stdin-jsonl")
     | Ok surface ->
       let assess_one params =
         match surface with
@@ -403,14 +405,19 @@ let assess_cmd =
             !fallbacks !errors;
         `Ok ()
       end
-      else begin
-        let p = Core.Params.of_c ~n ~delta ~nu ~c in
-        (match surface with
-        | Some _ ->
-          Format.printf "%a@." Core.Assessment.pp_verdict (assess_one p)
-        | None -> Format.printf "%a@." Core.Assessment.pp (Core.Assessment.assess p));
-        `Ok ()
-      end
+      else
+        match Core.Params.of_c ~n ~delta ~nu ~c with
+        | exception Invalid_argument m -> `Error (false, m)
+        | p ->
+          (match surface with
+          | Some _ ->
+            Format.printf "%a@." Core.Assessment.pp_verdict (assess_one p)
+          | None ->
+            Format.printf "%a@." Core.Assessment.pp (Core.Assessment.assess p));
+          if diagnose then
+            Format.printf "%a@." Core.Assessment.pp_diagnostics
+              (Core.Assessment.diagnose p);
+          `Ok ()
   in
   let surface_arg =
     Arg.(value & opt (some string) None
@@ -428,11 +435,21 @@ let assess_cmd =
                    Bad lines yield {\"ok\":false} records; the batch \
                    continues.")
   in
+  let diagnose_arg =
+    Arg.(value & flag
+         & info [ "diagnose" ]
+             ~doc:"After the verdict, solve the suffix chain C_F at this \
+                   point's Delta and print its size, solver route and \
+                   deviation from Eq. 37 (integer Delta up to 4096; \
+                   n/a otherwise).  A solver health check that costs \
+                   milliseconds at Delta ~ 2000; the verdict never \
+                   needs it.  Not allowed with $(b,--stdin-jsonl).")
+  in
   let term =
     Term.(
       ret
         (const run $ nu_arg $ c_arg ~default:3. $ n_arg $ delta_arg
-        $ surface_arg $ stdin_jsonl_arg))
+        $ surface_arg $ stdin_jsonl_arg $ diagnose_arg))
   in
   Cmd.v
     (Cmd.info "assess"

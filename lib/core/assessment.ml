@@ -24,7 +24,6 @@ type t = {
   confirmation_failure : Confirmation.unavailable option;
   growth_bounds : float * float;
   quality_bound : float;
-  suffix_diagnostics : suffix_diagnostics option;
 }
 
 let zone_to_string = function
@@ -56,35 +55,6 @@ let assess ?epsilon (params : Params.t) =
     | Ok a -> (Some a, None)
     | Error reason -> (None, Some reason)
   in
-  let suffix_diagnostics =
-    (* Only for enumerable integer Δ: solves C_F through the dense/sparse
-       auto route and cross-checks Eq. 37 — a per-point solver health
-       probe that Internet-scale Δ (e.g. Bitcoin's 10^13) skips. *)
-    let delta = params.delta in
-    if Float.is_integer delta && delta >= 1. && delta <= 4096. then begin
-      let d = int_of_float delta in
-      let alpha = Params.alpha params in
-      if alpha > 0. && alpha < 1. then
-        match
-          let chain = Suffix_chain.build ~delta:d ~alpha in
-          let pi = Chain.stationary_auto chain in
-          let closed = Suffix_chain.stationary_closed_form ~delta:d ~alpha in
-          let states = Chain.size chain in
-          {
-            suffix_states = states;
-            suffix_sparse = states > Chain.sparse_crossover;
-            suffix_deep_mass =
-              pi.(Suffix_chain.index_of_state ~delta:d Suffix_chain.Deep);
-            suffix_max_abs_error = Linalg.max_abs_diff pi closed;
-          }
-        with
-        | diag -> Some diag
-        | exception Invalid_argument _ -> None
-        | exception Failure _ -> None
-      else None
-    end
-    else None
-  in
   {
     params;
     zone;
@@ -105,8 +75,44 @@ let assess ?epsilon (params : Params.t) =
       ( Growth_quality.growth_rate_lower_bound params,
         Growth_quality.growth_rate_upper_bound params );
     quality_bound = Growth_quality.quality_delta_adjusted params;
-    suffix_diagnostics;
   }
+
+let diagnose (params : Params.t) =
+  (* Only for enumerable integer Δ: solves C_F through the dense/sparse
+     auto route and cross-checks Eq. 37.  Internet-scale Δ (e.g.
+     Bitcoin's 10^13) has no chain to enumerate. *)
+  let delta = params.delta in
+  let alpha = Params.alpha params in
+  if Float.is_integer delta && delta >= 1. && delta <= 4096. && alpha > 0.
+     && alpha < 1.
+  then
+    let d = int_of_float delta in
+    match
+      let chain = Suffix_chain.build ~delta:d ~alpha in
+      let pi = Chain.stationary_auto chain in
+      let closed = Suffix_chain.stationary_closed_form ~delta:d ~alpha in
+      let states = Chain.size chain in
+      {
+        suffix_states = states;
+        suffix_sparse = states > Chain.sparse_crossover;
+        suffix_deep_mass =
+          pi.(Suffix_chain.index_of_state ~delta:d Suffix_chain.Deep);
+        suffix_max_abs_error = Linalg.max_abs_diff pi closed;
+      }
+    with
+    | diag -> Some diag
+    | exception Invalid_argument _ -> None
+    | exception Failure _ -> None
+  else None
+
+let pp_diagnostics fmt = function
+  | Some d ->
+    Format.fprintf fmt
+      "  suffix chain C_F       %d states via %s, |Eq.37 - solve| <= %.2e"
+      d.suffix_states
+      (if d.suffix_sparse then "sparse" else "dense")
+      d.suffix_max_abs_error
+  | None -> Format.fprintf fmt "  suffix chain C_F       n/a (Delta not enumerable)"
 
 let pp fmt t =
   let c = Params.c t.params in
@@ -130,14 +136,6 @@ let pp fmt t =
       | None -> ""
     in
     Format.fprintf fmt "  confirmations          n/a%s@," reason);
-  (match t.suffix_diagnostics with
-  | Some d ->
-    Format.fprintf fmt
-      "  suffix chain C_F       %d states via %s, |Eq.37 - solve| <= %.2e@,"
-      d.suffix_states
-      (if d.suffix_sparse then "sparse" else "dense")
-      d.suffix_max_abs_error
-  | None -> Format.fprintf fmt "  suffix chain C_F       n/a (Delta not enumerable)@,");
   let lo, hi = t.growth_bounds in
   Format.fprintf fmt "  growth per round       [%.4g, %.4g]@," lo hi;
   Format.fprintf fmt "  quality floor          %.4f@]" t.quality_bound

@@ -24,7 +24,8 @@ type suffix_diagnostics = {
 (** Solver health probe on the suffix chain [C_F] at this point's Δ:
     the stationary distribution via {!Nakamoto_markov.Chain.stationary_auto}
     (dense LU below the crossover, the sparse substrate above) checked
-    against the closed form. *)
+    against the closed form.  Computed by {!diagnose}, never by
+    {!assess}. *)
 
 type t = {
   params : Params.t;
@@ -45,11 +46,10 @@ type t = {
       (** why [confirmations] is [None], when it is *)
   growth_bounds : float * float;  (** (pessimistic, optimistic) per round *)
   quality_bound : float;  (** delta-adjusted chain-quality floor *)
-  suffix_diagnostics : suffix_diagnostics option;
-      (** [None] when Δ is not a small integer ([1 <= Δ <= 4096]) — the
-          chain is only enumerable for integer Δ, and Internet-scale
-          points (Δ ≈ 10^13) must not pay a per-assessment solve *)
 }
+(** The verdict: bounds, margins, envelopes and the settlement depth.
+    Every field is closed form or the depth search; no Markov chain is
+    solved (see {!diagnose} for that). *)
 
 val assess : ?epsilon:float -> Params.t -> t
 (** [assess params] computes the verdict, searching the settlement depth
@@ -58,7 +58,23 @@ val assess : ?epsilon:float -> Params.t -> t
     values and an [epsilon] in [[Confirmation.min_epsilon, 1)] (the
     confirmation sub-assessment degrades to [None] instead).
     @raise Invalid_argument when the depth search runs and [epsilon] is
-    outside that range. *)
+    outside that range.
+
+    Costs the bound inversions plus the depth search (microseconds),
+    whatever Δ is: the suffix-chain probe is {!diagnose}'s job. *)
+
+val diagnose : Params.t -> suffix_diagnostics option
+(** [diagnose params] solves the Δ-state suffix chain [C_F] at
+    [params]' Δ and α and checks it against Eq. 37.  [None] when Δ is
+    not a small integer ([1 <= Δ <= 4096]; the chain is only enumerable
+    for integer Δ), when α is outside (0, 1), or when the solve fails.
+    A diagnostic, not part of the verdict: its cost grows with Δ
+    (milliseconds at Δ ≈ 2000), which is why {!assess} does not call
+    it.  The CLI runs it on [assess --diagnose]. *)
+
+val pp_diagnostics : Format.formatter -> suffix_diagnostics option -> unit
+(** The one-line [suffix chain C_F] rendering of {!diagnose}'s result,
+    aligned with {!pp}'s rows. *)
 
 val zone_to_string : zone -> string
 

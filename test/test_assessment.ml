@@ -62,6 +62,89 @@ let test_rendering () =
   let table = Assessment.to_table [ a; Assessment.assess (point ~nu:0.3 ~c:0.2) ] in
   check_int "two rows" 2 (Nakamoto_numerics.Table.row_count table)
 
+(* --- the suffix-chain probe (diagnose) ----------------------------- *)
+
+module Chain = Nakamoto_markov.Chain
+
+let test_diagnose_enumerable () =
+  List.iter
+    (fun (delta, nu, c) ->
+      let label = Printf.sprintf "Delta = %g" delta in
+      match Assessment.diagnose (Params.of_c ~n:1e5 ~delta ~nu ~c) with
+      | None -> Alcotest.fail (label ^ ": enumerable Delta must be probed")
+      | Some d ->
+        let states = (2 * int_of_float delta) + 1 in
+        check_int (label ^ ": 2 Delta + 1 states") states d.Assessment.suffix_states;
+        check_true (label ^ ": solver route follows the crossover")
+          (d.suffix_sparse = (states > Chain.sparse_crossover));
+        check_true (label ^ ": solve agrees with Eq. 37")
+          (d.suffix_max_abs_error <= 1e-9))
+    [ (64., 0.2, 5.); (2000., 0.014, 20.) ]
+
+let test_diagnose_not_enumerable () =
+  List.iter
+    (fun delta ->
+      check_true
+        (Printf.sprintf "Delta = %g is not probed" delta)
+        (Assessment.diagnose (Params.of_c ~n:1e5 ~delta ~nu:0.2 ~c:5.) = None))
+    [ 1e13; 64.5; 4097. ]
+
+(* --- verdict equivalence at enumerable Delta ----------------------
+   [verdict_of (assess p)] at fixed integer-Delta points, every field
+   pinned to the values the assessment produced while it still ran the
+   suffix-chain probe: taking the probe off the verdict path must not
+   move a single bit. *)
+
+let test_verdicts_pinned () =
+  let pinned params zone margin confirmations conf_reason =
+    ( params,
+      {
+        Assessment.v_params = params;
+        v_zone = zone;
+        v_margin = margin;
+        v_margin_lo = margin;
+        v_margin_hi = margin;
+        v_confirmations = confirmations;
+        v_conf_reason = conf_reason;
+        v_cached = false;
+        v_fallback = None;
+      } )
+  in
+  let of_c n delta nu c = Params.of_c ~n ~delta ~nu ~c in
+  let outside = Some "outside_consistency" in
+  List.iteri
+    (fun i (params, want) ->
+      check_true
+        (Printf.sprintf "point %d (Delta = %g) verdict unchanged" i
+           params.Params.delta)
+        (Assessment.verdict_of (Assessment.assess params) = want))
+    [
+      pinned (of_c 100. 1. 0.25 5.) Assessment.Safe 0x1.d13bebe993781p+1
+        (Some 38) None;
+      pinned (of_c 100. 2. 0.3 0.8) Assessment.Gap (-0x1.b4622c52c3d6p-1) None
+        outside;
+      pinned
+        (Params.create ~p:1e-6 ~n:100. ~delta:10. ~nu:0.4995)
+        Assessment.Safe 0x1.f3800aeeffda7p+8 None (Some "depth_limited");
+      pinned (of_c 1e5 64. 0.2 5.) Assessment.Safe 0x1.ec449d78832p+1
+        (Some 16) None;
+      pinned (of_c 1e5 500. 0.3 0.2) Assessment.Broken
+        (-0x1.73caafc2fb84ap+0) None outside;
+      pinned (of_c 120. 1800. 0.014 20.) Assessment.Safe 0x1.389582a9976b1p+4
+        (Some 3) None;
+      pinned (of_c 1e5 2000. 0.014 20.) Assessment.Safe 0x1.389582a9976b1p+4
+        (Some 3) None;
+      pinned
+        (Params.create ~p:1.9e-6 ~n:140. ~delta:2048. ~nu:0.016)
+        Assessment.Safe 0x1.5b9cdc13bd078p+0 (Some 4) None;
+      pinned (of_c 1000. 4096. 0.1 3.) Assessment.Safe 0x1.1723f3f28bae7p+1
+        (Some 9) None;
+      pinned (of_c 100. 4096. 0.45 10.) Assessment.Safe 0x1.212d2db5953dcp+2
+        (Some 1606) None;
+      pinned (of_c 100. 100. 0. 0.01) Assessment.Safe 0x1.47ae147ae147bp-7
+        None (Some "no_adversary");
+    ]
+
 (* --- surface fallback frontiers -----------------------------------
    Single-cell surfaces built to straddle a verdict boundary: the
    certifier must refuse the cell, the query must route to the exact
@@ -206,6 +289,9 @@ let suite =
     case "settlement availability" test_safe_zone_has_settlement;
     case "margins and envelopes" test_margins_and_envelopes;
     case "rendering" test_rendering;
+    case "diagnose probes enumerable Delta" test_diagnose_enumerable;
+    case "diagnose skips non-enumerable Delta" test_diagnose_not_enumerable;
+    case "verdicts pinned at enumerable Delta" test_verdicts_pinned;
     case "safe/gap frontier falls back" test_safe_gap_frontier_falls_back;
     case "gap/attack frontier falls back" test_gap_attack_frontier_falls_back;
     case "confirmation frontier falls back" test_conf_frontier_falls_back;

@@ -164,6 +164,42 @@ let test_describe_and_header () =
   check_true "describe mentions cells"
     (contains_substring ~affix:"16 cells" (Table.describe t))
 
+(* The enumerable-Delta plateau: a 4^4 box at integer Delta 1800-2048
+   on the depth-3 band (rate ratio 0.02-0.04), queried at 40 seeded
+   integer-Delta points.  Most of it must certify and most queries must
+   be served from the table, or the grid has drifted off the plateau. *)
+let test_enumerable_plateau_coverage () =
+  let count = 4 in
+  let g =
+    Grid.create
+      ~p:(Grid.axis ~lo:1.6e-6 ~hi:1.9e-6 ~count ~scale:Grid.Log)
+      ~n:(Grid.axis ~lo:100. ~hi:140. ~count ~scale:Grid.Log)
+      ~delta:(Grid.axis ~lo:1800. ~hi:2048. ~count ~scale:Grid.Log)
+      ~nu:(Grid.axis ~lo:0.012 ~hi:0.016 ~count ~scale:Grid.Linear)
+  in
+  let queries =
+    let rng = rng ~seed:41L () in
+    let log_range lo hi =
+      lo *. exp (Nakamoto_prob.Rng.float rng *. log (hi /. lo))
+    in
+    List.init 40 (fun _ ->
+        Params.create
+          ~p:(log_range 1.6e-6 1.9e-6)
+          ~n:(log_range 100. 140.)
+          ~delta:(float_of_int (1800 + Nakamoto_prob.Rng.int rng ~bound:249))
+          ~nu:(0.012 +. (Nakamoto_prob.Rng.float rng *. 0.004)))
+  in
+  let t = Table.build g in
+  let _, _, full = Table.conclusive_counts t in
+  check_true "at least half the cells fully conclusive"
+    (full * 2 >= Grid.cell_count g);
+  let hits =
+    List.length
+      (List.filter (fun p -> (Table.assess_cached t p).Assessment.v_cached) queries)
+  in
+  check_true "at least half the queries served cached"
+    (hits * 2 >= List.length queries)
+
 let suite =
   [
     case "grid indexing" test_grid_indexing;
@@ -172,4 +208,5 @@ let suite =
     case "cached answers agree with exact" test_cached_agrees_with_exact;
     case "telemetry hit/fallback counters" test_telemetry_counters;
     case "describe and header" test_describe_and_header;
+    case "enumerable-Delta plateau coverage" test_enumerable_plateau_coverage;
   ]
