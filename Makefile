@@ -200,9 +200,8 @@ proptest-smoke:
 
 # An unknown scenario name or a non-positive assess -c is a usage error:
 # cmdliner's exit 124 with a message, never an uncaught exception.  The
-# suffix-chain probe runs only on `assess --diagnose` (one point; with
-# --stdin-jsonl it is a usage error), and a plain assess never prints
-# its line.
+# suffix-chain probe runs only for a point-mode assess, which prints its
+# line; the --stdin-jsonl batch never runs it.
 cli-smoke:
 	dune build bin/main.exe
 	for cmd in simulate trace; do \
@@ -212,14 +211,12 @@ cli-smoke:
 	  if grep -q "internal error" _cli_smoke.log; then exit 1; fi; \
 	done
 	_build/default/bin/main.exe assess --delta 2000 --nu 0.014 -c 20 \
-	  --diagnose >_cli_smoke.log
-	grep -q "suffix chain C_F" _cli_smoke.log
-	_build/default/bin/main.exe assess --delta 2000 --nu 0.014 -c 20 \
 	  >_cli_smoke.log
-	if grep -q "suffix chain C_F" _cli_smoke.log; then exit 1; fi
-	echo '{"nu":0.014,"c":20}' | _build/default/bin/main.exe assess \
-	  --stdin-jsonl --diagnose >/dev/null 2>_cli_smoke.log; \
-	  test $$? -eq 124 || exit 1
+	grep -q "suffix chain C_F" _cli_smoke.log
+	echo '{"nu":0.014,"c":20,"delta":2000}' | _build/default/bin/main.exe \
+	  assess --stdin-jsonl >_cli_smoke.log
+	grep -q '"ok":true' _cli_smoke.log
+	if grep -q "suffix" _cli_smoke.log; then exit 1; fi
 	_build/default/bin/main.exe assess --nu 0.1 -c 0 2>_cli_smoke.log; \
 	  test $$? -eq 124 || exit 1
 	if grep -q "internal error" _cli_smoke.log; then exit 1; fi

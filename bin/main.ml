@@ -358,7 +358,7 @@ let batch_error ~line msg =
        ])
 
 let assess_cmd =
-  let run nu c n delta surface_path stdin_jsonl diagnose =
+  let run nu c n delta surface_path stdin_jsonl =
     let surface =
       match surface_path with
       | None -> Ok None
@@ -366,8 +366,6 @@ let assess_cmd =
     in
     match surface with
     | Error e -> `Error (false, e)
-    | Ok _ when diagnose && stdin_jsonl ->
-      `Error (true, "--diagnose applies to one point, not to --stdin-jsonl")
     | Ok surface ->
       let assess_one params =
         match surface with
@@ -413,10 +411,9 @@ let assess_cmd =
           | Some _ ->
             Format.printf "%a@." Core.Assessment.pp_verdict (assess_one p)
           | None ->
-            Format.printf "%a@." Core.Assessment.pp (Core.Assessment.assess p));
-          if diagnose then
-            Format.printf "%a@." Core.Assessment.pp_diagnostics
-              (Core.Assessment.diagnose p);
+            Format.printf "%a@.%a@." Core.Assessment.pp
+              (Core.Assessment.assess p) Core.Assessment.pp_diagnostics
+              (Core.Assessment.diagnose p));
           `Ok ()
   in
   let surface_arg =
@@ -435,21 +432,11 @@ let assess_cmd =
                    Bad lines yield {\"ok\":false} records; the batch \
                    continues.")
   in
-  let diagnose_arg =
-    Arg.(value & flag
-         & info [ "diagnose" ]
-             ~doc:"After the verdict, solve the suffix chain C_F at this \
-                   point's Delta and print its size, solver route and \
-                   deviation from Eq. 37 (integer Delta up to 4096; \
-                   n/a otherwise).  A solver health check that costs \
-                   milliseconds at Delta ~ 2000; the verdict never \
-                   needs it.  Not allowed with $(b,--stdin-jsonl).")
-  in
   let term =
     Term.(
       ret
         (const run $ nu_arg $ c_arg ~default:3. $ n_arg $ delta_arg
-        $ surface_arg $ stdin_jsonl_arg $ diagnose_arg))
+        $ surface_arg $ stdin_jsonl_arg))
   in
   Cmd.v
     (Cmd.info "assess"

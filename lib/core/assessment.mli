@@ -70,7 +70,7 @@ val diagnose : Params.t -> suffix_diagnostics option
     for integer Δ), when α is outside (0, 1), or when the solve fails.
     A diagnostic, not part of the verdict: its cost grows with Δ
     (milliseconds at Δ ≈ 2000), which is why {!assess} does not call
-    it.  The CLI runs it on [assess --diagnose]. *)
+    it.  The CLI runs it for a point-mode [assess], not for a batch. *)
 
 val pp_diagnostics : Format.formatter -> suffix_diagnostics option -> unit
 (** The one-line [suffix chain C_F] rendering of {!diagnose}'s result,
