@@ -771,6 +771,134 @@ let test_journal_fold_resume () =
   | _ -> Alcotest.fail "a header-less file must fold Fresh (Some reason)");
   cleanup path
 
+(* --- Fold: plan-order telemetry ------------------------------------ *)
+
+module Tel = Nakamoto_telemetry
+module Snapshot = Tel.Registry.Snapshot
+module Fold = Campaign.Campaign.Fold
+
+(* A clock that advances by irregular, geometrically growing steps:
+   spans record durations at many magnitudes with full mantissas, so
+   their float sums depend on the order they are added in. *)
+let irregular_clock seed =
+  let st = Random.State.make [| seed |] in
+  let now = ref 1e-3 in
+  fun () ->
+    now := !now *. (1. +. Random.State.float st 0.002);
+    !now
+
+(* One shard as a worker runs it: a private registry with the shard span
+   under a domain label, the queue wait, and the executor's [sim_*]
+   instruments. *)
+let shard_with_snapshot ~clock spec cells (sh : Shard.t) =
+  let sreg = Tel.Registry.create ~clock () in
+  Tel.Span.record
+    (Tel.Registry.span sreg "campaign_queue_wait_seconds")
+    (clock ());
+  let sp =
+    Tel.Registry.span sreg
+      ~labels:[ ("domain", string_of_int (sh.Shard.id mod 3)) ]
+      "campaign_shard_seconds"
+  in
+  let began = Tel.Span.start sp in
+  let agg = Campaign.Campaign.run_shard ~telemetry:sreg spec cells sh in
+  Tel.Span.stop sp began;
+  (agg, Tel.Registry.snapshot sreg)
+
+let snapshot_bits snap =
+  let hist (h : Tel.Histogram.snapshot) =
+    ( Array.to_list h.Tel.Histogram.s_counts,
+      h.Tel.Histogram.s_count,
+      List.map Int64.bits_of_float
+        [ h.Tel.Histogram.s_sum; h.Tel.Histogram.s_min; h.Tel.Histogram.s_max ]
+    )
+  in
+  List.map
+    (fun ((k : Snapshot.key), v) ->
+      ( (k.Snapshot.name, k.Snapshot.labels),
+        match v with
+        | Snapshot.Counter c -> ([ c ], 0, [])
+        | Snapshot.Histogram h | Snapshot.Span h -> hist h ))
+    (Snapshot.entries snap)
+
+let key_set snap =
+  List.map
+    (fun ((k : Snapshot.key), _) -> (k.Snapshot.name, k.Snapshot.labels))
+    (Snapshot.entries snap)
+
+(* The exported snapshot is the batch merge — the caller's registry,
+   then every shard in plan order — bit for bit, whatever order the
+   shards land in, with real-valued span sums. *)
+let test_fold_telemetry_matches_batch_merge () =
+  let spec =
+    { tiny_spec with Spec.nus = [ 0.1; 0.2; 0.3 ]; trials_per_cell = 5;
+      rounds = 60 }
+  in
+  let journal = temp_journal "fold_tel" in
+  Fun.protect
+    ~finally:(fun () -> cleanup journal)
+    (fun () ->
+      let reg = Tel.Registry.create ~clock:(irregular_clock 11) () in
+      let fold =
+        Fold.create ~registry:reg ~journal_path:journal ~resume:false
+          ~log:ignore spec
+      in
+      let retries = Tel.Registry.counter reg "campaign_shard_retries_total" in
+      let plan = Fold.plan fold in
+      let clock = irregular_clock 23 in
+      let results =
+        Array.map (shard_with_snapshot ~clock spec (Fold.cells fold)) plan
+      in
+      let snaps = Array.map snd results in
+      let order = Array.init (Array.length plan) Fun.id in
+      let st = Random.State.make [| 5 |] in
+      for i = Array.length order - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      check_true "landing order is shuffled" (order.(0) <> 0);
+      Array.iteri
+        (fun k pi ->
+          if k mod 4 = 0 then Tel.Counter.incr retries;
+          let agg, snap = results.(pi) in
+          ignore (Fold.land_shard fold pi agg snap))
+        order;
+      let outcome = Fold.finish fold ~jobs:1 in
+      let streamed =
+        match outcome.Campaign.Campaign.telemetry with
+        | Some s -> s
+        | None -> Alcotest.fail "a fold with a registry exports a snapshot"
+      in
+      let base = Tel.Registry.snapshot reg in
+      let shard_keys =
+        List.sort_uniq compare
+          (List.concat_map key_set (Array.to_list snaps))
+      in
+      check_true "registry and shard keys are disjoint"
+        (List.for_all (fun k -> not (List.mem k shard_keys)) (key_set base));
+      check_true "journal instruments recorded"
+        (List.exists
+           (fun (n, _) -> String.starts_with ~prefix:"campaign_journal_" n)
+           (key_set base));
+      (match Snapshot.find ~labels:[ ("domain", "1") ] streamed
+               "campaign_shard_seconds"
+       with
+      | Some (Snapshot.Span h) ->
+        check_true "span sums are real-valued"
+          (h.Tel.Histogram.s_count > 1
+          && not (Float.is_integer h.Tel.Histogram.s_sum))
+      | _ -> Alcotest.fail "shard span missing from the merged snapshot");
+      let oracle = Array.fold_left Snapshot.merge base snaps in
+      check_true "streamed snapshot = batch merge, bit for bit"
+        (snapshot_bits streamed = snapshot_bits oracle);
+      let landing_order =
+        Array.fold_left (fun acc pi -> Snapshot.merge acc snaps.(pi)) base order
+      in
+      check_true "merging in landing order would change the float sums"
+        (snapshot_bits landing_order <> snapshot_bits oracle))
+
 let suite =
   [
     case "spec cell enumeration" test_spec_cells_enumeration;
@@ -799,4 +927,6 @@ let suite =
     case "spec canonical json round-trips" test_spec_json_round_trip;
     case "journal fold: fresh, recover, repair, reject"
       test_journal_fold_resume;
+    case "fold telemetry equals the batch plan-order merge"
+      test_fold_telemetry_matches_batch_merge;
   ]
