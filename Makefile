@@ -105,6 +105,12 @@ telemetry-smoke:
 # committed golden the CLI smoke uses: the transport and topology are
 # invisible in the artifact.  (Kill-mid-lease fleets over both
 # transports, with their lease churn, are covered by test/test_serve.ml.)
+#
+# The telemetry leg reruns the Unix-socket leg with serve --telemetry
+# and the zero clock on both daemon and worker: besides the journal, the
+# daemon's clock-free sim_* and campaign_journal_* samples must equal
+# those of the in-process telemetry golden.  (campaign_shard_seconds is
+# left out: its domain label is the worker's pid.)
 # The binaries are run directly from _build so the processes don't
 # contend for the dune lock.
 #
@@ -140,6 +146,22 @@ serve-smoke:
 	  --connect-tcp 127.0.0.1:17811 --out _serve_smoke_tcp.jsonl \
 	  --progress-interval 0 >/dev/null && wait
 	cmp _serve_smoke_tcp.jsonl test/golden/campaign_smoke.jsonl
+	rm -rf _serve_smoke_tel
+	NAKAMOTO_TELEMETRY_CLOCK=zero _build/default/bin/main.exe serve \
+	  --socket _serve_smoke.sock --max-campaigns 1 \
+	  --telemetry _serve_smoke_tel >/dev/null & \
+	NAKAMOTO_TELEMETRY_CLOCK=zero _build/default/bin/main.exe worker \
+	  --connect _serve_smoke.sock >/dev/null & \
+	_build/default/bin/main.exe campaign -p 0.01 -n 40 --delta 3 \
+	  --nu 0.15,0.4 --trials 4 --rounds 400 --seed 7 \
+	  --connect _serve_smoke.sock --out _serve_smoke.jsonl \
+	  --progress-interval 0 >/dev/null && wait
+	cmp _serve_smoke.jsonl test/golden/campaign_smoke.jsonl
+	grep -E '^(sim_|campaign_journal_)' _serve_smoke_tel/telemetry.prom \
+	  > _serve_smoke_tel/daemon.prom
+	grep -E '^(sim_|campaign_journal_)' test/golden/telemetry_smoke.prom \
+	  > _serve_smoke_tel/golden.prom
+	cmp _serve_smoke_tel/daemon.prom _serve_smoke_tel/golden.prom
 	_build/default/bin/main.exe $(FAULT_SMOKE_ARGS) \
 	  --out _serve_smoke.jsonl --fault crash-after-appends=2 \
 	  >/dev/null 2>&1; test $$? -eq 70
@@ -151,8 +173,8 @@ serve-smoke:
 	$(SERVE_RESUME)
 	grep -q "torn tail" _serve_smoke.log
 	cmp _serve_smoke.jsonl test/golden/campaign_smoke.jsonl
-	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl \
-	  _serve_smoke.log
+	rm -rf _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl \
+	  _serve_smoke.log _serve_smoke_tel
 
 # Surface regeneration determinism: the same box built twice on one
 # domain and once on two must be byte-identical, and must match the

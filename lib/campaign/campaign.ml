@@ -87,7 +87,7 @@ let shard_progress_view snap =
    lease results; everything that makes a journal byte-identical across
    [--jobs], transports and kill/resume lives here.  Slots merge in slot
    order, journal lines flush in cell order, telemetry snapshots merge
-   in plan order. *)
+   in plan order as their prefix lands. *)
 module Fold = struct
   type t = {
     spec : Spec.t;
@@ -102,10 +102,14 @@ module Fold = struct
     shard_results : Aggregate.t option array array;
         (* a merged cell's row is dropped to [||] *)
     shards_done : int array;
-    shard_snaps : Tel.Registry.Snapshot.t array;  (* by plan position *)
+    early_snaps : (int, Tel.Registry.Snapshot.t) Hashtbl.t;
+        (* by plan position, waiting for a lower one to land *)
     resumed_cells : int;
     started : float;
     mutable next_flush : int;
+    mutable next_snap : int;
+    mutable shard_telemetry : Tel.Registry.Snapshot.t;
+        (* every shard snapshot below [next_snap], merged in plan order *)
     mutable trials_done : int;
     mutable cells_done : int;
   }
@@ -116,6 +120,7 @@ module Fold = struct
   let trials_done t = t.trials_done
   let cells_done t = t.cells_done
   let finished t = t.cells_done = Array.length t.cells
+  let shard_telemetry t = t.shard_telemetry
   let close t = Option.iter Journal.close_writer t.writer
 
   (* Journal lines go out strictly in cell order: a cell that finishes
@@ -203,10 +208,12 @@ module Fold = struct
         fold_span;
         shard_results = Array.init ncells (fun _ -> Array.make slots None);
         shards_done = Array.make ncells 0;
-        shard_snaps = Array.map (fun _ -> Tel.Registry.Snapshot.empty) plan;
+        early_snaps = Hashtbl.create 16;
         resumed_cells;
         started;
         next_flush = 0;
+        next_snap = 0;
+        shard_telemetry = Tel.Registry.Snapshot.empty;
         trials_done = resumed_cells * tpc;
         cells_done = resumed_cells;
       }
@@ -214,10 +221,25 @@ module Fold = struct
     flush_prefix t;
     t
 
+  (* Snapshots merge in plan order — never completion order — as the
+     contiguous prefix grows, the way [flush_prefix] writes journal
+     lines; one that lands early waits in [early_snaps].  Without a
+     registry nothing reads them, so nothing is kept. *)
+  let land_snapshot t pi snap =
+    if Option.is_some t.registry then begin
+      Hashtbl.replace t.early_snaps pi snap;
+      while Hashtbl.mem t.early_snaps t.next_snap do
+        let s = Hashtbl.find t.early_snaps t.next_snap in
+        Hashtbl.remove t.early_snaps t.next_snap;
+        t.shard_telemetry <- Tel.Registry.Snapshot.merge t.shard_telemetry s;
+        t.next_snap <- t.next_snap + 1
+      done
+    end
+
   let land_shard t pi agg snap =
     let sh = t.plan.(pi) in
     let ci = sh.Shard.cell_index in
-    t.shard_snaps.(pi) <- snap;
+    land_snapshot t pi snap;
     t.shard_results.(ci).(sh.Shard.slot) <- Some agg;
     t.shards_done.(ci) <- t.shards_done.(ci) + 1;
     t.trials_done <- t.trials_done + Shard.trials sh;
@@ -254,13 +276,16 @@ module Fold = struct
           | None -> assert false (* every shard has landed *))
         t.cells
     in
-    (* The caller's registry first, then every fresh shard in plan order
-       — never completion order — so the snapshot is deterministic. *)
+    (* The caller's registry first, then the shards' plan-order merge.
+       [run]'s and the daemon's registries share no key with a shard,
+       and a key present on one side only passes through [merge]
+       unchanged, so every key keeps the left fold it would get from
+       merging shard by shard onto the registry. *)
     let snapshot =
       Option.map
         (fun reg ->
-          Array.fold_left Tel.Registry.Snapshot.merge
-            (Tel.Registry.snapshot reg) t.shard_snaps)
+          Tel.Registry.Snapshot.merge (Tel.Registry.snapshot reg)
+            t.shard_telemetry)
         t.registry
     in
     (match (telemetry, snapshot) with
@@ -325,17 +350,16 @@ let run ?jobs ?journal_path ?(resume = false) ?(retries = 2) ?fault
             ~total_trials:(Spec.trial_count spec) ()
         else Progress.silent ()
       in
-      (* [live] is a running merge of shard snapshots, read only by the
-         progress reporter's derived line (order there is harmless: it is
-         a human-facing view, not an artifact). *)
-      let live = ref Tel.Registry.Snapshot.empty in
+      (* The progress reporter's derived line reads the fold's plan-order
+         merge, which trails the landed shards by those still in flight:
+         a human-facing view, not an artifact. *)
       let progress_extra =
-        Option.map (fun _ -> fun () -> shard_progress_view !live) tel
+        Option.map
+          (fun _ -> fun () -> shard_progress_view (Fold.shard_telemetry fold))
+          tel
       in
       let pool_started = telemetry_clock () in
       let on_result task_index (agg, snap) =
-        if Option.is_some tel then
-          live := Tel.Registry.Snapshot.merge !live snap;
         ignore (Fold.land_shard fold task_index agg snap);
         Progress.note ?extra:progress_extra progress
           ~trials_done:(Fold.trials_done fold)

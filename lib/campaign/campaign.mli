@@ -113,11 +113,14 @@ val run_shard :
 (** The plan-order fold shared by {!run} and the serve coordinator: the
     one implementation of the determinism contract above.  It opens the
     journal (fresh, or resumed through {!Journal.fold}), plans the
-    shards the journal does not already cover, lands shard results —
-    slot-order merge, then cell-order flush — and finally merges the
-    caller's registry with every shard snapshot in plan order.  Callers
-    own only scheduling: which shard runs where, retries, leases,
-    progress. *)
+    shards the journal does not already cover, and lands shard results
+    — slot-order merge, then cell-order flush.  With a registry, shard
+    telemetry snapshots merge in plan order as their contiguous prefix
+    lands, and {!finish} merges the caller's registry with that running
+    snapshot; without one, no snapshot is kept.  Retained state is the
+    cells' results plus the shards in flight, never one entry per landed
+    shard.  Callers own only scheduling: which shard runs where,
+    retries, leases, progress. *)
 module Fold : sig
   type t
 
@@ -136,7 +139,8 @@ module Fold : sig
       resume) and plans the shards the journal does not cover.  Every
       append goes through {!Faultplan.journal_append} [fault].
       [registry] receives the journal's instruments and is the base of
-      the final snapshot; [fold_span] times each cell's slot merge.
+      the final snapshot; without it, {!land_shard} drops every shard
+      snapshot.  [fold_span] times each cell's slot merge.
       [spec] must already be valid.
       @raise Invalid_argument on a fingerprint mismatch.
       @raise Failure on a corrupt journal.
@@ -159,10 +163,19 @@ module Fold : sig
   val land_shard :
     t -> int -> Aggregate.t -> Nakamoto_telemetry.Registry.Snapshot.t -> bool
   (** [land_shard t pi agg snap] records the result of [plan t].(pi)
-      (each position exactly once).  When it completes its cell, the
-      cell's slots merge in slot order, their storage is released, and
-      every journal line now contiguous from the flushed prefix is
-      appended; the result is [true] then. *)
+      (each position exactly once).  With a registry, [snap] waits until
+      every lower plan position has landed, then merges into
+      {!shard_telemetry} with the rest of the contiguous prefix; without
+      one, it is dropped.  When [agg] completes its cell, the cell's
+      slots merge in slot order, their storage is released, and every
+      journal line now contiguous from the flushed prefix is appended;
+      the result is [true] then. *)
+
+  val shard_telemetry : t -> Nakamoto_telemetry.Registry.Snapshot.t
+  (** The plan-order merge of every shard snapshot whose plan position
+      and all lower ones have landed; {!Nakamoto_telemetry.Registry.Snapshot.empty}
+      without a registry.  It trails the landed shards by those still in
+      flight below them. *)
 
   val close : t -> unit
   (** Close the journal writer.  Idempotent. *)
@@ -170,7 +183,10 @@ module Fold : sig
   val finish : ?telemetry:string -> t -> jobs:int -> outcome
   (** Close the journal and build the outcome once {!finished}; with a
       registry, the outcome's snapshot is the registry's merged with
-      every shard snapshot in plan order, and [telemetry] names a
+      {!shard_telemetry}.  While the registry's keys and the shards'
+      keys are disjoint, as they are for {!run} and the serve daemon,
+      that equals, bit for bit, merging every shard snapshot onto the
+      registry's one by one in plan order.  [telemetry] names a
       directory (created if absent) that receives [telemetry.prom] and
       [telemetry.jsonl]. *)
 end

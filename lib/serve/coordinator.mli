@@ -7,7 +7,8 @@
     returning aggregate + telemetry snapshots, and assessment queries.
     The campaign fold is {!Nakamoto_campaign.Campaign.Fold}, the one
     [Campaign.run] drives in process: shard aggregates merge in slot
-    order, telemetry snapshots in plan order, and journal lines flush
+    order, telemetry snapshots in plan order as their contiguous prefix
+    lands (none are kept without [telemetry]), and journal lines flush
     strictly in cell order through the fsync-on-append
     {!Nakamoto_campaign.Journal} writer — so the journal a daemon-run
     campaign produces is byte-identical to the one [Campaign.run] writes
@@ -85,7 +86,7 @@ val serve :
     connections shed, heartbeat drops, queue-overflow drops, late
     results accepted, stale results dropped, the [serve_fold_seconds]
     span around every slot-order merge) merged with the workers' shard
-    snapshots in plan order.  [log] receives one-line operational
+    snapshots, which the fold merges in plan order as they land.  [log] receives one-line operational
     messages (default: [stderr] prefixed with ["serve: "]).
     @raise Invalid_argument when neither [socket] nor [tcp] is given, on
     [max_campaigns < 1], [max_conns < 1], [max_queue < 65536], or

@@ -32,6 +32,9 @@ let run ~addr ?(connect_timeout = 10.) ?(lease_batch = 1) ?fault
       (spec, c)
   in
   let computed = ref 0 in
+  let closed () =
+    log (Printf.sprintf "coordinator closed; %d shards computed" !computed)
+  in
   (* Heartbeats arrive on their own schedule — between a request and
      its grant, or queued up behind a long compute — and are answered
      wherever the worker happens to be reading. *)
@@ -82,10 +85,16 @@ let run ~addr ?(connect_timeout = 10.) ?(lease_batch = 1) ?fault
     | `Timeout -> loop ()
     | `Eof ->
       (* The daemon served its campaigns and closed up: normal exit. *)
-      log (Printf.sprintf "coordinator closed; %d shards computed" !computed)
+      closed ()
     | `Bad m -> failwith ("protocol error: " ^ m)
   in
+  (* A daemon that finishes its last campaign closes every connection,
+     possibly before this worker's next request is written: the same
+     natural exit as an EOF. *)
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop;
+    (fun () ->
+      try loop ()
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        closed ());
   !computed

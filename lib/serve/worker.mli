@@ -27,7 +27,8 @@ val run :
     leases per request, amortizing round trips at high shard counts;
     the granted shards are computed and returned in grant order.
     Returns the number of shards computed when the coordinator closes
-    the connection (daemon shutdown) — the worker's natural exit.  Each
+    the connection (daemon shutdown), whether the worker sees it as an
+    EOF or as a failed write — the worker's natural exit.  Each
     shard records into a private telemetry registry
     ([campaign_shard_seconds{domain=<pid>}] plus the executor's [sim_*]
     instruments) whose entries ride back on the result frame.

@@ -899,6 +899,46 @@ let test_fold_telemetry_matches_batch_merge () =
       check_true "merging in landing order would change the float sums"
         (snapshot_bits landing_order <> snapshot_bits oracle))
 
+(* The fold's live heap does not grow with the shards it has folded.
+   Every shard lands a fresh non-empty snapshot, as the daemon passes
+   them whether or not it collects telemetry; a one-shard cell keeps its
+   aggregate as the cell's result, and beyond that the fold may grow by
+   at most a plan entry per shard, plus one running snapshot when it has
+   a registry. *)
+let test_fold_retention_bounded () =
+  let spec =
+    { tiny_spec with Spec.nus = List.init 60 (fun i -> 0.005 *. float i);
+      deltas = [ 1; 2 ]; trials_per_cell = 1; rounds = 20 }
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let clock = irregular_clock 3 in
+  let one registry =
+    let fold = Fold.create ?registry ~resume:false ~log:ignore spec in
+    let plan = Fold.plan fold in
+    let before = words fold in
+    let kept = ref 0 and snap_words = ref 0 in
+    Array.iteri
+      (fun pi sh ->
+        let agg, snap = shard_with_snapshot ~clock spec (Fold.cells fold) sh in
+        kept := !kept + words agg;
+        snap_words := max !snap_words (words snap);
+        ignore (Fold.land_shard fold pi agg snap))
+      plan;
+    let n = Array.length plan in
+    let allowance =
+      !kept + (n * words plan.(0))
+      + if Option.is_some registry then !snap_words else 0
+    in
+    check_true "shards carry telemetry" (!snap_words > 100);
+    check_true
+      (Printf.sprintf "fold grew %d words over %d shards (allowance %d)"
+         (words fold - before) n allowance)
+      (words fold - before <= allowance);
+    check_true "every cell merged" (Fold.finished fold)
+  in
+  one None;
+  one (Some (Tel.Registry.create ~clock ()))
+
 let suite =
   [
     case "spec cell enumeration" test_spec_cells_enumeration;
@@ -929,4 +969,6 @@ let suite =
       test_journal_fold_resume;
     case "fold telemetry equals the batch plan-order merge"
       test_fold_telemetry_matches_batch_merge;
+    case "fold retention bounded by the shards in flight"
+      test_fold_retention_bounded;
   ]

@@ -573,6 +573,37 @@ let test_surface_backed_assess () =
   cleanup journal;
   cleanup socket
 
+(* A coordinator that shuts down while its worker computes a lease: the
+   worker's result write then fails (EPIPE), which is the same natural
+   exit as an EOF, not a crash.  A daemon finishing its last campaign
+   races its workers' next writes exactly this way. *)
+let test_coordinator_gone_mid_lease () =
+  let socket = temp_path "gone" ".sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 1;
+  let worker = spawn_worker ~addr:(Serve.Conn.Unix_path socket) () in
+  let fd, _ = Unix.accept listener in
+  let ch = Frame.Channel.of_fd fd in
+  (match Msg.recv ~timeout:10. ch with
+  | `Msg (Msg.Hello _) ->
+    Msg.send ch (Msg.Hello_ack { version = Frame.protocol_version })
+  | _ -> Alcotest.fail "expected the worker's Hello");
+  (match Msg.recv ~timeout:10. ch with
+  | `Msg (Msg.Lease_request _) -> ()
+  | _ -> Alcotest.fail "expected a lease request");
+  (* Long enough to compute that the close lands first. *)
+  let spec = { tiny_spec with Spec.rounds = 20_000 } in
+  let shard =
+    (Campaign.Shard.plan ~cells:1 ~trials_per_cell:1 ~shard_size:1
+       ~skip:(fun _ -> false)).(0)
+  in
+  Msg.send ch (Msg.Lease_grant { grants = [ { Msg.lease_id = 0; shard } ]; spec });
+  Unix.close fd;
+  check_int "worker exits cleanly" 0 (Domain.join worker);
+  Unix.close listener;
+  cleanup socket
+
 let suite =
   [
     case "journal is byte-identical across topologies (incl. worker kill)"
@@ -589,4 +620,6 @@ let suite =
       test_bad_journal_path;
     case "surface-backed daemon serves cached verdicts"
       test_surface_backed_assess;
+    case "a worker whose coordinator closes mid-lease exits cleanly"
+      test_coordinator_gone_mid_lease;
   ]
