@@ -86,8 +86,9 @@ val serve :
     connections shed, heartbeat drops, queue-overflow drops, late
     results accepted, stale results dropped, the [serve_fold_seconds]
     span around every slot-order merge) merged with the workers' shard
-    snapshots, which the fold merges in plan order as they land.  [log] receives one-line operational
-    messages (default: [stderr] prefixed with ["serve: "]).
+    snapshots, which the fold merges in plan order as they land.
+    [log] receives one-line operational messages (default: [stderr]
+    prefixed with ["serve: "]).
     @raise Invalid_argument when neither [socket] nor [tcp] is given, on
     [max_campaigns < 1], [max_conns < 1], [max_queue < 65536], or
     non-positive heartbeat settings. *)
