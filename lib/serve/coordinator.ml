@@ -382,17 +382,20 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
             (Printf.sprintf "ignoring stale result for lease %d (shard %d)"
                r.Msg.res_lease r.Msg.res_shard))
       | Some l ->
-        Hashtbl.remove g.g_leases r.Msg.res_lease;
+        (* A refused result leaves its lease in the table, so dropping
+           the connection requeues the shard with the peer's others. *)
         let sh = g.g_plan.(l.l_plan) in
         if sh.Shard.id <> r.Msg.res_shard then begin
           send_msg conn
             (Msg.Error
                (Printf.sprintf "lease %d covers shard %d, not %d"
                   r.Msg.res_lease sh.Shard.id r.Msg.res_shard));
-          g.g_pending <- l.l_plan :: g.g_pending;
           drop_conn conn "shard id mismatch"
         end
-        else decode_result conn r (apply_result g ~pi:l.l_plan))
+        else
+          decode_result conn r (fun agg snap ->
+              Hashtbl.remove g.g_leases r.Msg.res_lease;
+              apply_result g ~pi:l.l_plan agg snap))
   in
   let handle_assess conn (q : Msg.assess_params) =
     match

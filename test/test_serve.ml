@@ -604,6 +604,90 @@ let test_coordinator_gone_mid_lease () =
   Unix.close listener;
   cleanup socket
 
+(* The grid of [make serve-smoke], whose journal is the committed
+   [golden/campaign_smoke.jsonl] (a dependency of the test binary, copied
+   beside it). *)
+let smoke_spec =
+  {
+    Spec.default with
+    Spec.ps = [ 0.01 ];
+    ns = [ 40 ];
+    deltas = [ 3 ];
+    nus = [ 0.15; 0.4 ];
+    trials_per_cell = 4;
+    rounds = 400;
+    seed = 7L;
+  }
+
+let rec await_reply ch =
+  match Msg.recv ~timeout:10. ch with
+  | `Msg (Msg.Ping { nonce }) ->
+    Msg.send ch (Msg.Pong { nonce });
+    await_reply ch
+  | other -> other
+
+(* A result's telemetry is input from outside the daemon: even a daemon
+   that collects none must validate it.  A worker that returns a shard
+   with a duplicate telemetry key gets a typed Error and a hang-up; the
+   shard goes back to the queue and the journal still matches the
+   golden. *)
+let test_malformed_telemetry_rejected () =
+  let golden =
+    read_file
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "golden/campaign_smoke.jsonl")
+  in
+  let socket = temp_path "malformed" ".sock" in
+  let j = temp_path "malformed" ".jsonl" in
+  let addr = Serve.Conn.Unix_path socket in
+  let daemon = spawn_daemon ~socket () in
+  let client =
+    Domain.spawn (fun () ->
+        match Serve.Client.submit ~addr ~journal:j smoke_spec with
+        | Ok _ -> 0
+        | Error _ | (exception _) -> 4)
+  in
+  let fd, ch = worker_conn ~addr in
+  let { Msg.lease_id; shard }, spec = obtain_grant ch in
+  let reg = Nakamoto_telemetry.Registry.create () in
+  let agg =
+    Campaign.Campaign.run_shard ~telemetry:reg spec (Spec.cells spec) shard
+  in
+  let entries =
+    Nakamoto_telemetry.Registry.(Snapshot.entries (snapshot reg))
+  in
+  Msg.send ch
+    (Msg.Cell_result
+       {
+         Msg.res_lease = lease_id;
+         res_shard = shard.Campaign.Shard.id;
+         res_aggregate = Aggregate.snapshot agg;
+         res_telemetry = List.hd entries :: entries;
+       });
+  (match await_reply ch with
+  | `Msg (Msg.Error e) ->
+    check_true "a typed malformed-result refusal"
+      (String.starts_with ~prefix:"malformed result: " e)
+  | _ -> Alcotest.fail "a malformed result must get a typed Error frame");
+  (match await_reply ch with
+  | `Eof -> ()
+  | _ -> Alcotest.fail "the daemon must hang up on a malformed result");
+  Unix.close fd;
+  let fd, ch = worker_conn ~addr in
+  let regrant, _ = obtain_grant ch in
+  check_int "the rejected shard is leased again" shard.Campaign.Shard.id
+    regrant.Msg.shard.Campaign.Shard.id;
+  Unix.close fd;
+  let healthy = spawn_worker ~addr () in
+  check_int "client saw Done" 0 (Domain.join client);
+  check_int "daemon exits cleanly" 0 (Domain.join daemon);
+  check_int "healthy worker exits cleanly" 0 (Domain.join healthy);
+  Alcotest.(check string) "journal = golden/campaign_smoke.jsonl" golden
+    (read_file j);
+  cleanup j;
+  cleanup socket
+
 let suite =
   [
     case "journal is byte-identical across topologies (incl. worker kill)"
@@ -622,4 +706,6 @@ let suite =
       test_surface_backed_assess;
     case "a worker whose coordinator closes mid-lease exits cleanly"
       test_coordinator_gone_mid_lease;
+    case "a malformed result telemetry is refused and its shard requeued"
+      test_malformed_telemetry_rejected;
   ]
