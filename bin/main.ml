@@ -1008,7 +1008,9 @@ let serve_cmd =
              ~doc:"Write telemetry.prom and telemetry.jsonl (lease and \
                    frame counters, fold spans, shed / heartbeat-drop / \
                    late-result counters, the workers' shard instruments) \
-                   into DIR at each campaign completion.")
+                   into DIR at each campaign completion.  Workers record \
+                   and ship shard instruments only to a daemon started \
+                   with this option; the handshake tells them.")
   in
   let surface_arg =
     Arg.(value & opt (some string) None

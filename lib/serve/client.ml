@@ -4,7 +4,7 @@ module Msg = Nakamoto_wire.Message
 let with_conn ~addr ~connect_timeout ~role f =
   match Conn.establish ~addr ~timeout:connect_timeout ~role with
   | Error e -> Error ("handshake failed: " ^ e)
-  | Ok ch ->
+  | Ok (ch, _telemetry) ->
     Fun.protect
       ~finally:(fun () ->
         try Unix.close (Frame.Channel.fd ch) with Unix.Unix_error _ -> ())

@@ -68,11 +68,11 @@ let connect ~addr ~timeout =
 let handshake ?(timeout = 10.) ~role ch =
   Msg.send ch (Msg.Hello { version = Frame.protocol_version; role });
   match Msg.recv ~timeout ch with
-  | `Msg (Msg.Hello_ack { version })
+  | `Msg (Msg.Hello_ack { version; telemetry })
     when version >= Frame.min_protocol_version
          && version <= Frame.protocol_version ->
-    Ok ()
-  | `Msg (Msg.Hello_ack { version }) ->
+    Ok telemetry
+  | `Msg (Msg.Hello_ack { version; _ }) ->
     Result.Error
       (Printf.sprintf
          "server speaks protocol %d, this peer accepts [%d, %d]" version
@@ -93,7 +93,7 @@ let establish ~addr ~timeout ~role =
   let ch = Frame.Channel.of_fd fd in
   let remaining = Float.max 1. (deadline -. Unix.gettimeofday ()) in
   match handshake ~timeout:remaining ~role ch with
-  | Ok () -> Ok ch
+  | Ok telemetry -> Ok (ch, telemetry)
   | Result.Error e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Result.Error e

@@ -30,18 +30,22 @@ val handshake :
   ?timeout:float ->
   role:Nakamoto_wire.Message.role ->
   Nakamoto_wire.Frame.Channel.t ->
-  (unit, string) result
+  (bool, string) result
 (** Send [Hello] at {!Nakamoto_wire.Frame.protocol_version} and await
     [Hello_ack], accepting any acked version in
-    [[min_protocol_version, protocol_version]].  [timeout] (default
-    10 s) bounds the recv.  [Error] carries the server's typed refusal
+    [[min_protocol_version, protocol_version]].  [Ok telemetry] is the
+    ack's flag: whether the daemon collects shard telemetry, so a
+    worker knows whether to record any.  [timeout] (default 10 s)
+    bounds the recv.  [Error] carries the server's typed refusal
     (version mismatch) or a transport failure. *)
 
 val establish :
   addr:addr ->
   timeout:float ->
   role:Nakamoto_wire.Message.role ->
-  (Nakamoto_wire.Frame.Channel.t, string) result
+  (Nakamoto_wire.Frame.Channel.t * bool, string) result
 (** [connect] then [handshake] under a single deadline: the handshake
     recv gets whatever the connect retries left of [timeout] (floored
-    at one second).  On [Error] the descriptor is already closed. *)
+    at one second).  [Ok (ch, telemetry)] pairs the channel with the
+    ack's telemetry flag.  On [Error] the descriptor is already
+    closed. *)

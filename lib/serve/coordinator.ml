@@ -449,7 +449,9 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
         when version >= Frame.min_protocol_version
              && version <= Frame.protocol_version ->
         conn.c_hello <- true;
-        send_msg conn (Msg.Hello_ack { version = Frame.protocol_version })
+        send_msg conn
+          (Msg.Hello_ack
+             { version = Frame.protocol_version; telemetry = tel <> None })
       | Msg.Hello { version; _ } ->
         send_msg conn
           (Msg.Error

@@ -12,24 +12,24 @@ let default_log msg = Printf.eprintf "worker[%d]: %s\n%!" (Unix.getpid ()) msg
 let run ~addr ?(connect_timeout = 10.) ?(lease_batch = 1) ?fault
     ?(telemetry_clock = Unix.gettimeofday) ?(log = default_log) () =
   if lease_batch < 1 then invalid_arg "Worker.run: lease_batch must be >= 1";
-  let ch =
+  let ch, collect =
     match Conn.establish ~addr ~timeout:connect_timeout ~role:Msg.Worker with
-    | Ok ch -> ch
+    | Ok acked -> acked
     | Error e -> failwith ("handshake failed: " ^ e)
   in
   let fd = Frame.Channel.fd ch in
   let fault = Option.map Faultplan.arm fault in
   (* Cache the decoded grid: every lease of one campaign carries the
-     same spec, and [cells] must be recomputed only when it changes. *)
-  let cache : (string * Spec.t * Spec.cell array) option ref = ref None in
+     same spec, and [cells] must be recomputed only when it changes.
+     A spec is plain data, so structural equality is its identity. *)
+  let cache : (Spec.t * Spec.cell array) option ref = ref None in
   let cells_of spec =
-    let key = Spec.to_json spec in
     match !cache with
-    | Some (k, s, c) when k = key -> (s, c)
+    | Some (s, c) when s = spec -> c
     | _ ->
       let c = Spec.cells spec in
-      cache := Some (key, spec, c);
-      (spec, c)
+      cache := Some (spec, c);
+      c
   in
   let computed = ref 0 in
   let closed () =
@@ -46,19 +46,26 @@ let run ~addr ?(connect_timeout = 10.) ?(lease_batch = 1) ?fault
     | `Timeout -> recv ()
     | other -> other
   in
+  (* A daemon that collects no telemetry would drop a shard's snapshot
+     on landing, so only a daemon that acked [telemetry] gets one. *)
   let compute spec cells { Msg.lease_id; shard } =
-    let sreg = Tel.Registry.create ~clock:telemetry_clock () in
-    let sp =
-      Tel.Registry.span sreg
-        ~labels:[ ("domain", string_of_int (Unix.getpid ())) ]
-        "campaign_shard_seconds"
-    in
-    let began = Tel.Span.start sp in
-    let agg =
+    let run ?telemetry () =
       Faultplan.wrap_task fault ~task:shard.Shard.id (fun () ->
-          Campaign.run_shard ~telemetry:sreg spec cells shard)
+          Campaign.run_shard ?telemetry spec cells shard)
     in
-    Tel.Span.stop sp began;
+    let agg, res_telemetry =
+      if not collect then (run (), [])
+      else begin
+        let sreg = Tel.Registry.create ~clock:telemetry_clock () in
+        let sp =
+          Tel.Registry.span sreg
+            ~labels:[ ("domain", string_of_int (Unix.getpid ())) ]
+            "campaign_shard_seconds"
+        in
+        let agg = Tel.Span.time sp (run ~telemetry:sreg) in
+        (agg, Tel.Registry.Snapshot.entries (Tel.Registry.snapshot sreg))
+      end
+    in
     incr computed;
     Msg.send ch
       (Msg.Cell_result
@@ -66,16 +73,14 @@ let run ~addr ?(connect_timeout = 10.) ?(lease_batch = 1) ?fault
            Msg.res_lease = lease_id;
            res_shard = shard.Shard.id;
            res_aggregate = Aggregate.snapshot agg;
-           res_telemetry =
-             Tel.Registry.Snapshot.entries (Tel.Registry.snapshot sreg);
+           res_telemetry;
          })
   in
   let rec loop () =
     Msg.send ch (Msg.Lease_request { max = lease_batch });
     match recv () with
     | `Msg (Msg.Lease_grant { grants; spec }) ->
-      let spec, cells = cells_of spec in
-      List.iter (compute spec cells) grants;
+      List.iter (compute spec (cells_of spec)) grants;
       loop ()
     | `Msg (Msg.No_work { retry_after }) ->
       Unix.sleepf (Float.max 0.01 retry_after);

@@ -28,10 +28,12 @@ val run :
     the granted shards are computed and returned in grant order.
     Returns the number of shards computed when the coordinator closes
     the connection (daemon shutdown), whether the worker sees it as an
-    EOF or as a failed write — the worker's natural exit.  Each
-    shard records into a private telemetry registry
+    EOF or as a failed write — the worker's natural exit.  When the
+    daemon's [Hello_ack] says it collects telemetry, each shard records
+    into a private telemetry registry
     ([campaign_shard_seconds{domain=<pid>}] plus the executor's [sim_*]
-    instruments) whose entries ride back on the result frame.
+    instruments) whose entries ride back on the result frame; otherwise
+    the shard runs with no registry and ships [res_telemetry = []].
     @raise Invalid_argument on [lease_batch < 1].
     @raise Failure on a handshake refusal or a server [Error] frame.
     @raise Nakamoto_campaign.Faultplan.Injected_crash / [Failure] when

@@ -1,5 +1,5 @@
-let protocol_version = 2
-let min_protocol_version = 2
+let protocol_version = 3
+let min_protocol_version = 3
 let default_max_payload = 8 * 1024 * 1024
 
 type result =

@@ -21,7 +21,8 @@
 val protocol_version : int
 (** Version negotiated by the [Hello] exchange; bumped on any breaking
     change to the framing or message payloads.  Version 2 added
-    heartbeats ([Ping]/[Pong]) and batched lease grants. *)
+    heartbeats ([Ping]/[Pong]) and batched lease grants; version 3 added
+    the [telemetry] flag of [Hello_ack]. *)
 
 val min_protocol_version : int
 (** Oldest peer version a server still accepts: the handshake admits

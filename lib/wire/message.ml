@@ -41,7 +41,7 @@ type progress = {
 
 type t =
   | Hello of { version : int; role : role }
-  | Hello_ack of { version : int }
+  | Hello_ack of { version : int; telemetry : bool }
   | Submit_campaign of submit
   | Lease_request of { max : int }
   | Lease_grant of { grants : lease list; spec : Spec.t }
@@ -237,7 +237,9 @@ let encode m =
   | Hello { version; role } ->
     Codec.add_int w version;
     Codec.add_u8 w (role_to_u8 role)
-  | Hello_ack { version } -> Codec.add_int w version
+  | Hello_ack { version; telemetry } ->
+    Codec.add_int w version;
+    Codec.add_bool w telemetry
   | Submit_campaign { sub_spec; sub_journal; sub_resume } ->
     add_spec w sub_spec;
     Codec.add_opt w Codec.add_string sub_journal;
@@ -290,7 +292,10 @@ let decode ~tag ~payload =
         let version = Codec.get_int r in
         let role = get_role r in
         Hello { version; role }
-      | 2 -> Hello_ack { version = Codec.get_int r }
+      | 2 ->
+        let version = Codec.get_int r in
+        let telemetry = Codec.get_bool r in
+        Hello_ack { version; telemetry }
       | 3 ->
         let sub_spec = get_spec r in
         let sub_journal = Codec.get_opt r Codec.get_string in

@@ -37,7 +37,8 @@ type cell_result = {
   res_shard : int;  (** plan id, for cross-checking the lease table *)
   res_aggregate : Aggregate.snapshot;
   res_telemetry : (Telemetry.Registry.Snapshot.key * Telemetry.Registry.Snapshot.value) list;
-      (** entries of the shard's registry snapshot; [[]] = telemetry off *)
+      (** entries of the shard's registry snapshot; [[]] when the daemon
+          did not ask for them (its [Hello_ack] said [telemetry = false]) *)
 }
 
 type assess_params = { q_nu : float; q_c : float; q_n : float; q_delta : float }
@@ -60,7 +61,11 @@ type progress = {
 
 type t =
   | Hello of { version : int; role : role }
-  | Hello_ack of { version : int }
+  | Hello_ack of { version : int; telemetry : bool }
+      (** [telemetry]: whether the daemon collects shard telemetry.  It is
+          fixed for the daemon's life, so it is acked once per connection;
+          a worker told [false] records nothing and ships
+          [res_telemetry = []]. *)
   | Submit_campaign of submit
   | Lease_request of { max : int }
       (** grant me up to [max] leases in one reply — batching amortizes

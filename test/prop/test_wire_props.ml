@@ -148,7 +148,9 @@ let gen_message rng =
         version = Gen.int_range ~lo:0 ~hi:1000 rng;
         role = Gen.oneof_value [ Msg.Worker; Msg.Client ] rng;
       }
-  | 1 -> Msg.Hello_ack { version = Gen.int_range ~lo:0 ~hi:1000 rng }
+  | 1 ->
+    Msg.Hello_ack
+      { version = Gen.int_range ~lo:0 ~hi:1000 rng; telemetry = Gen.bool rng }
   | 2 ->
     Msg.Submit_campaign
       {

@@ -89,7 +89,7 @@ let worker_conn ~addr =
   let fd = Serve.Conn.connect ~addr ~timeout:10. in
   let ch = Frame.Channel.of_fd fd in
   (match Serve.Conn.handshake ~role:Msg.Worker ch with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "worker handshake: %s" e);
   (fd, ch)
 
@@ -447,27 +447,32 @@ let test_protocol_edges () =
   let daemon = spawn_daemon ~socket () in
   let addr = Serve.Conn.Unix_path socket in
 
-  (* Version mismatch: typed Error frame, then the server hangs up. *)
-  let fd = Serve.Conn.connect ~addr ~timeout:10. in
-  let ch = Frame.Channel.of_fd fd in
-  Msg.send ch (Msg.Hello { version = 99; role = Msg.Client });
-  (match Msg.recv ~timeout:10. ch with
-  | `Msg (Msg.Error e) ->
-    check_true "names both versions"
-      (contains_substring ~affix:"99" e
-      && contains_substring ~affix:"version" e)
-  | _ -> Alcotest.fail "version mismatch must get a typed Error frame");
-  (match Msg.recv ~timeout:10. ch with
-  | `Eof -> ()
-  | _ -> Alcotest.fail "server must hang up after a version mismatch");
-  Unix.close fd;
+  (* Version mismatch, from a newer peer and from a protocol-2 peer
+     (whose Hello_ack had no telemetry flag): typed Error frame, then
+     the server hangs up. *)
+  List.iter
+    (fun version ->
+      let fd = Serve.Conn.connect ~addr ~timeout:10. in
+      let ch = Frame.Channel.of_fd fd in
+      Msg.send ch (Msg.Hello { version; role = Msg.Client });
+      (match Msg.recv ~timeout:10. ch with
+      | `Msg (Msg.Error e) ->
+        check_true "names both versions"
+          (contains_substring ~affix:(string_of_int version) e
+          && contains_substring ~affix:"version" e)
+      | _ -> Alcotest.fail "version mismatch must get a typed Error frame");
+      (match Msg.recv ~timeout:10. ch with
+      | `Eof -> ()
+      | _ -> Alcotest.fail "server must hang up after a version mismatch");
+      Unix.close fd)
+    [ 99; 2 ];
 
   (* Unknown tag after a clean handshake: typed Error, connection
      survives and still answers queries. *)
   let fd = Serve.Conn.connect ~addr ~timeout:10. in
   let ch = Frame.Channel.of_fd fd in
   (match Serve.Conn.handshake ~role:Msg.Client ch with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "handshake: %s" e);
   Frame.Channel.write ch ~tag:200 ~payload:"junk";
   (match Msg.recv ~timeout:10. ch with
@@ -573,12 +578,11 @@ let test_surface_backed_assess () =
   cleanup journal;
   cleanup socket
 
-(* A coordinator that shuts down while its worker computes a lease: the
-   worker's result write then fails (EPIPE), which is the same natural
-   exit as an EOF, not a crash.  A daemon finishing its last campaign
-   races its workers' next writes exactly this way. *)
-let test_coordinator_gone_mid_lease () =
-  let socket = temp_path "gone" ".sock" in
+(* A fake coordinator: accept one real [Worker.run], ack its Hello with
+   [telemetry], await its lease request and grant it [shard] of [spec].
+   [k] gets the channel; the worker must exit cleanly afterwards. *)
+let with_fake_coordinator ~tag ~telemetry ~spec ~shard k =
+  let socket = temp_path tag ".sock" in
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_UNIX socket);
   Unix.listen listener 1;
@@ -587,22 +591,78 @@ let test_coordinator_gone_mid_lease () =
   let ch = Frame.Channel.of_fd fd in
   (match Msg.recv ~timeout:10. ch with
   | `Msg (Msg.Hello _) ->
-    Msg.send ch (Msg.Hello_ack { version = Frame.protocol_version })
+    Msg.send ch
+      (Msg.Hello_ack { version = Frame.protocol_version; telemetry })
   | _ -> Alcotest.fail "expected the worker's Hello");
   (match Msg.recv ~timeout:10. ch with
   | `Msg (Msg.Lease_request _) -> ()
   | _ -> Alcotest.fail "expected a lease request");
-  (* Long enough to compute that the close lands first. *)
-  let spec = { tiny_spec with Spec.rounds = 20_000 } in
-  let shard =
-    (Campaign.Shard.plan ~cells:1 ~trials_per_cell:1 ~shard_size:1
-       ~skip:(fun _ -> false)).(0)
-  in
   Msg.send ch (Msg.Lease_grant { grants = [ { Msg.lease_id = 0; shard } ]; spec });
+  let r = k ch in
   Unix.close fd;
   check_int "worker exits cleanly" 0 (Domain.join worker);
   Unix.close listener;
-  cleanup socket
+  cleanup socket;
+  r
+
+let first_shard =
+  (Campaign.Shard.plan ~cells:1 ~trials_per_cell:1 ~shard_size:1
+     ~skip:(fun _ -> false)).(0)
+
+(* A coordinator that shuts down while its worker computes a lease: the
+   worker's result write then fails (EPIPE), which is the same natural
+   exit as an EOF, not a crash.  A daemon finishing its last campaign
+   races its workers' next writes exactly this way. *)
+let test_coordinator_gone_mid_lease () =
+  (* Long enough to compute that the close lands first. *)
+  let spec = { tiny_spec with Spec.rounds = 20_000 } in
+  with_fake_coordinator ~tag:"gone" ~telemetry:false ~spec ~shard:first_shard
+    ignore
+
+(* The ack's telemetry flag decides what a worker ships: nothing for a
+   daemon that collects none, the shard's span and [sim_*] entries for
+   one that does — and the aggregate either way is the in-process one. *)
+let test_worker_telemetry_follows_ack () =
+  let result telemetry =
+    with_fake_coordinator ~tag:"ack" ~telemetry ~spec:tiny_spec
+      ~shard:first_shard (fun ch ->
+        match Msg.recv ~timeout:30. ch with
+        | `Msg (Msg.Cell_result r) -> r
+        | _ -> Alcotest.fail "expected the shard's result")
+  in
+  let off = result false and on = result true in
+  check_true "told no: res_telemetry = []" (off.Msg.res_telemetry = []);
+  let names =
+    List.map
+      (fun ((k : Nakamoto_telemetry.Registry.Snapshot.key), _) -> k)
+      on.Msg.res_telemetry
+  in
+  check_true "told yes: campaign_shard_seconds{domain=<pid>}"
+    (List.mem
+       {
+         Nakamoto_telemetry.Registry.Snapshot.name = "campaign_shard_seconds";
+         labels = [ ("domain", string_of_int (Unix.getpid ())) ];
+       }
+       names);
+  check_true "told yes: the executor's sim_* entries"
+    (List.exists
+       (fun (k : Nakamoto_telemetry.Registry.Snapshot.key) ->
+         String.starts_with ~prefix:"sim_" k.name)
+       names);
+  check_true "told yes: nothing else"
+    (List.for_all
+       (fun (k : Nakamoto_telemetry.Registry.Snapshot.key) ->
+         k.name = "campaign_shard_seconds"
+         || String.starts_with ~prefix:"sim_" k.name)
+       names);
+  let inproc =
+    Aggregate.snapshot
+      (Campaign.Campaign.run_shard tiny_spec (Spec.cells tiny_spec)
+         first_shard)
+  in
+  check_true "same aggregate either way"
+    (off.Msg.res_aggregate = on.Msg.res_aggregate);
+  check_true "= the in-process aggregate" (off.Msg.res_aggregate = inproc)
 
 (* The grid of [make serve-smoke], whose journal is the committed
    [golden/campaign_smoke.jsonl] (a dependency of the test binary, copied
@@ -706,6 +766,8 @@ let suite =
       test_surface_backed_assess;
     case "a worker whose coordinator closes mid-lease exits cleanly"
       test_coordinator_gone_mid_lease;
+    case "a worker ships shard telemetry only when the ack asks for it"
+      test_worker_telemetry_follows_ack;
     case "a malformed result telemetry is refused and its shard requeued"
       test_malformed_telemetry_rejected;
   ]

@@ -90,7 +90,8 @@ let sample_messages () =
   [
     Msg.Hello { version = 1; role = Msg.Worker };
     Msg.Hello { version = 9; role = Msg.Client };
-    Msg.Hello_ack { version = 1 };
+    Msg.Hello_ack { version = 3; telemetry = false };
+    Msg.Hello_ack { version = 3; telemetry = true };
     Msg.Submit_campaign
       {
         Msg.sub_spec = Spec.default;
@@ -213,7 +214,9 @@ let test_unknown_tag_is_typed_error () =
   | Error e -> check_true "names the tag" (contains_substring ~affix:"200" e)
   | Ok _ -> Alcotest.fail "unknown tag must not decode");
   (* Trailing garbage after a valid payload is typed too. *)
-  let tag, payload = Msg.encode (Msg.Hello_ack { version = 1 }) in
+  let tag, payload =
+    Msg.encode (Msg.Hello_ack { version = 3; telemetry = false })
+  in
   match Msg.decode ~tag ~payload:(payload ^ "x") with
   | Error e ->
     check_true "mentions trailing bytes"
