@@ -36,11 +36,14 @@ let better t (candidate : Block.t) (incumbent : Block.t) =
   | Prefer_honest ->
     candidate.height = incumbent.height && tip_preference candidate incumbent < 0
 
+(* The tables start small and grow by doubling: {!copy} (a fast-mode
+   miner's materialization) then costs the size of the tree, not a
+   fixed bucket array.  No caller depends on the iteration order. *)
 let create ?(tie_break = Prefer_honest) () =
   let t =
     {
-      blocks = Table.create 1024;
-      children = Table.create 1024;
+      blocks = Table.create 16;
+      children = Table.create 16;
       tie_break;
       best = Block.genesis;
     }

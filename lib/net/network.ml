@@ -27,7 +27,10 @@ type t = {
   players : int;
   policy : delay_policy;
   rng : Nakamoto_prob.Rng.t;
-  inboxes : message Event_queue.t array;
+  (* Per-recipient queues, each created by its first enqueue: a run whose
+     broadcasts all ride the ring pays for the recipients it sent to
+     directly, not for every player. *)
+  inboxes : message Event_queue.t option array;
   mutable ring : ring option;
   (* Opt-in index of direct-queue due times, so [next_due] can answer in
      O(log pending) instead of scanning every inbox.  Entries are never
@@ -44,7 +47,7 @@ let create ~delta ~players ~policy ~rng =
     players;
     policy;
     rng;
-    inboxes = Array.init players (fun _ -> Event_queue.create ());
+    inboxes = Array.make players None;
     ring = None;
     due_index = None;
     sent = 0;
@@ -90,9 +93,17 @@ let chosen_delay t ~recipient msg =
   in
   clamp_delay t raw
 
+let inbox t recipient =
+  match t.inboxes.(recipient) with
+  | Some q -> q
+  | None ->
+    let q = Event_queue.create () in
+    t.inboxes.(recipient) <- Some q;
+    q
+
 let enqueue t ~recipient ~delay msg =
   let time = msg.sent_round + delay in
-  Event_queue.push t.inboxes.(recipient) ~time msg;
+  Event_queue.push (inbox t recipient) ~time msg;
   (match t.due_index with
   | None -> ()
   | Some idx -> Event_queue.push idx ~time ());
@@ -144,7 +155,9 @@ let send_direct t ~recipient ~delay msg =
   enqueue t ~recipient ~delay:(clamp_delay t delay) msg
 
 let deliver t ~recipient ~round =
-  Event_queue.pop_due t.inboxes.(recipient) ~now:round
+  match t.inboxes.(recipient) with
+  | None -> []
+  | Some q -> Event_queue.pop_due q ~now:round
 
 let deliver_shared t ~round =
   match t.ring with
@@ -207,6 +220,8 @@ let pending t =
     match t.ring with None -> 0 | Some ring -> ring.ring_pending
   in
   ring_pending
-  + Array.fold_left (fun acc q -> acc + Event_queue.length q) 0 t.inboxes
+  + Array.fold_left
+      (fun acc -> function None -> acc | Some q -> acc + Event_queue.length q)
+      0 t.inboxes
 
 let messages_sent t = t.sent

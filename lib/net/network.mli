@@ -27,7 +27,11 @@ type t
 
 val create : delta:int -> players:int -> policy:delay_policy ->
   rng:Nakamoto_prob.Rng.t -> t
-(** [create ~delta ~players ~policy ~rng] builds an empty network.
+(** [create ~delta ~players ~policy ~rng] builds an empty network.  A
+    recipient's inbox (its per-recipient event queue) is created by the
+    first queue-lane send to it, so a fresh network holds one empty slot
+    per player and nothing more; a recipient never sent anything reads
+    back as empty.
     @raise Invalid_argument if [delta < 1] or [players <= 0]. *)
 
 val delta : t -> int
@@ -49,7 +53,7 @@ val ring_enabled : t -> bool
 val enable_due_index : t -> unit
 (** [enable_due_index t] switches on an auxiliary index of direct-queue
     due times so {!next_due} can answer without scanning every inbox.
-    The skip executor turns this on; the other modes never need it.
+    The fast executors turn this on; exact mode never needs it.
     @raise Invalid_argument if already enabled or after a send. *)
 
 val broadcast : t -> message -> unit

@@ -395,17 +395,14 @@ type law = {
   adversary : unit -> int;  (** drawn after them *)
 }
 
-let unit_gaps ~rng ~honest_dist ~adv_dist ~horizon:_ _network =
+let unit_gaps ~rng ~honest_dist ~adv_dist ~horizon:_ =
   {
     gap = (fun () -> 0);
     honest = (fun () -> Binomial.sample rng honest_dist);
     adversary = (fun () -> Binomial.sample rng adv_dist);
   }
 
-let geometric_gaps ~rng ~honest_dist ~adv_dist ~horizon network =
-  (* Delivery-only rounds between mining rounds are found by next_due,
-     whose direct lane needs the due index. *)
-  Network.enable_due_index network;
+let geometric_gaps ~rng ~honest_dist ~adv_dist ~horizon =
   let log_q0 =
     Binomial.log_prob_zero honest_dist +. Binomial.log_prob_zero adv_dist
   in
@@ -455,21 +452,29 @@ let run_events ?on_round ~instr ~law config =
       ~policy:(Config.delay_policy config) ~rng:net_rng
   in
   Network.enable_ring network;
+  (* Delivery-only rounds (between Skip's mining rounds, and in the
+     quiesce) are found by next_due, whose direct lane needs the index. *)
+  Network.enable_due_index network;
   let horizon = config.rounds in
   let law =
     let binomial trials = Binomial.create ~trials ~p:config.p in
     law ~rng ~honest_dist:(binomial honest_n)
       ~adv_dist:(binomial (Config.adversary_count config))
-      ~horizon network
+      ~horizon
   in
   (* The crowd's id is never a message sender, so it consumes the whole
      shared stream. *)
   let crowd = Miner.create ~tie_break:config.tie_break ~id:(-1) () in
   let materialized : (int, Miner.t) Hashtbl.t = Hashtbl.create 64 in
-  (* Winner-selection pool: a persistent permutation of the honest ids.
-     Each round's partial Fisher-Yates prefix is uniform over k-subsets
-     regardless of the permutation it starts from. *)
-  let pool = Array.init honest_n Fun.id in
+  (* Winner-selection pool: a permutation of the honest ids that persists
+     across rounds.  Each round's partial Fisher-Yates prefix is uniform
+     over k-subsets regardless of the permutation it starts from.  It is
+     stored sparsely: [displaced] holds only the positions a draw has
+     written, every other position holds its own id, so the pool costs
+     O(winners) rather than O(n) and draws exactly what a dense array
+     would. *)
+  let displaced : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let pool k = Option.value ~default:k (Hashtbl.find_opt displaced k) in
   let pattern = Pattern.create ~delta:config.delta in
   let god = Adversary.view adversary in
   let snapshots = ref [] in
@@ -609,9 +614,9 @@ let run_events ?on_round ~instr ~law config =
       let mined_this_round = ref [] in
       for i = 0 to h - 1 do
         let j = i + Rng.int rng ~bound:(honest_n - i) in
-        let winner = pool.(j) in
-        pool.(j) <- pool.(i);
-        pool.(i) <- winner;
+        let winner = pool j in
+        Hashtbl.replace displaced j (pool i);
+        Hashtbl.replace displaced i winner;
         let miner = materialize winner in
         let block = Miner.extend_tip miner ~round ~nonce:winner in
         mined_this_round := block :: !mined_this_round;
@@ -653,9 +658,16 @@ let run_events ?on_round ~instr ~law config =
   done;
   emit_snapshots_through horizon;
   if horizon > 0 && !last_snap_round <> horizon then take_snapshot horizon;
-  for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~round_reorg:None
-  done;
+  (* Quiesce as exact mode does, visiting only the rounds with a delivery
+     due: the others would deliver nothing. *)
+  let rec quiesce now =
+    match Network.next_due network ~now with
+    | Some round when round <= config.rounds + config.delta ->
+      deliver_round round ~round_reorg:None;
+      quiesce round
+    | Some _ | None -> ()
+  in
+  quiesce horizon;
   {
     config;
     snapshots = List.rev !snapshots;

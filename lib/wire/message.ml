@@ -301,10 +301,7 @@ let decode ~tag ~payload =
         let sub_journal = Codec.get_opt r Codec.get_string in
         let sub_resume = Codec.get_bool r in
         Submit_campaign { sub_spec; sub_journal; sub_resume }
-      | 4 ->
-        (* A protocol-1 peer sent an empty payload; that meant "one". *)
-        if String.length payload = 0 then Lease_request { max = 1 }
-        else Lease_request { max = Codec.get_int r }
+      | 4 -> Lease_request { max = Codec.get_int r }
       | 5 ->
         let grants =
           Codec.get_list r (fun r ->

@@ -69,8 +69,7 @@ type t =
   | Submit_campaign of submit
   | Lease_request of { max : int }
       (** grant me up to [max] leases in one reply — batching amortizes
-          round trips at high shard counts; an empty protocol-1 payload
-          decodes as [max = 1] *)
+          round trips at high shard counts *)
   | Lease_grant of { grants : lease list; spec : Spec.t }
       (** 1 to [max] leases of one campaign; never empty (an empty
           queue answers [No_work]) *)

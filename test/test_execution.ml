@@ -534,6 +534,46 @@ let test_skip_honest_convergence () =
   check_true "tips within one block of each other" (max_h - min_h <= 1);
   check_true "chain grew" (max_h > 50)
 
+(* A fast-mode trial allocates for its events and its snapshots, not
+   for every miner.  At n = 10^5 and the paper's c = 8 a Skip trial
+   simulates a handful of events; its only mu n-sized allocations are
+   the distinct snapshot tips arrays, the final tips and the network's
+   empty inbox slots.  The budget is (distinct snapshot arrays + 3) mu n
+   words plus a constant for the events. *)
+let test_skip_allocation_scales_with_events () =
+  let rounds = 20_000 in
+  let cfg =
+    Sim.Config.with_c
+      {
+        (skip_config ~rounds ()) with
+        n = 100_000;
+        delta = 256;
+        snapshot_interval = rounds;
+      }
+      ~c:8.
+  in
+  (* The allocation counters read the minor heap only as of its last
+     collection, so empty it on both sides of the trial. *)
+  let allocated_words () =
+    Gc.minor ();
+    Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+  in
+  let before = allocated_words () in
+  let r = Sim.Execution.run cfg in
+  let words = allocated_words () -. before in
+  let distinct =
+    List.fold_left
+      (fun acc (s : Sim.Execution.snapshot) ->
+        if List.exists (fun t -> t == s.tips) acc then acc else s.tips :: acc)
+      [] r.snapshots
+  in
+  let mu_n = float_of_int (Sim.Config.honest_count cfg) in
+  let budget = (float_of_int (List.length distinct + 3) *. mu_n) +. 25_000. in
+  check_true
+    (Printf.sprintf "%.0f words allocated, budget %.0f (%d events)" words
+       budget r.processed_rounds)
+    (words <= budget)
+
 let suite =
   [
     case "config validation" test_config_validation;
@@ -570,4 +610,6 @@ let suite =
     case "skip snapshot cadence" test_skip_snapshot_cadence;
     case "skip attack runs" test_skip_attack_runs;
     case "skip honest convergence" test_skip_honest_convergence;
+    case "skip allocation scales with events, not n"
+      test_skip_allocation_scales_with_events;
   ]

@@ -261,6 +261,26 @@ let test_due_index_guards () =
   check_raises_invalid "enable after traffic" (fun () ->
       Network.enable_due_index busy)
 
+(* A fresh network holds one empty inbox slot per player and nothing
+   else: each recipient's queue is created by the first send to it. *)
+let test_fresh_network_is_one_slot_per_player () =
+  let players = 1_000_000 in
+  let n = make ~players () in
+  let words = Obj.reachable_words (Obj.repr n) in
+  check_true
+    (Printf.sprintf "%d reachable words for %d players" words players)
+    (words <= players + 64);
+  check_true "never-sent recipient delivers nothing"
+    (Network.deliver n ~recipient:17 ~round:1_000 = []);
+  check_int "nothing pending" 0 (Network.pending n);
+  Network.send_direct n ~recipient:(players - 1) ~delay:2 (msg ~round:3 ());
+  check_int "one pending" 1 (Network.pending n);
+  check_true "not before its due round"
+    (Network.deliver n ~recipient:(players - 1) ~round:4 = []);
+  check_int "last player receives it" 1
+    (List.length (Network.deliver n ~recipient:(players - 1) ~round:5));
+  check_int "drained" 0 (Network.pending n)
+
 let suite =
   [
     case "create validation" test_create_validation;
@@ -284,4 +304,6 @@ let suite =
       test_ring_fast_forward_equals_single_steps;
     case "next_due across both lanes" test_next_due;
     case "due-index enable rules" test_due_index_guards;
+    case "a fresh network is one slot per player"
+      test_fresh_network_is_one_slot_per_player;
   ]

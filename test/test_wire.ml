@@ -200,14 +200,16 @@ let test_spec_survives_the_wire () =
   | Ok _ -> Alcotest.fail "decoded to a different constructor"
   | Error e -> Alcotest.fail e
 
-let test_empty_lease_request_decodes_as_one () =
-  (* Protocol-1 peers sent Lease_request with an empty payload; the
-     decoder keeps reading that as a batch of one. *)
+let test_empty_lease_request_is_typed_error () =
+  (* Only protocol-1 peers sent Lease_request with an empty payload, and
+     the handshake refuses them; the decoder reads it as a truncated
+     payload, a typed error, never a batch of one and never a raise. *)
   let tag, _ = Msg.encode (Msg.Lease_request { max = 1 }) in
   match Msg.decode ~tag ~payload:"" with
-  | Ok (Msg.Lease_request { max = 1 }) -> ()
-  | Ok _ -> Alcotest.fail "empty lease request must decode as { max = 1 }"
-  | Error e -> Alcotest.fail e
+  | Error e -> check_true "names the tag" (contains_substring ~affix:"tag 4" e)
+  | Ok _ -> Alcotest.fail "an empty lease request must not decode"
+  | exception e ->
+    Alcotest.failf "decode raised %s" (Printexc.to_string e)
 
 let test_unknown_tag_is_typed_error () =
   (match Msg.decode ~tag:200 ~payload:"" with
@@ -344,8 +346,8 @@ let suite =
     case "codec truncation raises typed errors" test_codec_truncation_raises;
     case "every message round-trips through its frame" test_message_round_trips;
     case "a spec crosses the wire fingerprint-intact" test_spec_survives_the_wire;
-    case "an empty lease request still decodes as a batch of one"
-      test_empty_lease_request_decodes_as_one;
+    case "an empty lease request stays a typed error"
+      test_empty_lease_request_is_typed_error;
     case "unknown tag and trailing garbage are typed errors"
       test_unknown_tag_is_typed_error;
     case "two frames in one chunk both arrive" test_decoder_two_frames_one_feed;
