@@ -36,14 +36,17 @@ let better t (candidate : Block.t) (incumbent : Block.t) =
   | Prefer_honest ->
     candidate.height = incumbent.height && tip_preference candidate incumbent < 0
 
-(* The tables start small and grow by doubling: {!copy} (a fast-mode
-   miner's materialization) then costs the size of the tree, not a
-   fixed bucket array.  No caller depends on the iteration order. *)
+(* 256 buckets is the largest array the runtime still allocates in the
+   minor heap (Max_young_wosize): a tree of up to 512 blocks never
+   resizes, and {!copy} (a fast-mode miner's materialization) is a small
+   minor allocation, where a 1024-bucket table was a major one that also
+   forced extra minor collections.  No caller depends on the iteration
+   order. *)
 let create ?(tie_break = Prefer_honest) () =
   let t =
     {
-      blocks = Table.create 16;
-      children = Table.create 16;
+      blocks = Table.create 256;
+      children = Table.create 256;
       tie_break;
       best = Block.genesis;
     }
