@@ -220,29 +220,14 @@ proptest-smoke:
 	dune exec test/prop/prop_main.exe -- test telemetry
 	dune exec test/prop/prop_main.exe -- test markov
 
-# An unknown scenario name or a non-positive assess -c is a usage error:
-# cmdliner's exit 124 with a message, never an uncaught exception.  The
-# suffix-chain probe runs only for a point-mode assess, which prints its
-# line; the --stdin-jsonl batch never runs it.
+# The command line, end to end (test/cli.t, a cram test that dune
+# runtest also runs): the pinned outputs of valid invocations, and every
+# bad value a usage error (exit 124, empty stdout), never an uncaught
+# exception.  Among them: an unknown scenario name, a non-positive
+# assess -c, the point-mode assess's suffix-chain probe line and a
+# --stdin-jsonl batch that never runs the probe.
 cli-smoke:
-	dune build bin/main.exe
-	for cmd in simulate trace; do \
-	  _build/default/bin/main.exe $$cmd bogus 2>_cli_smoke.log; \
-	  test $$? -eq 124 || exit 1; \
-	  grep -q "invalid value 'bogus'" _cli_smoke.log || exit 1; \
-	  if grep -q "internal error" _cli_smoke.log; then exit 1; fi; \
-	done
-	_build/default/bin/main.exe assess --delta 2000 --nu 0.014 -c 20 \
-	  >_cli_smoke.log
-	grep -q "suffix chain C_F" _cli_smoke.log
-	echo '{"nu":0.014,"c":20,"delta":2000}' | _build/default/bin/main.exe \
-	  assess --stdin-jsonl >_cli_smoke.log
-	grep -q '"ok":true' _cli_smoke.log
-	if grep -q "suffix" _cli_smoke.log; then exit 1; fi
-	_build/default/bin/main.exe assess --nu 0.1 -c 0 2>_cli_smoke.log; \
-	  test $$? -eq 124 || exit 1
-	if grep -q "internal error" _cli_smoke.log; then exit 1; fi
-	rm -f _cli_smoke.log
+	dune build @test/cli
 
 # Opt-in statistical soak: every property rerun with PROPTEST_TRIALS=500
 # via the @soak alias.  Not part of `check` — run before releases or when

@@ -92,21 +92,10 @@ let regen_tab1 () =
 
 let regen_rmk1 () =
   section "RMK1: Remark 1 - (delta1, delta2) regimes at Delta = 1e13";
-  let t =
-    Table.create
-      ~title:
-        "Remark 1 (paper: [1e-63, 0.5-1e-7] x 1+5e-5; [1e-18, 0.5-1e-9] x 1+2e-3)"
-      ~columns:[ "delta1"; "delta2"; "nu lower"; "1/2 - nu upper"; "inflation - 1" ]
-  in
-  List.iter
-    (fun (r : Core.Theorem2.regime) ->
-      Table.add_row t
-        [
-          Table.Float r.delta1; Table.Float r.delta2; Table.Log10 r.log_nu_lo;
-          Table.Sci r.half_minus_nu_hi; Table.Sci (r.inflation -. 1.);
-        ])
-    (Core.Theorem2.remark1_rows ());
-  print_table t
+  print_table
+    (Core.Theorem2.remark1_table
+       ~title:
+         "Remark 1 (paper: [1e-63, 0.5-1e-7] x 1+5e-5; [1e-18, 0.5-1e-9] x 1+2e-3)")
 
 (* ------------------------------------------------------------------ *)
 (* EQ37: closed form vs numeric stationary (ablation #2)               *)

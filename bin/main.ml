@@ -19,7 +19,12 @@ let telemetry_clock_env () =
   | Some "zero" -> Some (fun () -> 0.)
   | _ -> None
 
-(* Shared argument definitions. *)
+(* The paper's vocabulary.  Each of (p, n, Delta, nu, c) is one flag,
+   declared here once; a subcommand picks its default or pins the value.
+   No value reaches the library unchecked: [point] checks (n, Delta, nu,
+   c) together through Params, the other values have range-checked
+   converters, and [guarded] makes what only the library can check a
+   usage error too.  A rejection exits 124 with nothing on stdout. *)
 
 let nu_arg =
   let doc = "Adversarial fraction of computing power, in (0, 1/2)." in
@@ -33,9 +38,69 @@ let n_arg =
   let doc = "Number of miners (analysis-side, real-valued)." in
   Arg.(value & opt float 1e5 & info [ "n" ] ~docv:"N" ~doc)
 
-let delta_arg =
+let delta_arg cv default =
   let doc = "Maximum adversarial message delay Delta, in rounds." in
-  Arg.(value & opt float 1e13 & info [ "delta" ] ~docv:"DELTA" ~doc)
+  Arg.(value & opt cv default & info [ "delta" ] ~docv:"DELTA" ~doc)
+
+(* The point (n, Delta, nu, c), checked by Params.make_of_c, with the c
+   it was given by: the library takes c as given, not recomputed as
+   1/(p n Delta).  A subcommand without a -n flag pins n = 1e5. *)
+let point_result ?(n = Term.const 1e5) ?(delta = delta_arg Arg.float 1e13)
+    ?(nu = nu_arg) c =
+  let make n delta nu c =
+    Result.map (fun p -> (p, c)) (Core.Params.make_of_c ~n ~delta ~nu ~c)
+  in
+  Term.(const make $ n $ delta $ nu $ c)
+
+let point ?n ?delta ?nu c = Term.term_result' (point_result ?n ?delta ?nu c)
+
+(* figure1 and sweep invert over nu at every c of a grid, so each
+   (n, Delta, c) of it must be a point of the domain. *)
+let check_grid ~n ~delta grid =
+  List.fold_left
+    (fun ok c ->
+      Result.bind ok (fun () ->
+          Result.map ignore (Core.Params.make_of_c ~n ~delta ~nu:0. ~c)))
+    (Ok ()) grid
+
+(* [within conv range ok] parses like [conv] and accepts exactly the
+   values [ok] holds for: the range the library function takes. *)
+let within conv range ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s range))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = within Arg.int "an integer >= 1" (fun k -> k >= 1)
+let positive = within Arg.float "a number > 0" (fun x -> x > 0.)
+let unit_open = within Arg.float "a number in (0, 1)" (fun x -> x > 0. && x < 1.)
+
+(* Run [f] before anything is printed, then [k] on its value.  Part of
+   the domain is a relation only the library states — nu > 0 for a
+   theorem, Ineq. 73 for the lemma chain, the consistency region for a
+   confirmation depth, a scenario's implied p — so its Invalid_argument
+   (or Failure, or an unusable path) is a usage error.  A compute
+   process's injected crash exits 70 (EX_SOFTWARE), as planned, and a
+   failed dial of [addr] names the daemon. *)
+let guarded ?(who = "nakamoto-consistency") ?addr f k =
+  match f () with
+  | v -> k v
+  | exception (Invalid_argument m | Failure m | Sys_error m) -> `Error (false, m)
+  | exception Campaign.Faultplan.Injected_crash m ->
+    Printf.eprintf "%s: injected crash: %s\n%!" who m;
+    exit 70
+  | exception Unix.Unix_error (err, fn, arg) ->
+    let why = Unix.error_message err in
+    `Error
+      ( false,
+        match addr with
+        | Some a ->
+          Printf.sprintf "cannot reach the daemon at %s: %s"
+            (Serve.Conn.addr_to_string a) why
+        | None -> Printf.sprintf "%s %s: %s" fn arg why )
 
 let seed_arg =
   let doc = "PRNG seed (simulations are reproducible given the seed)." in
@@ -45,19 +110,19 @@ let csv_arg =
   let doc = "Also write the table as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PATH" ~doc)
 
-(* The canned scenarios of [simulate] and [trace], as (name, scenario)
-   pairs.  An enum, so cmdliner rejects any other name with a usage
-   error that lists these. *)
+(* The canned scenarios of [simulate] and [trace], as (name, config
+   builder) pairs.  An enum, so cmdliner rejects any other name with a
+   usage error that lists these.  honest and split ignore --nu. *)
 let scenario_arg =
   let scenarios =
     List.map
-      (fun (name, scenario) -> (name, (name, scenario)))
+      (fun (name, make) -> (name, (name, make)))
       [
-        ("honest", `Honest);
-        ("safe", `Safe);
-        ("attack", `Attack);
-        ("split", `Split);
-        ("selfish", `Selfish);
+        ("honest", fun ~seed ~nu:_ -> Sim.Scenarios.honest_baseline ~seed);
+        ("safe", Sim.Scenarios.safe_zone);
+        ("attack", Sim.Scenarios.attack_zone);
+        ("split", fun ~seed ~nu:_ -> Sim.Scenarios.split_world ~seed);
+        ("selfish", Sim.Scenarios.selfish);
       ]
   in
   let doc =
@@ -66,14 +131,6 @@ let scenario_arg =
   Arg.(value
        & pos 0 (enum scenarios) (List.assoc "honest" scenarios)
        & info [] ~docv:"SCENARIO" ~doc)
-
-let scenario_config (_, scenario) ~seed ~nu =
-  match scenario with
-  | `Honest -> Sim.Scenarios.honest_baseline ~seed
-  | `Safe -> Sim.Scenarios.safe_zone ~seed ~nu
-  | `Attack -> Sim.Scenarios.attack_zone ~seed ~nu
-  | `Split -> Sim.Scenarios.split_world ~seed
-  | `Selfish -> Sim.Scenarios.selfish ~seed ~nu
 
 let verbose_arg =
   let doc = "Enable debug logging of reorgs and adversarial releases." in
@@ -93,65 +150,78 @@ let emit_table ?csv table =
     Nakamoto_numerics.Table.save_csv table ~path;
     Printf.printf "(csv written to %s)\n" path
 
-(* bound: all thresholds at one nu. *)
+(* A precomputed certified surface, loaded when the flag is parsed. *)
+let surface_conv =
+  Arg.conv'
+    (Surface.Table.load, fun ppf _ -> Format.pp_print_string ppf "FILE")
+
+(* bound: all thresholds at one nu.  Delta = inf is the neat bound's
+   limit, so Delta is a range-checked scalar here, not a Params point. *)
 
 let bound_cmd =
   let run nu delta =
-    if not (nu > 0. && nu < 0.5) then `Error (false, "--nu must lie in (0, 1/2)")
-    else begin
-      let neat = Core.Bounds.neat_c_min ~nu in
-      Printf.printf "nu = %g (mu = %g), Delta = %g\n" nu (1. -. nu) delta;
-      Printf.printf "  neat bound (Thm 2):      c > %.6f\n" neat;
-      Printf.printf "  Thm 2 exact (eps2->0):   c >= %.6f\n"
-        (Core.Bounds.theorem2_c_min_optimal ~nu ~delta ~eps2:1e-9);
-      let c_pss =
-        (* closed-form PSS: c >= 2 (1-nu)^2 / (1 - 2 nu) *)
-        2. *. (1. -. nu) *. (1. -. nu) /. (1. -. (2. *. nu))
-      in
-      Printf.printf "  PSS consistency (closed): c > %.6f\n" c_pss;
-      let c_attack = 1. /. ((1. /. nu) -. (1. /. (1. -. nu))) in
-      Printf.printf "  PSS attack succeeds for: c < %.6f\n" c_attack;
-      `Ok ()
-    end
+    guarded
+      (fun () ->
+        ( Core.Bounds.neat_c_min ~nu,
+          Core.Bounds.theorem2_c_min_optimal ~nu ~delta ~eps2:1e-9 ))
+    @@ fun (neat, thm2) ->
+    Printf.printf "nu = %g (mu = %g), Delta = %g\n" nu (1. -. nu) delta;
+    Printf.printf "  neat bound (Thm 2):      c > %.6f\n" neat;
+    Printf.printf "  Thm 2 exact (eps2->0):   c >= %.6f\n" thm2;
+    let c_pss =
+      (* closed-form PSS: c >= 2 (1-nu)^2 / (1 - 2 nu) *)
+      2. *. (1. -. nu) *. (1. -. nu) /. (1. -. (2. *. nu))
+    in
+    Printf.printf "  PSS consistency (closed): c > %.6f\n" c_pss;
+    let c_attack = 1. /. ((1. /. nu) -. (1. /. (1. -. nu))) in
+    Printf.printf "  PSS attack succeeds for: c < %.6f\n" c_attack;
+    `Ok ()
   in
-  let term = Term.(ret (const run $ nu_arg $ delta_arg)) in
+  let delta = delta_arg (within Arg.float "a number >= 1" (fun d -> d >= 1.)) 1e13 in
+  let term = Term.(ret (const run $ nu_arg $ delta)) in
   Cmd.v
     (Cmd.info "bound" ~doc:"Print all consistency thresholds at a given nu.")
     term
 
-(* numax: all curves at one c. *)
+(* numax: all curves at one c.  It inverts over nu, so any nu checks
+   (n, Delta, c). *)
 
 let numax_cmd =
-  let run c n delta =
-    if c <= 0. then `Error (false, "--c must be positive")
-    else begin
-      let r = Core.Figure1.compute_row ~n ~delta ~c () in
-      Printf.printf "c = %g (n = %g, Delta = %g)\n" c n delta;
-      Printf.printf "  ours (neat):      nu_max = %.6f\n" r.Core.Figure1.ours_neat;
-      Printf.printf "  Theorem 1 exact:  nu_max = %.6f\n" r.Core.Figure1.theorem1_exact;
-      Printf.printf "  Theorem 2 exact:  nu_max = %.6f\n" r.Core.Figure1.theorem2_exact;
-      Printf.printf "  PSS consistency:  nu_max = %.6f\n" r.Core.Figure1.pss_consistency;
-      Printf.printf "  PSS attack above: nu     = %.6f\n" r.Core.Figure1.pss_attack;
-      `Ok ()
-    end
+  let run ((p : Core.Params.t), c) =
+    let r = Core.Figure1.compute_row ~n:p.n ~delta:p.delta ~c () in
+    Printf.printf "c = %g (n = %g, Delta = %g)\n" c p.n p.delta;
+    Printf.printf "  ours (neat):      nu_max = %.6f\n" r.Core.Figure1.ours_neat;
+    Printf.printf "  Theorem 1 exact:  nu_max = %.6f\n" r.Core.Figure1.theorem1_exact;
+    Printf.printf "  Theorem 2 exact:  nu_max = %.6f\n" r.Core.Figure1.theorem2_exact;
+    Printf.printf "  PSS consistency:  nu_max = %.6f\n" r.Core.Figure1.pss_consistency;
+    Printf.printf "  PSS attack above: nu     = %.6f\n" r.Core.Figure1.pss_attack
   in
-  let term = Term.(ret (const run $ c_arg ~default:3. $ n_arg $ delta_arg)) in
+  let term =
+    Term.(const run $ point ~n:n_arg ~nu:(const 0.25) (c_arg ~default:3.))
+  in
   Cmd.v (Cmd.info "numax" ~doc:"Print all tolerable-nu curves at a given c.") term
 
 (* figure1 *)
 
 let figure1_cmd =
   let run n delta csv plot =
-    let rows = Core.Figure1.series ~n ~delta ~c_grid:(Core.Figure1.default_c_grid ()) () in
-    emit_table ?csv (Core.Figure1.to_table rows);
-    if plot then print_string (Core.Figure1.to_plot rows);
-    Printf.printf "shape invariants hold: %b\n"
-      (Core.Figure1.shape_invariants_hold rows)
+    let c_grid = Core.Figure1.default_c_grid () in
+    match check_grid ~n ~delta c_grid with
+    | Error e -> `Error (false, e)
+    | Ok () ->
+      let rows = Core.Figure1.series ~n ~delta ~c_grid () in
+      emit_table ?csv (Core.Figure1.to_table rows);
+      if plot then print_string (Core.Figure1.to_plot rows);
+      Printf.printf "shape invariants hold: %b\n"
+        (Core.Figure1.shape_invariants_hold rows);
+      `Ok ()
   in
   let plot_arg =
     Arg.(value & flag & info [ "plot" ] ~doc:"Render the ASCII plot too.")
   in
-  let term = Term.(const run $ n_arg $ delta_arg $ csv_arg $ plot_arg) in
+  let term =
+    Term.(ret (const run $ n_arg $ delta_arg Arg.float 1e13 $ csv_arg $ plot_arg))
+  in
   Cmd.v (Cmd.info "figure1" ~doc:"Regenerate the paper's Figure 1 series.") term
 
 (* figure2 *)
@@ -166,18 +236,14 @@ let figure2_cmd =
       emit_table (Core.Figure2.to_table censuses)
     end
   in
-  let delta_small =
-    Arg.(value & opt int 5
-         & info [ "delta" ] ~docv:"DELTA" ~doc:"Delay bound for the explicit chain.")
-  in
   let alpha_arg =
-    Arg.(value & opt float 0.2
+    Arg.(value & opt unit_open 0.2
          & info [ "alpha" ] ~docv:"ALPHA" ~doc:"Per-round honest success probability.")
   in
   let dot_arg =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit GraphViz DOT instead of the census.")
   in
-  let term = Term.(const run $ delta_small $ alpha_arg $ dot_arg) in
+  let term = Term.(const run $ delta_arg positive_int 5 $ alpha_arg $ dot_arg) in
   Cmd.v
     (Cmd.info "figure2" ~doc:"Audit / render the suffix Markov chain (Figure 2).")
     term
@@ -185,37 +251,20 @@ let figure2_cmd =
 (* table1 *)
 
 let table1_cmd =
-  let run nu c n delta csv =
-    let p = Core.Params.of_c ~n ~delta ~nu ~c in
+  let run (p, _) csv =
     emit_table ?csv (Core.Table1.for_params p);
     Printf.printf "identities hold: %b\n" (Core.Table1.identities_hold p)
   in
-  let term =
-    Term.(const run $ nu_arg $ c_arg ~default:3. $ n_arg $ delta_arg $ csv_arg)
-  in
+  let term = Term.(const run $ point ~n:n_arg (c_arg ~default:3.) $ csv_arg) in
   Cmd.v (Cmd.info "table1" ~doc:"Print Table I with computed values.") term
 
 (* remark1 *)
 
 let remark1_cmd =
   let run () =
-    let t =
-      Nakamoto_numerics.Table.create
-        ~title:"Remark 1: (delta1, delta2) regimes at Delta = 1e13"
-        ~columns:[ "delta1"; "delta2"; "nu lower"; "1/2 - nu upper"; "inflation - 1" ]
-    in
-    List.iter
-      (fun (r : Core.Theorem2.regime) ->
-        Nakamoto_numerics.Table.add_row t
-          [
-            Nakamoto_numerics.Table.Float r.delta1;
-            Nakamoto_numerics.Table.Float r.delta2;
-            Nakamoto_numerics.Table.Log10 r.log_nu_lo;
-            Nakamoto_numerics.Table.Sci r.half_minus_nu_hi;
-            Nakamoto_numerics.Table.Sci (r.inflation -. 1.);
-          ])
-      (Core.Theorem2.remark1_rows ());
-    emit_table t
+    emit_table
+      (Core.Theorem2.remark1_table
+         ~title:"Remark 1: (delta1, delta2) regimes at Delta = 1e13")
   in
   Cmd.v
     (Cmd.info "remark1" ~doc:"Print the Remark 1 nu-range / inflation table.")
@@ -224,9 +273,9 @@ let remark1_cmd =
 (* simulate *)
 
 let simulate_cmd =
-  let run ((scenario, _) as named) nu seed verbose =
+  let run (scenario, make) nu seed verbose =
     setup_logging verbose;
-    let cfg = scenario_config named ~seed ~nu in
+    guarded (fun () -> make ~seed ~nu) @@ fun cfg ->
     let r = Sim.Execution.run cfg in
     let cons = Sim.Metrics.check_consistency r in
     let growth = Sim.Metrics.chain_growth r in
@@ -244,32 +293,40 @@ let simulate_cmd =
     Printf.printf "  chain quality         %.4f honest fraction\n"
       (Sim.Metrics.chain_quality r);
     Printf.printf "  messages              %d (orphans left: %d)\n" r.messages_sent
-      r.orphans_remaining
+      r.orphans_remaining;
+    `Ok ()
   in
-  let term = Term.(const run $ scenario_arg $ nu_arg $ seed_arg $ verbose_arg) in
+  let term =
+    Term.(ret (const run $ scenario_arg $ nu_arg $ seed_arg $ verbose_arg))
+  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a full Delta-delay protocol simulation.")
     term
 
-(* montecarlo *)
+(* montecarlo: the state process at n = 50. *)
 
 let montecarlo_cmd =
-  let run nu c delta_i rounds seed =
-    let n = 50 in
-    let honest = n - int_of_float (nu *. float_of_int n) in
-    let p = 1. /. (c *. float_of_int n *. float_of_int delta_i) in
+  let n = 50 in
+  let run ((point : Core.Params.t), c) rounds seed =
+    let honest = n - int_of_float (point.nu *. float_of_int n) in
+    let delta_i = int_of_float point.delta in
     let cfg =
-      { Sim.State_process.honest; adversarial = n - honest; p; delta = delta_i }
+      {
+        Sim.State_process.honest;
+        adversarial = n - honest;
+        p = point.p;
+        delta = delta_i;
+      }
     in
     let rng = Nakamoto_prob.Rng.create ~seed in
     let r = Sim.State_process.run ~rng cfg ~rounds in
     let params =
-      Core.Params.create ~n:(float_of_int n) ~delta:(float_of_int delta_i) ~p
+      Core.Params.create ~n:(float_of_int n) ~delta:point.delta ~p:point.p
         ~nu:(float_of_int (n - honest) /. float_of_int n)
     in
     let t = float_of_int rounds in
     Printf.printf "state process: %d rounds at c=%.4f nu=%.3f Delta=%d\n" rounds c
-      nu delta_i;
+      point.nu delta_i;
     Printf.printf "  C/T  empirical %.6g   theory (Eq. 44) %.6g\n"
       (float_of_int r.convergence_opportunities /. t)
       (Core.Conv_chain.convergence_rate params);
@@ -283,16 +340,16 @@ let montecarlo_cmd =
       (float_of_int r.h1_rounds /. t)
       (Core.Params.alpha1 params)
   in
-  let delta_i_arg =
-    Arg.(value & opt int 4 & info [ "delta" ] ~docv:"DELTA" ~doc:"Delay bound.")
-  in
   let rounds_arg =
-    Arg.(value & opt int 1_000_000
+    Arg.(value & opt positive_int 1_000_000
          & info [ "rounds" ] ~docv:"ROUNDS" ~doc:"Rounds to simulate.")
   in
-  let term =
-    Term.(const run $ nu_arg $ c_arg ~default:2.5 $ delta_i_arg $ rounds_arg $ seed_arg)
+  let point =
+    point ~n:(Term.const (float_of_int n))
+      ~delta:(Term.map float_of_int (delta_arg Arg.int 4))
+      (c_arg ~default:2.5)
   in
+  let term = Term.(const run $ point $ rounds_arg $ seed_arg) in
   Cmd.v
     (Cmd.info "montecarlo"
        ~doc:"Validate the stationary theory against the raw state process.")
@@ -357,67 +414,62 @@ let batch_error ~line msg =
          ("error", Str msg);
        ])
 
+(* The point flags are checked in point mode only: a batch ignores them. *)
 let assess_cmd =
-  let run nu c n delta surface_path stdin_jsonl =
-    let surface =
-      match surface_path with
-      | None -> Ok None
-      | Some path -> Result.map Option.some (Surface.Table.load path)
+  let run point surface stdin_jsonl =
+    let assess_one params =
+      match surface with
+      | Some t -> Surface.Table.assess_cached t params
+      | None -> Core.Assessment.verdict_of (Core.Assessment.assess params)
     in
-    match surface with
-    | Error e -> `Error (false, e)
-    | Ok surface ->
-      let assess_one params =
-        match surface with
-        | Some t -> Surface.Table.assess_cached t params
-        | None -> Core.Assessment.verdict_of (Core.Assessment.assess params)
-      in
-      if stdin_jsonl then begin
-        let hits = ref 0 and fallbacks = ref 0 and errors = ref 0 in
-        let line = ref 0 in
-        (try
-           while true do
-             let raw = input_line stdin in
-             incr line;
-             if String.trim raw <> "" then
-               let record =
-                 match
-                   assess_one (batch_params_of_json (Campaign.Json.parse raw))
-                 with
-                 | v ->
-                   if v.Core.Assessment.v_cached then incr hits
-                   else incr fallbacks;
-                   batch_record_of_verdict ~line:!line v
-                 | exception Campaign.Json.Malformed m ->
-                   incr errors;
-                   batch_error ~line:!line m
-                 | exception Invalid_argument m ->
-                   incr errors;
-                   batch_error ~line:!line m
-               in
-               print_endline record
-           done
-         with End_of_file -> ());
-        if surface <> None then
-          Printf.eprintf "assess: %d cached, %d exact, %d bad lines\n%!" !hits
-            !fallbacks !errors;
-        `Ok ()
-      end
-      else
-        match Core.Params.of_c ~n ~delta ~nu ~c with
-        | exception Invalid_argument m -> `Error (false, m)
-        | p ->
-          (match surface with
-          | Some _ ->
-            Format.printf "%a@." Core.Assessment.pp_verdict (assess_one p)
-          | None ->
-            Format.printf "%a@.%a@." Core.Assessment.pp
-              (Core.Assessment.assess p) Core.Assessment.pp_diagnostics
-              (Core.Assessment.diagnose p));
-          `Ok ()
+    if stdin_jsonl then begin
+      let hits = ref 0 and fallbacks = ref 0 and errors = ref 0 in
+      let line = ref 0 in
+      (try
+         while true do
+           let raw = input_line stdin in
+           incr line;
+           if String.trim raw <> "" then
+             let record =
+               match
+                 assess_one (batch_params_of_json (Campaign.Json.parse raw))
+               with
+               | v ->
+                 if v.Core.Assessment.v_cached then incr hits
+                 else incr fallbacks;
+                 batch_record_of_verdict ~line:!line v
+               | exception Campaign.Json.Malformed m ->
+                 incr errors;
+                 batch_error ~line:!line m
+               | exception Invalid_argument m ->
+                 incr errors;
+                 batch_error ~line:!line m
+             in
+             print_endline record
+         done
+       with End_of_file -> ());
+      if surface <> None then
+        Printf.eprintf "assess: %d cached, %d exact, %d bad lines\n%!" !hits
+          !fallbacks !errors;
+      `Ok ()
+    end
+    else
+      match point with
+      | Error m -> `Error (false, m)
+      | Ok (p, _) when surface <> None ->
+        guarded (fun () -> assess_one p) (fun v ->
+            Format.printf "%a@." Core.Assessment.pp_verdict v;
+            `Ok ())
+      | Ok (p, _) ->
+        guarded
+          (fun () -> (Core.Assessment.assess p, Core.Assessment.diagnose p))
+          (fun (a, d) ->
+            Format.printf "%a@.%a@." Core.Assessment.pp a
+              Core.Assessment.pp_diagnostics d;
+            `Ok ())
   in
   let surface_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some surface_conv) None
          & info [ "surface" ] ~docv:"FILE"
              ~doc:"Answer from a precomputed certified surface (see \
                    $(b,surface build)); queries outside the table or in \
@@ -435,8 +487,8 @@ let assess_cmd =
   let term =
     Term.(
       ret
-        (const run $ nu_arg $ c_arg ~default:3. $ n_arg $ delta_arg
-        $ surface_arg $ stdin_jsonl_arg))
+        (const run $ point_result ~n:n_arg (c_arg ~default:3.) $ surface_arg
+        $ stdin_jsonl_arg))
   in
   Cmd.v
     (Cmd.info "assess"
@@ -445,41 +497,25 @@ let assess_cmd =
 
 (* surface *)
 
-let parse_axis s =
-  match String.split_on_char ':' s with
-  | [ lo; hi; count; scale ] -> (
-    match
-      (float_of_string_opt lo, float_of_string_opt hi, int_of_string_opt count)
-    with
-    | Some lo, Some hi, Some count -> (
-      let mk scale =
-        match Surface.Grid.axis ~lo ~hi ~count ~scale with
-        | axis -> Ok axis
-        | exception Invalid_argument m -> Error m
-      in
-      match scale with
-      | "lin" -> mk Surface.Grid.Linear
-      | "log" -> mk Surface.Grid.Log
-      | other -> Error (Printf.sprintf "%S: scale must be lin or log" other))
-    | _ -> Error (Printf.sprintf "%S: expected LO:HI:COUNT:SCALE" s))
-  | _ -> Error (Printf.sprintf "%S: expected LO:HI:COUNT:SCALE" s)
-
+(* A surface axis, LO:HI:COUNT:SCALE; Grid.axis checks it when the
+   surface is built. *)
 let axis_arg ~name ~default ~doc =
-  Arg.(value & opt string default & info [ name ] ~docv:"LO:HI:COUNT:SCALE" ~doc)
+  let scale =
+    Arg.enum [ ("lin", Surface.Grid.Linear); ("log", Surface.Grid.Log) ]
+  in
+  Arg.(value
+       & opt (t4 ~sep:':' float float int scale) default
+       & info [ name ] ~docv:"LO:HI:COUNT:SCALE" ~doc)
 
 let surface_build_cmd =
   let run p n delta nu out jobs epsilon conf_limit refine =
-    match (parse_axis p, parse_axis n, parse_axis delta, parse_axis nu) with
-    | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
-      ->
-      `Error (false, e)
-    | Ok p, Ok n, Ok delta, Ok nu -> (
-      match
-        let grid = Surface.Grid.create ~p ~n ~delta ~nu in
-        Surface.Table.build ~jobs ~epsilon ~conf_limit ~refine grid
-      with
-      | exception Invalid_argument m -> `Error (false, m)
-      | table ->
+    let axis (lo, hi, count, scale) = Surface.Grid.axis ~lo ~hi ~count ~scale in
+    guarded
+      (fun () ->
+        Surface.Table.build ~jobs ~epsilon ~conf_limit ~refine
+          (Surface.Grid.create ~p:(axis p) ~n:(axis n) ~delta:(axis delta)
+             ~nu:(axis nu)))
+      (fun table ->
         Surface.Table.save table ~path:out;
         Printf.printf "%s\n" (Surface.Table.describe table);
         Printf.printf "(surface written to %s)\n" out;
@@ -516,12 +552,13 @@ let surface_build_cmd =
     Term.(
       ret
         (const run
-        $ axis_arg ~name:"p" ~default:"1.1e-4:1.4e-4:4:log"
+        $ axis_arg ~name:"p" ~default:(1.1e-4, 1.4e-4, 4, Surface.Grid.Log)
             ~doc:"Proof-of-work hardness axis."
-        $ axis_arg ~name:"n" ~default:"100:140:4:log" ~doc:"Miner-count axis."
-        $ axis_arg ~name:"delta" ~default:"28:36:4:log"
+        $ axis_arg ~name:"n" ~default:(100., 140., 4, Surface.Grid.Log)
+            ~doc:"Miner-count axis."
+        $ axis_arg ~name:"delta" ~default:(28., 36., 4, Surface.Grid.Log)
             ~doc:"Delay-bound axis."
-        $ axis_arg ~name:"nu" ~default:"0.012:0.016:4:lin"
+        $ axis_arg ~name:"nu" ~default:(0.012, 0.016, 4, Surface.Grid.Linear)
             ~doc:"Adversarial-fraction axis."
         $ out_arg $ jobs_arg $ epsilon_arg $ conf_limit_arg $ refine_arg))
   in
@@ -533,29 +570,25 @@ let surface_build_cmd =
     term
 
 let surface_info_cmd =
-  let run path header =
-    match Surface.Table.load path with
-    | Error e -> `Error (false, e)
-    | Ok t ->
-      if header then print_endline (Surface.Table.header_json t)
-      else begin
-        print_endline (Surface.Table.describe t);
-        let zones, confs, full = Surface.Table.conclusive_counts t in
-        Printf.printf
-          "zones certified %d, depths certified %d, fully conclusive %d\n"
-          zones confs full
-      end;
-      `Ok ()
+  let run t header =
+    if header then print_endline (Surface.Table.header_json t)
+    else begin
+      print_endline (Surface.Table.describe t);
+      let zones, confs, full = Surface.Table.conclusive_counts t in
+      Printf.printf
+        "zones certified %d, depths certified %d, fully conclusive %d\n"
+        zones confs full
+    end
   in
   let path_arg =
-    Arg.(required & pos 0 (some string) None
+    Arg.(required & pos 0 (some surface_conv) None
          & info [] ~docv:"FILE" ~doc:"Surface file to inspect.")
   in
   let header_arg =
     Arg.(value & flag
          & info [ "header" ] ~doc:"Print the canonical JSON header only.")
   in
-  let term = Term.(ret (const run $ path_arg $ header_arg)) in
+  let term = Term.(const run $ path_arg $ header_arg) in
   Cmd.v
     (Cmd.info "info" ~doc:"Describe a surface file (or dump its header).")
     term
@@ -574,17 +607,18 @@ let sweep_cmd =
   let run lo hi points n delta csv =
     if not (lo > 0. && hi > lo) then
       `Error (false, "--lo and --hi must satisfy 0 < lo < hi")
-    else if points < 2 then `Error (false, "--points must be >= 2")
-    else begin
+    else
       let grid =
         List.init points (fun i ->
             let t = float_of_int i /. float_of_int (points - 1) in
             lo *. ((hi /. lo) ** t))
       in
-      let rows = Core.Figure1.series ~n ~delta ~c_grid:grid () in
-      emit_table ?csv (Core.Figure1.to_table rows);
-      `Ok ()
-    end
+      match check_grid ~n ~delta grid with
+      | Error e -> `Error (false, e)
+      | Ok () ->
+        let rows = Core.Figure1.series ~n ~delta ~c_grid:grid () in
+        emit_table ?csv (Core.Figure1.to_table rows);
+        `Ok ()
   in
   let lo_arg =
     Arg.(value & opt float 0.5 & info [ "lo" ] ~docv:"LO" ~doc:"Smallest c.")
@@ -593,10 +627,14 @@ let sweep_cmd =
     Arg.(value & opt float 50. & info [ "hi" ] ~docv:"HI" ~doc:"Largest c.")
   in
   let points_arg =
-    Arg.(value & opt int 21 & info [ "points" ] ~docv:"N" ~doc:"Grid size (log-spaced).")
+    Arg.(value & opt (within int "an integer >= 2" (fun k -> k >= 2)) 21
+         & info [ "points" ] ~docv:"N" ~doc:"Grid size (log-spaced).")
   in
   let term =
-    Term.(ret (const run $ lo_arg $ hi_arg $ points_arg $ n_arg $ delta_arg $ csv_arg))
+    Term.(
+      ret
+        (const run $ lo_arg $ hi_arg $ points_arg $ n_arg
+        $ delta_arg Arg.float 1e13 $ csv_arg))
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -606,23 +644,30 @@ let sweep_cmd =
 (* trace *)
 
 let trace_cmd =
-  let run scenario nu seed out =
-    let trace = Sim.Trace.capture (scenario_config scenario ~seed ~nu) in
-    (match out with
-    | None -> print_string (Sim.Trace.to_string trace)
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Sim.Trace.to_string trace));
-      Printf.printf "trace written to %s\n" path);
-    print_endline (Sim.Trace.summarize trace)
+  let run (_, make) nu seed out =
+    guarded
+      (fun () ->
+        let trace = Sim.Trace.capture (make ~seed ~nu) in
+        Option.iter
+          (fun path ->
+            let oc = open_out path in
+            Fun.protect
+              ~finally:(fun () -> close_out oc)
+              (fun () -> output_string oc (Sim.Trace.to_string trace)))
+          out;
+        trace)
+      (fun trace ->
+        (match out with
+        | None -> print_string (Sim.Trace.to_string trace)
+        | Some path -> Printf.printf "trace written to %s\n" path);
+        print_endline (Sim.Trace.summarize trace);
+        `Ok ())
   in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"PATH" ~doc:"Write the trace to $(docv) instead of stdout.")
   in
-  let term = Term.(const run $ scenario_arg $ nu_arg $ seed_arg $ out_arg) in
+  let term = Term.(ret (const run $ scenario_arg $ nu_arg $ seed_arg $ out_arg)) in
   Cmd.v
     (Cmd.info "trace" ~doc:"Capture a round-by-round execution trace.")
     term
@@ -630,43 +675,38 @@ let trace_cmd =
 (* confirm *)
 
 let confirm_cmd =
-  let run nu c delta epsilon =
-    let p = Core.Params.of_c ~n:1e5 ~delta ~nu ~c in
-    match Core.Confirmation.assess ~epsilon p with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | a ->
-      Printf.printf "settlement at nu=%g, c=%g, Delta=%g, target risk %g:\n" nu c
-        delta epsilon;
-      Printf.printf "  honest effective rate (Eq. 44)  %.6g per round\n"
-        a.Core.Confirmation.honest_rate;
-      Printf.printf "  adversary rate (Eq. 27)         %.6g per round\n"
-        a.Core.Confirmation.adversary_rate;
-      Printf.printf "  rate ratio                      %.4f\n"
-        a.Core.Confirmation.rate_ratio;
-      Printf.printf "  confirmations needed            %d\n"
-        a.Core.Confirmation.confirmations;
-      Printf.printf "  residual double-spend risk      %.3e\n"
-        a.Core.Confirmation.residual_risk;
-      `Ok ()
+  let run ((p : Core.Params.t), c) epsilon =
+    guarded (fun () -> Core.Confirmation.assess ~epsilon p) @@ fun a ->
+    Printf.printf "settlement at nu=%g, c=%g, Delta=%g, target risk %g:\n" p.nu
+      c p.delta epsilon;
+    Printf.printf "  honest effective rate (Eq. 44)  %.6g per round\n"
+      a.Core.Confirmation.honest_rate;
+    Printf.printf "  adversary rate (Eq. 27)         %.6g per round\n"
+      a.Core.Confirmation.adversary_rate;
+    Printf.printf "  rate ratio                      %.4f\n"
+      a.Core.Confirmation.rate_ratio;
+    Printf.printf "  confirmations needed            %d\n"
+      a.Core.Confirmation.confirmations;
+    Printf.printf "  residual double-spend risk      %.3e\n"
+      a.Core.Confirmation.residual_risk;
+    `Ok ()
   in
   let epsilon_arg =
-    Arg.(value & opt float 1e-3
+    let lo = Core.Confirmation.min_epsilon in
+    let range = Printf.sprintf "a number in [%g, 1)" lo in
+    Arg.(value
+         & opt (within float range (fun e -> e >= lo && e < 1.)) 1e-3
          & info [ "epsilon" ] ~docv:"EPS"
              ~doc:"Acceptable double-spend probability, in [1e-9, 1).")
   in
-  let delta_small =
-    Arg.(value & opt float 10.
-         & info [ "delta" ] ~docv:"DELTA" ~doc:"Delay bound (rounds).")
-  in
-  let term =
-    Term.(ret (const run $ nu_arg $ c_arg ~default:6. $ delta_small $ epsilon_arg))
-  in
+  let point = point ~delta:(delta_arg Arg.float 10.) (c_arg ~default:6.) in
+  let term = Term.(ret (const run $ point $ epsilon_arg)) in
   Cmd.v
     (Cmd.info "confirm"
        ~doc:"Compute a safe confirmation depth from the paper's rates.")
     term
 
-(* campaign *)
+(* campaign, serve and worker *)
 
 let parse_hostport s =
   match String.rindex_opt s ':' with
@@ -680,138 +720,91 @@ let parse_hostport s =
       | Some p when p >= 0 && p <= 65535 -> Ok (host, p)
       | _ -> Error (Printf.sprintf "%S: bad port %S" s port))
 
-(* The same pair of flags on campaign and worker: dial a Unix socket or
-   a TCP endpoint, exactly one of the two (or neither, where in-process
-   compute is an option). *)
-let resolve_addr ~what ~sock ~tcp =
-  match (sock, tcp) with
-  | None, None ->
-    Error
-      (Printf.sprintf "%s needs --connect SOCK or --connect-tcp HOST:PORT"
-         what)
-  | Some _, Some _ -> Error "--connect and --connect-tcp are mutually exclusive"
-  | Some s, None -> Ok (Serve.Conn.Unix_path s)
-  | None, Some hp ->
-    Result.map (fun (h, p) -> Serve.Conn.Tcp (h, p)) (parse_hostport hp)
+let hostport =
+  Arg.conv' (parse_hostport, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+
+let fault_arg ~doc =
+  let plan =
+    Arg.conv'
+      ( Campaign.Faultplan.of_string,
+        fun ppf f -> Format.pp_print_string ppf (Campaign.Faultplan.to_string f) )
+  in
+  Arg.(value & opt (some plan) None & info [ "fault" ] ~docv:"PLAN" ~doc)
+
+(* The daemon a campaign submits to or a worker leases from: a Unix
+   socket or a TCP endpoint, at most one of the two. *)
+let addr_arg =
+  let sock =
+    Arg.(value & opt (some string) None
+         & info [ "connect" ] ~docv:"SOCK"
+             ~doc:"The serve daemon's Unix-domain socket (a campaign \
+                   submits to it instead of computing in-process).")
+  in
+  let tcp =
+    Arg.(value & opt (some hostport) None
+         & info [ "connect-tcp" ] ~docv:"HOST:PORT"
+             ~doc:"Dial the serve daemon over TCP instead of a Unix socket.")
+  in
+  let pick sock tcp =
+    match (sock, tcp) with
+    | Some _, Some _ -> Error "--connect and --connect-tcp are mutually exclusive"
+    | Some s, None -> Ok (Some (Serve.Conn.Unix_path s))
+    | None, Some (h, p) -> Ok (Some (Serve.Conn.Tcp (h, p)))
+    | None, None -> Ok None
+  in
+  Term.(term_result' (const pick $ sock $ tcp))
 
 let campaign_cmd =
-  let run ps ns deltas nus trials rounds mode strategy mining jobs seed resume
-      out shard_size progress_interval retries fault telemetry connect
-      connect_tcp =
-    let strategy =
-      match strategy with
-      | "idle" -> Ok Sim.Adversary.Idle
-      | "private" -> Ok (Sim.Adversary.Private_chain { reorg_target = 12 })
-      | "balance" -> Ok (Sim.Adversary.Balance { group_boundary = 15 })
-      | "selfish" -> Ok Sim.Adversary.Selfish_mining
-      | other -> Error (Printf.sprintf "unknown strategy %S" other)
+  let run ps ns deltas nus trials rounds mode strategy mining_mode jobs seed
+      resume out shard_size progress_interval retries fault telemetry addr =
+    let spec =
+      {
+        Campaign.Spec.default with
+        ps; ns; deltas; nus; trials_per_cell = trials; rounds; mode; strategy;
+        mining_mode; seed; shard_size;
+      }
     in
-    let mode =
-      match mode with
-      | "full" -> Ok Campaign.Spec.Full_protocol
-      | "state" -> Ok Campaign.Spec.State_process
-      | other -> Error (Printf.sprintf "unknown mode %S" other)
-    in
-    let mining =
-      match mining with
-      | "exact" -> Ok Sim.Config.Exact
-      | "aggregate" -> Ok Sim.Config.Aggregate
-      | "skip" -> Ok Sim.Config.Skip
-      | other -> Error (Printf.sprintf "unknown mining mode %S" other)
-    in
-    let fault =
-      match fault with
-      | None -> Ok None
-      | Some s -> (
-        match Campaign.Faultplan.of_string s with
-        | Ok plan -> Ok (Some plan)
-        | Error e -> Error e)
-    in
-    match (strategy, mode, mining, fault) with
-    | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
-      ->
-      `Error (false, e)
-    | Ok strategy, Ok mode, Ok mining_mode, Ok fault -> (
-      let spec =
-        {
-          Campaign.Spec.ps;
-          ns;
-          deltas;
-          nus;
-          trials_per_cell = trials;
-          rounds;
-          mode;
-          strategy;
-          mining_mode;
-          truncate = Campaign.Spec.default.Campaign.Spec.truncate;
-          seed;
-          shard_size;
-        }
+    match addr with
+    | Some _ when fault <> None ->
+      `Error
+        (false, "--fault applies to compute processes; arm it on the \
+                 worker subcommand instead")
+    | Some _ when telemetry <> None ->
+      `Error
+        (false, "--telemetry is configured on the serve daemon, not \
+                 per submission")
+    | Some addr ->
+      (* Daemon mode: the coordinator and its workers do the computing
+         and the journaling; this process submits and watches. *)
+      let on_progress (p : Nakamoto_wire.Message.progress) =
+        if progress_interval > 0. then
+          Printf.eprintf "campaign: %d/%d trials, %d/%d cells (daemon)\n%!"
+            p.Nakamoto_wire.Message.p_trials_done p.p_trials_total
+            p.p_cells_done p.p_cells_total
       in
-      match (connect, connect_tcp) with
-      | (Some _, _ | _, Some _) -> (
-        (* Daemon mode: the coordinator and its workers do the computing
-           and the journaling; this process submits and watches. *)
-        match resolve_addr ~what:"campaign" ~sock:connect ~tcp:connect_tcp with
-        | Error e -> `Error (false, e)
-        | Ok addr -> (
-          if fault <> None then
-            `Error
-              (false, "--fault applies to compute processes; arm it on the \
-                       worker subcommand instead")
-          else if telemetry <> None then
-            `Error
-              (false, "--telemetry is configured on the serve daemon, not \
-                       per submission")
-          else
-            let on_progress (p : Nakamoto_wire.Message.progress) =
-              if progress_interval > 0. then
-                Printf.eprintf
-                  "campaign: %d/%d trials, %d/%d cells (daemon)\n%!"
-                  p.Nakamoto_wire.Message.p_trials_done p.p_trials_total
-                  p.p_cells_done p.p_cells_total
-            in
-            match
-              Serve.Client.submit ~addr ?journal:out ~resume ~on_progress spec
-            with
-            | Ok (table, journal) ->
-              print_string table;
-              (match journal with
-              | Some path -> Printf.printf "(journal: %s, daemon-side)\n" path
-              | None -> ());
-              `Ok ()
-            | Error e -> `Error (false, e)
-            | exception Unix.Unix_error (err, _, _) ->
-              `Error
-                ( false,
-                  Printf.sprintf "cannot reach the daemon at %s: %s"
-                    (Serve.Conn.addr_to_string addr)
-                    (Unix.error_message err) )))
-      | None, None -> (
+      guarded ~who:"campaign" ~addr
+        (fun () ->
+          Serve.Client.submit ~addr ?journal:out ~resume ~on_progress spec)
+        (function
+          | Error e -> `Error (false, e)
+          | Ok (table, journal) ->
+            print_string table;
+            Option.iter (Printf.printf "(journal: %s, daemon-side)\n") journal;
+            `Ok ())
+    | None ->
       let jobs = if jobs = 0 then None else Some jobs in
       let telemetry_clock = telemetry_clock_env () in
-      match
-        Campaign.Campaign.run ?jobs ?journal_path:out ~resume ~retries ?fault
-          ~progress_interval ?telemetry ?telemetry_clock spec
-      with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Failure msg -> `Error (false, msg)
-      | exception Campaign.Faultplan.Injected_crash msg ->
-        (* EX_SOFTWARE: the injected crash fired as planned; the journal
-           holds every line fsynced before the crash point. *)
-        Printf.eprintf "campaign: injected crash: %s\n%!" msg;
-        exit 70
-      | outcome ->
-        print_string
-          (Nakamoto_numerics.Table.render
-             (Campaign.Campaign.summary_table outcome));
-        (match out with
-        | Some path -> Printf.printf "(journal: %s)\n" path
-        | None -> ());
-        (match telemetry with
-        | Some dir -> Printf.printf "(telemetry: %s)\n" dir
-        | None -> ());
-        `Ok ()))
+      guarded ~who:"campaign"
+        (fun () ->
+          Campaign.Campaign.run ?jobs ?journal_path:out ~resume ~retries ?fault
+            ~progress_interval ?telemetry ?telemetry_clock spec)
+        (fun outcome ->
+          print_string
+            (Nakamoto_numerics.Table.render
+               (Campaign.Campaign.summary_table outcome));
+          Option.iter (Printf.printf "(journal: %s)\n") out;
+          Option.iter (Printf.printf "(telemetry: %s)\n") telemetry;
+          `Ok ())
   in
   let list_of names cv ~default ~doc =
     Arg.(value & opt (list cv) default & info names ~docv:"LIST" ~doc)
@@ -841,18 +834,36 @@ let campaign_cmd =
          & info [ "rounds" ] ~docv:"R" ~doc:"Rounds simulated per trial.")
   in
   let mode_arg =
-    Arg.(value & opt string "full"
+    let modes =
+      [ ("full", Campaign.Spec.Full_protocol); ("state", Campaign.Spec.State_process) ]
+    in
+    Arg.(value & opt (enum modes) Campaign.Spec.Full_protocol
          & info [ "mode" ] ~docv:"MODE"
              ~doc:"full (protocol + consistency audit) | state (fast \
                    binomial state process).")
   in
   let strategy_arg =
-    Arg.(value & opt string "private"
+    let strategies =
+      [
+        ("idle", Sim.Adversary.Idle);
+        ("private", Sim.Adversary.Private_chain { reorg_target = 12 });
+        ("balance", Sim.Adversary.Balance { group_boundary = 15 });
+        ("selfish", Sim.Adversary.Selfish_mining);
+      ]
+    in
+    Arg.(value & opt (enum strategies) (List.assoc "private" strategies)
          & info [ "strategy" ] ~docv:"S"
              ~doc:"Adversary for full mode: idle | private | balance | selfish.")
   in
   let mining_arg =
-    Arg.(value & opt string "exact"
+    let minings =
+      [
+        ("exact", Sim.Config.Exact);
+        ("aggregate", Sim.Config.Aggregate);
+        ("skip", Sim.Config.Skip);
+      ]
+    in
+    Arg.(value & opt (enum minings) Sim.Config.Exact
          & info [ "mining" ] ~docv:"M"
              ~doc:"Executor for full mode: exact (per-miner queries) | \
                    aggregate (binomial counts + shared delivery lane) | \
@@ -872,7 +883,9 @@ let campaign_cmd =
   in
   let out_arg =
     Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"PATH" ~doc:"JSONL journal path.")
+         & info [ "out" ] ~docv:"PATH"
+             ~doc:"JSONL journal path (daemon-side with --connect or \
+                   --connect-tcp).")
   in
   let shard_arg =
     Arg.(value & opt int 2
@@ -889,13 +902,12 @@ let campaign_cmd =
              ~doc:"Requeue a failing shard up to K times before giving up.")
   in
   let fault_arg =
-    Arg.(value & opt (some string) None
-         & info [ "fault" ] ~docv:"PLAN"
-             ~doc:"Arm a fault-injection plan (testing): \
-                   crash-after-appends=N | torn-write=N | \
-                   raising-worker=TASK[:FAILURES] | \
-                   slow-worker=TASK[:SECONDS].  An injected crash exits \
-                   with status 70.")
+    fault_arg
+      ~doc:"Arm a fault-injection plan (testing): \
+            crash-after-appends=N | torn-write=N | \
+            raising-worker=TASK[:FAILURES] | \
+            slow-worker=TASK[:SECONDS].  An injected crash exits \
+            with status 70."
   in
   let telemetry_arg =
     Arg.(value & opt (some string) None
@@ -904,27 +916,13 @@ let campaign_cmd =
                    shard timings, executor phase spans, journal fsync \
                    latency) into DIR when the campaign completes.")
   in
-  let connect_arg =
-    Arg.(value & opt (some string) None
-         & info [ "connect" ] ~docv:"SOCK"
-             ~doc:"Submit to a serve daemon at this Unix-domain socket \
-                   instead of computing in-process.  --out then names a \
-                   daemon-side journal path.")
-  in
-  let connect_tcp_arg =
-    Arg.(value & opt (some string) None
-         & info [ "connect-tcp" ] ~docv:"HOST:PORT"
-             ~doc:"Submit to a serve daemon over TCP instead of a Unix \
-                   socket.")
-  in
   let term =
     Term.(
       ret
         (const run $ ps_arg $ ns_arg $ deltas_arg $ nus_arg $ trials_arg
         $ rounds_arg $ mode_arg $ strategy_arg $ mining_arg $ jobs_arg
         $ seed_arg $ resume_arg $ out_arg $ shard_arg $ progress_arg
-        $ retries_arg $ fault_arg $ telemetry_arg $ connect_arg
-        $ connect_tcp_arg))
+        $ retries_arg $ fault_arg $ telemetry_arg $ addr_arg))
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -936,41 +934,23 @@ let campaign_cmd =
 (* serve *)
 
 let serve_cmd =
-  let run socket listen max_campaigns max_conns lease_timeout telemetry
-      surface_path verbose =
+  let run socket tcp max_campaigns max_conns lease_timeout telemetry surface
+      verbose =
     setup_logging verbose;
-    let max_campaigns = if max_campaigns = 0 then None else Some max_campaigns in
-    let telemetry_clock = telemetry_clock_env () in
-    let tcp =
-      match listen with
-      | None -> Ok None
-      | Some hp -> Result.map Option.some (parse_hostport hp)
-    in
-    let surface =
-      match surface_path with
-      | None -> Ok None
-      | Some path -> Result.map Option.some (Surface.Table.load path)
-    in
-    match (tcp, surface) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok _, _ when socket = None && listen = None ->
+    if socket = None && tcp = None then
       `Error (false, "serve needs --socket SOCK, --listen HOST:PORT, or both")
-    | Ok tcp, Ok surface -> (
+    else
+      let max_campaigns = if max_campaigns = 0 then None else Some max_campaigns in
+      let telemetry_clock = telemetry_clock_env () in
       let on_tcp_port p = Printf.eprintf "serve: tcp port %d\n%!" p in
-      match
-        Serve.Coordinator.serve ?socket ?tcp ?max_campaigns ~max_conns
-          ~lease_timeout ?telemetry ?telemetry_clock ?surface ~on_tcp_port ()
-      with
-      | served ->
-        Printf.printf "served %d campaign%s\n" served
-          (if served = 1 then "" else "s");
-        `Ok ()
-      | exception Invalid_argument m -> `Error (false, m)
-      | exception Failure m -> `Error (false, m)
-      | exception Unix.Unix_error (err, fn, arg) ->
-        `Error
-          ( false,
-            Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err) ))
+      guarded ~who:"serve"
+        (fun () ->
+          Serve.Coordinator.serve ?socket ?tcp ?max_campaigns ~max_conns
+            ~lease_timeout ?telemetry ?telemetry_clock ?surface ~on_tcp_port ())
+        (fun served ->
+          Printf.printf "served %d campaign%s\n" served
+            (if served = 1 then "" else "s");
+          `Ok ())
   in
   let socket_arg =
     Arg.(value & opt (some string) None
@@ -979,7 +959,7 @@ let serve_cmd =
                    unlinked).")
   in
   let listen_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some hostport) None
          & info [ "listen" ] ~docv:"HOST:PORT"
              ~doc:"Also (or instead) listen on TCP.  PORT 0 lets the \
                    kernel pick; the bound port is printed on stderr.")
@@ -1013,7 +993,7 @@ let serve_cmd =
                    with this option; the handshake tells them.")
   in
   let surface_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some surface_conv) None
          & info [ "surface" ] ~docv:"FILE"
              ~doc:"Answer assess queries from this precomputed certified \
                    surface, falling back to the exact solver outside its \
@@ -1037,49 +1017,20 @@ let serve_cmd =
 (* worker *)
 
 let worker_cmd =
-  let run sock tcp lease_batch fault connect_timeout verbose =
+  let run addr lease_batch fault connect_timeout verbose =
     setup_logging verbose;
-    let fault =
-      match fault with
-      | None -> Ok None
-      | Some s -> (
-        match Campaign.Faultplan.of_string s with
-        | Ok plan -> Ok (Some plan)
-        | Error e -> Error e)
-    in
-    match (resolve_addr ~what:"worker" ~sock ~tcp, fault) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok addr, Ok fault -> (
+    match addr with
+    | None -> `Error (false, "worker needs --connect SOCK or --connect-tcp HOST:PORT")
+    | Some addr ->
       let telemetry_clock = telemetry_clock_env () in
-      match
-        Serve.Worker.run ~addr ~connect_timeout ~lease_batch ?fault
-          ?telemetry_clock ()
-      with
-      | shards ->
-        Printf.printf "worker done: %d shard%s computed\n" shards
-          (if shards = 1 then "" else "s");
-        `Ok ()
-      | exception Campaign.Faultplan.Injected_crash msg ->
-        Printf.eprintf "worker: injected crash: %s\n%!" msg;
-        exit 70
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | exception Failure msg -> `Error (false, msg)
-      | exception Unix.Unix_error (err, _, _) ->
-        `Error
-          ( false,
-            Printf.sprintf "cannot reach the daemon at %s: %s"
-              (Serve.Conn.addr_to_string addr)
-              (Unix.error_message err) ))
-  in
-  let socket_arg =
-    Arg.(value & opt (some string) None
-         & info [ "connect" ] ~docv:"SOCK"
-             ~doc:"The serve daemon's Unix-domain socket.")
-  in
-  let tcp_arg =
-    Arg.(value & opt (some string) None
-         & info [ "connect-tcp" ] ~docv:"HOST:PORT"
-             ~doc:"Dial the daemon over TCP instead of a Unix socket.")
+      guarded ~who:"worker" ~addr
+        (fun () ->
+          Serve.Worker.run ~addr ~connect_timeout ~lease_batch ?fault
+            ?telemetry_clock ())
+        (fun shards ->
+          Printf.printf "worker done: %d shard%s computed\n" shards
+            (if shards = 1 then "" else "s");
+          `Ok ())
   in
   let lease_batch_arg =
     Arg.(value & opt int 1
@@ -1088,12 +1039,11 @@ let worker_cmd =
                    trips at high shard counts).")
   in
   let fault_arg =
-    Arg.(value & opt (some string) None
-         & info [ "fault" ] ~docv:"PLAN"
-             ~doc:"Arm a fault-injection plan (testing): \
-                   raising-worker=TASK[:FAILURES] kills this worker when \
-                   it leases shard TASK — the coordinator reassigns the \
-                   lease.")
+    fault_arg
+      ~doc:"Arm a fault-injection plan (testing): \
+            raising-worker=TASK[:FAILURES] kills this worker when \
+            it leases shard TASK — the coordinator reassigns the \
+            lease."
   in
   let connect_timeout_arg =
     Arg.(value & opt float 10.
@@ -1103,7 +1053,7 @@ let worker_cmd =
   in
   let term =
     Term.(
-      ret (const run $ socket_arg $ tcp_arg $ lease_batch_arg $ fault_arg
+      ret (const run $ addr_arg $ lease_batch_arg $ fault_arg
            $ connect_timeout_arg $ verbose_arg))
   in
   Cmd.v
@@ -1116,9 +1066,8 @@ let worker_cmd =
 (* verify *)
 
 let verify_cmd =
-  let run nu c n delta eps1 eps2 =
-    let p = Core.Params.of_c ~n ~delta ~nu ~c in
-    let r = Core.Lemmas.verify_chain ~eps1 ~eps2 p in
+  let run (p, _) eps1 eps2 =
+    guarded (fun () -> Core.Lemmas.verify_chain ~eps1 ~eps2 p) @@ fun r ->
     Printf.printf "implication chain at %s, eps1=%g eps2=%g:\n"
       (Format.asprintf "%a" Core.Params.pp p)
       eps1 eps2;
@@ -1129,16 +1078,17 @@ let verify_cmd =
           (if s.holds then "ok" else "FAIL")
           s.name s.detail)
       r.steps;
-    Printf.printf "all steps hold: %b\n" r.all_hold
+    Printf.printf "all steps hold: %b\n" r.all_hold;
+    `Ok ()
   in
   let eps1_arg =
-    Arg.(value & opt float 0.5 & info [ "eps1" ] ~docv:"EPS1" ~doc:"Constant eps1 in (0,1).")
+    Arg.(value & opt unit_open 0.5 & info [ "eps1" ] ~docv:"EPS1" ~doc:"Constant eps1 in (0,1).")
   in
   let eps2_arg =
-    Arg.(value & opt float 0.1 & info [ "eps2" ] ~docv:"EPS2" ~doc:"Constant eps2 > 0.")
+    Arg.(value & opt positive 0.1 & info [ "eps2" ] ~docv:"EPS2" ~doc:"Constant eps2 > 0.")
   in
   let term =
-    Term.(const run $ nu_arg $ c_arg ~default:4. $ n_arg $ delta_arg $ eps1_arg $ eps2_arg)
+    Term.(ret (const run $ point ~n:n_arg (c_arg ~default:4.) $ eps1_arg $ eps2_arg))
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Audit the Lemma 2-8 implication chain numerically.")

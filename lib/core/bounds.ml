@@ -26,7 +26,7 @@ let invert_in_nu ~criterion =
       assert false
 
 let neat_numax ~c =
-  if c <= 0. then invalid_arg "Bounds.neat_numax: c must be positive";
+  if not (c > 0.) then invalid_arg "Bounds.neat_numax: c must be positive";
   invert_in_nu ~criterion:(fun nu -> c -. neat_c_min ~nu)
 
 let pss_consistency_holds (p : Params.t) =

@@ -2,19 +2,23 @@ module Special = Nakamoto_numerics.Special
 
 type t = { n : float; delta : float; p : float; nu : float }
 
-let create ~n ~delta ~p ~nu =
+let make ~n ~delta ~p ~nu =
   if not (Float.is_finite n && n >= 4.) then
-    invalid_arg "Params.create: n must be >= 4 (Eq. 3)";
-  if not (Float.is_finite delta && delta >= 1.) then
-    invalid_arg "Params.create: delta must be >= 1";
-  if not (p > 0. && p < 1.) then invalid_arg "Params.create: p must lie in (0, 1)";
-  if not (nu >= 0. && nu < 0.5) then
-    invalid_arg "Params.create: nu must lie in [0, 1/2) (Eq. 2)";
-  { n; delta; p; nu }
+    Error "Params.create: n must be >= 4 (Eq. 3)"
+  else if not (Float.is_finite delta && delta >= 1.) then
+    Error "Params.create: delta must be >= 1"
+  else if not (p > 0. && p < 1.) then Error "Params.create: p must lie in (0, 1)"
+  else if not (nu >= 0. && nu < 0.5) then
+    Error "Params.create: nu must lie in [0, 1/2) (Eq. 2)"
+  else Ok { n; delta; p; nu }
 
-let of_c ~n ~delta ~nu ~c =
-  if c <= 0. then invalid_arg "Params.of_c: c must be positive";
-  create ~n ~delta ~p:(1. /. (c *. n *. delta)) ~nu
+let make_of_c ~n ~delta ~nu ~c =
+  if not (c > 0.) then Error "Params.of_c: c must be positive"
+  else make ~n ~delta ~p:(1. /. (c *. n *. delta)) ~nu
+
+let get = function Ok t -> t | Error m -> invalid_arg m
+let create ~n ~delta ~p ~nu = get (make ~n ~delta ~p ~nu)
+let of_c ~n ~delta ~nu ~c = get (make_of_c ~n ~delta ~nu ~c)
 
 let of_sim_config (cfg : Nakamoto_sim.Config.t) =
   create ~n:(float_of_int cfg.n) ~delta:(float_of_int cfg.delta) ~p:cfg.p

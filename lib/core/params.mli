@@ -16,14 +16,20 @@ type t = private {
   nu : float;  (** adversarial fraction, in [0, 1/2) *)
 }
 
-val create : n:float -> delta:float -> p:float -> nu:float -> t
-(** @raise Invalid_argument when any constraint of Eqs. (1)–(3) fails
+val make : n:float -> delta:float -> p:float -> nu:float -> (t, string) result
+(** [Error] names the first constraint of Eqs. (1)–(3) that fails
     ([nu = 0.] is tolerated for baselines; theorem-level functions that
     require [nu > 0] check separately). *)
 
+val make_of_c : n:float -> delta:float -> nu:float -> c:float -> (t, string) result
+(** [make_of_c ~n ~delta ~nu ~c] sets [p = 1 / (c n delta)]; [Error]
+    unless [c > 0.] and the implied [p] lies in (0, 1). *)
+
+val create : n:float -> delta:float -> p:float -> nu:float -> t
+(** {!make}, raising.  @raise Invalid_argument with [make]'s message. *)
+
 val of_c : n:float -> delta:float -> nu:float -> c:float -> t
-(** [of_c ~n ~delta ~nu ~c] sets [p = 1 / (c n delta)].
-    @raise Invalid_argument if the implied [p] leaves (0, 1). *)
+(** {!make_of_c}, raising.  @raise Invalid_argument with its message. *)
 
 val of_sim_config : Nakamoto_sim.Config.t -> t
 (** Analysis-side view of a simulator configuration (uses the realized

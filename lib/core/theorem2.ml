@@ -1,3 +1,4 @@
+module Table = Nakamoto_numerics.Table
 module Special = Nakamoto_numerics.Special
 
 let condition_holds ~eps1 ~eps2 (p : Params.t) =
@@ -43,6 +44,21 @@ let remark1_rows () =
     regime ~delta ~delta1:(1. /. 6.) ~delta2:(1. /. 2.);
     regime ~delta ~delta1:(1. /. 8.) ~delta2:(2. /. 3.);
   ]
+
+let remark1_table ~title =
+  let t =
+    Table.create ~title
+      ~columns:[ "delta1"; "delta2"; "nu lower"; "1/2 - nu upper"; "inflation - 1" ]
+  in
+  List.iter
+    (fun r ->
+      Table.add_row t
+        [
+          Table.Float r.delta1; Table.Float r.delta2; Table.Log10 r.log_nu_lo;
+          Table.Sci r.half_minus_nu_hi; Table.Sci (r.inflation -. 1.);
+        ])
+    (remark1_rows ());
+  t
 
 let neat_bound_with_inflation ~nu ~eps2 r =
   if eps2 <= 0. then

@@ -35,6 +35,10 @@ val remark1_rows : unit -> regime list
     [nu] ranges [~1e-63 .. 0.5 - 1e-7] and [~1e-18 .. 0.5 - 1e-9];
     inflations [~1 + 5e-5] and [~1 + 2e-3]. *)
 
+val remark1_table : title:string -> Nakamoto_numerics.Table.t
+(** {!remark1_rows} as a table: [delta1], [delta2], [log10] of the lower
+    [nu] end, [1/2 -] the upper end and the inflation [- 1]. *)
+
 val neat_bound_with_inflation : nu:float -> eps2:float -> regime -> float
 (** RHS of Ineq. (13): [2mu/ln(mu/nu) * (1+eps2) * inflation].
     @raise Invalid_argument unless [0 < nu < 1/2] and [eps2 > 0]. *)

@@ -16,7 +16,11 @@ let test_neat_numax_inverts () =
       close ~rtol:1e-8 (Printf.sprintf "inversion at nu=%g" nu) nu
         (Bounds.neat_numax ~c))
     [ 0.01; 0.1; 0.25; 0.4; 0.49 ];
-  check_raises_invalid "c <= 0" (fun () -> ignore (Bounds.neat_numax ~c:0.))
+  check_raises_invalid "c <= 0" (fun () -> ignore (Bounds.neat_numax ~c:0.));
+  (* NaN is not positive: the typed error, not the inversion's assert. *)
+  Alcotest.check_raises "c = nan"
+    (Invalid_argument "Bounds.neat_numax: c must be positive") (fun () ->
+      ignore (Bounds.neat_numax ~c:nan))
 
 let test_neat_numax_limits () =
   check_true "large c approaches 1/2" (Bounds.neat_numax ~c:1e6 > 0.499);

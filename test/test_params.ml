@@ -26,6 +26,43 @@ let test_of_c_roundtrip () =
   check_raises_invalid "c <= 0" (fun () ->
       ignore (Params.of_c ~n:10. ~delta:1. ~nu:0.1 ~c:0.))
 
+(* [make] is [create] without the raise: for every violated constraint
+   it returns the message [create] raises, and Ok at a valid point. *)
+let test_make_matches_create () =
+  let raised f =
+    match f () with
+    | exception Invalid_argument m -> Error m
+    | _ -> Ok ()
+  in
+  List.iter
+    (fun (label, n, delta, p, nu) ->
+      let made = Result.map ignore (Params.make ~n ~delta ~p ~nu) in
+      let created = raised (fun () -> Params.create ~n ~delta ~p ~nu) in
+      Alcotest.(check (result unit string)) label created made;
+      check_true (label ^ " is an Error") (Result.is_error made))
+    [
+      ("n < 4", 3., 1., 0.1, 0.1); ("n = nan", nan, 1., 0.1, 0.1);
+      ("delta < 1", 10., 0.5, 0.1, 0.1); ("delta = inf", 10., infinity, 0.1, 0.1);
+      ("p = 0", 10., 1., 0., 0.1); ("p = nan", 10., 1., nan, 0.1);
+      ("nu = 1/2", 10., 1., 0.1, 0.5); ("nu = nan", 10., 1., 0.1, nan);
+    ];
+  check_true "valid point is Ok"
+    (Result.is_ok (Params.make ~n:10. ~delta:1. ~p:0.1 ~nu:0.));
+  List.iter
+    (fun c ->
+      let made = Result.map ignore (Params.make_of_c ~n:10. ~delta:1. ~nu:0.1 ~c) in
+      Alcotest.(check (result unit string))
+        (Printf.sprintf "of_c at c = %g" c)
+        (raised (fun () -> Params.of_c ~n:10. ~delta:1. ~nu:0.1 ~c))
+        made)
+    [ 0.; -1.; nan; infinity; 0.05; 2.5 ]
+
+(* A NaN c is not positive: the typed c error, not a p-range one. *)
+let test_of_c_nan () =
+  Alcotest.check_raises "of_c nan"
+    (Invalid_argument "Params.of_c: c must be positive") (fun () ->
+      ignore (Params.of_c ~n:10. ~delta:1. ~nu:0.1 ~c:nan))
+
 let test_derived_quantities () =
   close "mu" 0.8 (Params.mu p0);
   close "log ratio" (log 4.) (Params.log_ratio p0);
@@ -92,6 +129,8 @@ let suite =
   [
     case "validation (Eqs. 1-3)" test_validation;
     case "of_c roundtrip" test_of_c_roundtrip;
+    case "make returns create's messages" test_make_matches_create;
+    case "of_c rejects a NaN c" test_of_c_nan;
     case "derived quantities (Eqs. 7-9)" test_derived_quantities;
     case "nu = 0 edge cases" test_nu_zero_cases;
     case "extreme scale stays in log domain" test_extreme_scale_log_domain;
