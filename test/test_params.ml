@@ -129,11 +129,11 @@ let suite =
   [
     case "validation (Eqs. 1-3)" test_validation;
     case "of_c roundtrip" test_of_c_roundtrip;
-    case "make returns create's messages" test_make_matches_create;
-    case "of_c rejects a NaN c" test_of_c_nan;
     case "derived quantities (Eqs. 7-9)" test_derived_quantities;
     case "nu = 0 edge cases" test_nu_zero_cases;
     case "extreme scale stays in log domain" test_extreme_scale_log_domain;
     case "of_sim_config" test_of_sim_config;
+    case "make returns create's messages" test_make_matches_create;
+    case "of_c rejects a NaN c" test_of_c_nan;
   ]
   @ props
