@@ -66,6 +66,44 @@ let test_nakamoto_formula () =
   check_raises_invalid "NaN ratio" (fun () ->
       ignore (Confirmation.nakamoto_double_spend ~ratio:nan ~confirmations:3))
 
+(* The running-sum evaluation of Nakamoto's formula, copied as it first
+   shipped: any faster evaluation must return the same bits. *)
+let reference_double_spend ~ratio ~confirmations:z =
+  let lambda = float_of_int z *. ratio in
+  let log_lambda = log lambda in
+  let acc = ref 0. in
+  let log_fact = ref 0. in
+  for k = 0 to z do
+    if k > 0 then log_fact := !log_fact +. log (float_of_int k);
+    let log_pois = (float_of_int k *. log_lambda) -. lambda -. !log_fact in
+    let caught = ratio ** float_of_int (z - k) in
+    acc := !acc +. (exp log_pois *. (1. -. caught))
+  done;
+  Nakamoto_numerics.Special.clamp ~lo:0. ~hi:1. (1. -. !acc)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* 40 ratios over (0, 1), each at z = 1..64 and then every 97th depth up
+   to the default limit, and the limit itself. *)
+let test_nakamoto_bits () =
+  let limit = Confirmation.default_depth_limit in
+  let depths =
+    List.init 64 (fun i -> i + 1)
+    @ List.init ((limit - 64) / 97) (fun i -> 65 + (97 * i))
+    @ [ limit ]
+  in
+  for i = 1 to 40 do
+    let ratio = (float_of_int i -. 0.37) /. 40. in
+    List.iter
+      (fun z ->
+        let got = Confirmation.nakamoto_double_spend ~ratio ~confirmations:z in
+        let want = reference_double_spend ~ratio ~confirmations:z in
+        if not (same_bits got want) then
+          Alcotest.failf "ratio %.17g, z %d: %.17g, reference %.17g" ratio z
+            got want)
+      depths
+  done
+
 (* The depth search needs the float P(z) nonincreasing wherever it can
    cross epsilon.  Far below any practical epsilon the [1 - sum] form
    bottoms out in rounding noise that does wiggle (around 1e-11 by
@@ -102,6 +140,34 @@ let linear_confirmations ~limit ~ratio ~epsilon =
     else scan (z + 1)
   in
   scan 1
+
+(* [assess_checked] at the Internet-scale point whose rate ratio is
+   close to [ratio] (nu = 0.25, c solved from the Delta -> infinity
+   ratio nu / (mu e^(-2 mu / c))) answers the linear scan's depth, and
+   its residual risk is the exact float the formula gives there.  Where
+   no depth up to 2000 meets epsilon the scan stops, and the answer only
+   has to be a first crossing past 2000, or Depth_limited. *)
+let settle_matches_linear_scan ~ratio ~epsilon =
+  let nu = 0.25 in
+  let mu = 1. -. nu in
+  let c = 2. *. mu /. log (mu *. ratio /. nu) in
+  match Params.make_of_c ~n:1e5 ~delta:1e13 ~nu ~c with
+  | Error _ -> true
+  | Ok params -> (
+    match Confirmation.assess_checked ~epsilon params with
+    | Error (Confirmation.Depth_limited { rate_ratio; _ }) ->
+      linear_confirmations ~limit:2000 ~ratio:rate_ratio ~epsilon = None
+    | Error (Confirmation.Outside_consistency _) -> true
+    | Error Confirmation.No_adversary -> false
+    | Ok a -> (
+      let p z =
+        Confirmation.nakamoto_double_spend ~ratio:a.rate_ratio ~confirmations:z
+      in
+      same_bits a.residual_risk (p a.confirmations)
+      &&
+      match linear_confirmations ~limit:2000 ~ratio:a.rate_ratio ~epsilon with
+      | Some z -> z = a.confirmations
+      | None -> a.confirmations > 2000 && p (a.confirmations - 1) > epsilon))
 
 let test_confirmations_for () =
   let z =
@@ -218,7 +284,8 @@ let props =
       (fun (ratio, log_epsilon, limit) ->
         let epsilon = Float.max Confirmation.min_epsilon (exp log_epsilon) in
         Confirmation.confirmations_for ~limit ~ratio ~epsilon ()
-        = linear_confirmations ~limit ~ratio ~epsilon);
+        = linear_confirmations ~limit ~ratio ~epsilon
+        && settle_matches_linear_scan ~ratio ~epsilon);
     prop "overtake decreasing in deficit"
       QCheck2.Gen.(pair (float_range 0.1 0.9) (int_range 0 20))
       (fun (ratio, deficit) ->
@@ -258,3 +325,4 @@ let suite =
     case "table rendering" test_table_rendering;
   ]
   @ props
+  @ [ case "Nakamoto formula bits" test_nakamoto_bits ]
