@@ -142,13 +142,23 @@ let setup_logging verbose =
     Logs.set_level (Some Logs.Debug)
   end
 
-let emit_table ?csv table =
-  print_string (Nakamoto_numerics.Table.render table);
-  match csv with
-  | None -> ()
-  | Some path ->
-    Nakamoto_numerics.Table.save_csv table ~path;
-    Printf.printf "(csv written to %s)\n" path
+let print_table table = print_string (Nakamoto_numerics.Table.render table)
+
+(* Print [table], write it as CSV to [csv] if given, then run [k].  The
+   CSV file is opened before anything is printed, so a path that cannot
+   be written is a usage error with empty stdout. *)
+let emit_table ?csv table k =
+  guarded (fun () -> Option.map (fun path -> (path, open_out path)) csv)
+  @@ fun out ->
+  print_table table;
+  Option.iter
+    (fun (path, oc) ->
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () -> output_string oc (Nakamoto_numerics.Table.to_csv table));
+      Printf.printf "(csv written to %s)\n" path)
+    out;
+  k ()
 
 (* A precomputed certified surface, loaded when the flag is parsed. *)
 let surface_conv =
@@ -210,7 +220,7 @@ let figure1_cmd =
     | Error e -> `Error (false, e)
     | Ok () ->
       let rows = Core.Figure1.series ~n ~delta ~c_grid () in
-      emit_table ?csv (Core.Figure1.to_table rows);
+      emit_table ?csv (Core.Figure1.to_table rows) @@ fun () ->
       if plot then print_string (Core.Figure1.to_plot rows);
       Printf.printf "shape invariants hold: %b\n"
         (Core.Figure1.shape_invariants_hold rows);
@@ -233,7 +243,7 @@ let figure2_cmd =
       let censuses =
         List.map (fun d -> Core.Figure2.census ~delta:d ~alpha) [ 2; 3; 4; 8; delta ]
       in
-      emit_table (Core.Figure2.to_table censuses)
+      print_table (Core.Figure2.to_table censuses)
     end
   in
   let alpha_arg =
@@ -252,17 +262,20 @@ let figure2_cmd =
 
 let table1_cmd =
   let run (p, _) csv =
-    emit_table ?csv (Core.Table1.for_params p);
-    Printf.printf "identities hold: %b\n" (Core.Table1.identities_hold p)
+    emit_table ?csv (Core.Table1.for_params p) @@ fun () ->
+    Printf.printf "identities hold: %b\n" (Core.Table1.identities_hold p);
+    `Ok ()
   in
-  let term = Term.(const run $ point ~n:n_arg (c_arg ~default:3.) $ csv_arg) in
+  let term =
+    Term.(ret (const run $ point ~n:n_arg (c_arg ~default:3.) $ csv_arg))
+  in
   Cmd.v (Cmd.info "table1" ~doc:"Print Table I with computed values.") term
 
 (* remark1 *)
 
 let remark1_cmd =
   let run () =
-    emit_table
+    print_table
       (Core.Theorem2.remark1_table
          ~title:"Remark 1: (delta1, delta2) regimes at Delta = 1e13")
   in
@@ -617,8 +630,7 @@ let sweep_cmd =
       | Error e -> `Error (false, e)
       | Ok () ->
         let rows = Core.Figure1.series ~n ~delta ~c_grid:grid () in
-        emit_table ?csv (Core.Figure1.to_table rows);
-        `Ok ()
+        emit_table ?csv (Core.Figure1.to_table rows) @@ fun () -> `Ok ()
   in
   let lo_arg =
     Arg.(value & opt float 0.5 & info [ "lo" ] ~docv:"LO" ~doc:"Smallest c.")

@@ -4,10 +4,17 @@ let check_nu_open nu =
   if not (nu > 0. && nu < 0.5) then
     invalid_arg "Bounds: nu must lie in (0, 1/2)"
 
+(* ln (mu / nu).  For a subnormal nu the quotient overflows to infinity,
+   so there the logs are subtracted instead; every other nu keeps the
+   quotient's bits. *)
+let log_odds ~mu ~nu =
+  let odds = mu /. nu in
+  if Float.is_finite odds then log odds else log mu -. log nu
+
 let neat_c_min ~nu =
   check_nu_open nu;
   let mu = 1. -. nu in
-  2. *. mu /. log (mu /. nu)
+  2. *. mu /. log_odds ~mu ~nu
 
 (* All the numax inversions share the same shape: the criterion function is
    monotone in nu on (0, 1/2), positive for small nu (safe) and negative for
@@ -79,7 +86,7 @@ let theorem2_c_min ~nu ~delta ~eps1 ~eps2 =
   if not (eps1 > 0. && eps1 < 1.) then
     invalid_arg "Bounds.theorem2_c_min: eps1 must lie in (0, 1)";
   let mu = 1. -. nu in
-  let l = log (mu /. nu) in
+  let l = log_odds ~mu ~nu in
   let first = ((2. *. mu /. l) +. (1. /. delta)) *. (1. +. eps2) /. (1. -. eps1) in
   let second = (l +. 1.) *. mu /. (eps1 *. delta *. l) in
   Float.max first second
@@ -90,7 +97,7 @@ let theorem2_c_min ~nu ~delta ~eps1 ~eps2 =
 let theorem2_c_min_optimal ~nu ~delta ~eps2 =
   check_theorem2_args ~nu ~delta ~eps2;
   let mu = 1. -. nu in
-  let l = log (mu /. nu) in
+  let l = log_odds ~mu ~nu in
   let a = ((2. *. mu /. l) +. (1. /. delta)) *. (1. +. eps2) in
   let b = (l +. 1.) *. mu /. (delta *. l) in
   a +. b

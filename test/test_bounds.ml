@@ -155,6 +155,23 @@ let props =
         Bounds.theorem1_holds p = (Bounds.theorem1_margin p > 0.));
   ]
 
+(* Below nu ~ 5.6e-309 the quotient mu / nu overflows; the bounds then
+   take log mu - log nu, and every nu above keeps the quotient's bits. *)
+let test_subnormal_nu () =
+  let limit nu = 2. /. -.log nu in
+  List.iter
+    (fun nu ->
+      close ~rtol:1e-12 (Printf.sprintf "neat at nu = %g" nu) (limit nu)
+        (Bounds.neat_c_min ~nu);
+      close ~rtol:1e-9
+        (Printf.sprintf "Theorem 2 at nu = %g" nu)
+        (limit nu)
+        (Bounds.theorem2_c_min_optimal ~nu ~delta:1e13 ~eps2:1e-9))
+    [ 5e-309; 1e-315; 5e-324 ];
+  let nu = 1e-300 in
+  check_true "a normal nu keeps the quotient"
+    (Bounds.neat_c_min ~nu = 2. *. (1. -. nu) /. log ((1. -. nu) /. nu))
+
 let suite =
   [
     case "neat c_min known values" test_neat_c_min_known_values;
@@ -173,3 +190,4 @@ let suite =
     case "flawed accounting ablation (DESIGN #3)" test_flawed_accounting_ablation;
   ]
   @ props
+  @ [ case "subnormal nu" test_subnormal_nu ]
