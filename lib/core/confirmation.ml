@@ -39,6 +39,32 @@ let overtake_probability_bounded ~honest_rate ~adversary_rate ~deficit
   Absorbing.absorption_probability absorbing ~from:(index (-deficit))
     ~into:(index hi)
 
+let default_depth_limit = 10_000
+let min_epsilon = 1e-9
+
+(* log k! for k below the table's length, each entry the running sum
+   [t.(k) = t.(k - 1) +. log (float k)] the double-spend sum used to
+   accumulate term by term, so a lookup returns the same bits.  It grows
+   on demand, doubling up to [default_depth_limit + 1] entries; deeper
+   terms continue the running sum from the last entry.  A grown table is
+   a fresh array published whole, so a domain reads either the old one
+   or the new one, never a half-filled one. *)
+let log_factorials = Atomic.make [| 0. |]
+
+let log_factorials_to z =
+  let t = Atomic.get log_factorials in
+  let have = Array.length t in
+  if z < have || have > default_depth_limit then t
+  else begin
+    let size = min (default_depth_limit + 1) (max (z + 1) (2 * have)) in
+    let t = Array.append t (Array.make (size - have) 0.) in
+    for k = have to size - 1 do
+      t.(k) <- t.(k - 1) +. log (float_of_int k)
+    done;
+    Atomic.set log_factorials t;
+    t
+  end
+
 let nakamoto_double_spend ~ratio ~confirmations =
   if not (ratio > 0.) then invalid_arg "Confirmation: ratio must be positive";
   if confirmations < 1 then
@@ -48,12 +74,15 @@ let nakamoto_double_spend ~ratio ~confirmations =
     let z = confirmations in
     let lambda = float_of_int z *. ratio in
     let log_lambda = log lambda in
+    let table = log_factorials_to z in
+    let tabled = Array.length table in
     (* sum_{k=0}^{z} poisson(k; lambda) * (1 - ratio^(z-k)), accumulated
-       in linear domain (z is small; lambda <= z). *)
+       in linear domain (lambda <= z). *)
     let acc = ref 0. in
     let log_fact = ref 0. in
     for k = 0 to z do
-      if k > 0 then log_fact := !log_fact +. log (float_of_int k);
+      log_fact :=
+        if k < tabled then table.(k) else !log_fact +. log (float_of_int k);
       let log_pois = (float_of_int k *. log_lambda) -. lambda -. !log_fact in
       let caught = ratio ** float_of_int (z - k) in
       acc := !acc +. (exp log_pois *. (1. -. caught))
@@ -61,52 +90,102 @@ let nakamoto_double_spend ~ratio ~confirmations =
     Nakamoto_numerics.Special.clamp ~lo:0. ~hi:1. (1. -. !acc)
   end
 
-let default_depth_limit = 10_000
-let min_epsilon = 1e-9
+(* [ceil x] restricted to [[lo, hi]]; a NaN [x] gives [lo]. *)
+let depth_in ~lo ~hi x =
+  if x >= float_of_int hi then hi
+  else if x > float_of_int lo then int_of_float (Float.ceil x)
+  else lo
 
-(* Galloping search for the first depth [test] accepts: probe 1, 2, 4,
-   ... (the last probe capped at [limit]) until one passes, then bisect
-   between the last failing probe [lo] and the passing one.  [test]
-   returns the passing probe's witness, so the caller gets the value at
-   the answer without evaluating it again. *)
-let gallop ~limit test =
-  let rec bisect lo ((hi, _) as best) =
-    if hi - lo <= 1 then Some best
+(* The risk at depth z is r^z P(Pois(z) <= z) + P(Pois(z ratio) > z)
+   with r = ratio e^(1 - ratio), about
+   r^z (1/2 + ratio / ((1 - ratio) sqrt (2 pi z))).  Four fixed-point
+   steps of z = ln (epsilon / that factor) / ln r, from z = 1 and kept
+   at least 1, solve it for epsilon.  Nakamoto_surface.Cert mirrors this
+   expression over intervals. *)
+let first_read ?(limit = default_depth_limit) ~ratio ~epsilon () =
+  let log_r = log ratio +. (1. -. ratio) in
+  let excess = ratio /. (1. -. ratio) in
+  let log_epsilon = log epsilon in
+  let step z =
+    let factor = 0.5 +. (excess /. ((2. *. Float.pi *. z) ** 0.5)) in
+    Float.max 1. ((log_epsilon -. log factor) /. log_r)
+  in
+  depth_in ~lo:1 ~hi:limit (step (step (step (step 1.))))
+
+(* The search keeps a bracket: [lo] is the deepest depth read that fails
+   epsilon (0 before one does) and [hi] the shallowest read that meets
+   it (limit + 1 before one does), with its risk [w].  Every read after
+   the first lies strictly inside the bracket, so every depth read below
+   the answer fails epsilon and every depth read at or above it meets
+   it, and the answer is [hi] once [hi = lo + 1].
+
+   The first read is [first_read].  If it fails, the search gallops up
+   from it, doubling the stride, until a read meets epsilon.  If it
+   meets, a secant step on r^z, [first + ln (epsilon / risk) / ln r],
+   predicts the crossing and reads the depth just below it; from there
+   it gallops down while reads meet and up while they fail.  Either way
+   it bisects the bracket that is left. *)
+let search ~limit ~ratio ~epsilon risk =
+  let rec bisect lo hi w =
+    if hi - lo <= 1 then if hi > limit then None else Some (hi, w)
     else begin
       let mid = lo + ((hi - lo) / 2) in
-      match test mid with
-      | Some w -> bisect lo (mid, w)
-      | None -> bisect mid best
+      let r = risk mid in
+      if r <= epsilon then bisect lo mid r else bisect mid hi w
     end
   in
-  let rec probe lo z =
-    match test z with
-    | Some w -> bisect lo (z, w)
-    | None -> if z >= limit then None else probe z (min limit (2 * z))
+  let rec down lo hi w stride =
+    let z = max (lo + 1) (hi - stride) in
+    if z = hi then bisect lo hi w
+    else begin
+      let r = risk z in
+      if r <= epsilon then down lo z r (2 * stride) else bisect z hi w
+    end
   in
-  probe 0 1
+  let rec up lo hi w stride =
+    let z = min (hi - 1) (lo + stride) in
+    if z = lo then bisect lo hi w
+    else begin
+      let r = risk z in
+      if r <= epsilon then bisect lo z r else up z hi w (2 * stride)
+    end
+  in
+  let first = first_read ~limit ~ratio ~epsilon () in
+  let r = risk first in
+  if r > epsilon then up first (limit + 1) nan 1
+  else if first = 1 then Some (1, r)
+  else begin
+    let log_r = log ratio +. (1. -. ratio) in
+    let crossing = float_of_int first +. ((log epsilon -. log r) /. log_r) in
+    let below = depth_in ~lo:2 ~hi:first crossing - 1 in
+    let rb = risk below in
+    if rb <= epsilon then down 0 below rb 1 else up below first r 1
+  end
 
-let search_probes depth =
-  if depth < 1 || depth > default_depth_limit then
-    invalid_arg
-      "Confirmation.search_probes: depth must lie in [1, default_depth_limit]";
-  let seen = ref [] in
-  ignore
-    (gallop ~limit:default_depth_limit (fun z ->
-         seen := z :: !seen;
-         if z >= depth then Some () else None));
-  List.rev !seen
-
-let depth_search ~limit ~ratio ~epsilon =
+let check_search_args ~limit ~ratio ~epsilon =
   if not (ratio > 0. && ratio < 1.) then
     invalid_arg "Confirmation.confirmations_for: ratio must lie in (0, 1)";
   if not (epsilon >= min_epsilon && epsilon < 1.) then
     invalid_arg "Confirmation.confirmations_for: epsilon must lie in [1e-9, 1)";
   if limit < 1 then
-    invalid_arg "Confirmation.confirmations_for: limit must be >= 1";
-  gallop ~limit (fun z ->
-      let risk = nakamoto_double_spend ~ratio ~confirmations:z in
-      if risk <= epsilon then Some risk else None)
+    invalid_arg "Confirmation.confirmations_for: limit must be >= 1"
+
+let depth_search ~limit ~ratio ~epsilon =
+  check_search_args ~limit ~ratio ~epsilon;
+  search ~limit ~ratio ~epsilon (fun z ->
+      nakamoto_double_spend ~ratio ~confirmations:z)
+
+let search_reads ?(limit = default_depth_limit) ~ratio ~epsilon () =
+  check_search_args ~limit ~ratio ~epsilon;
+  let reads = ref [] in
+  ignore
+    (search ~limit ~ratio ~epsilon (fun z ->
+         reads := z :: !reads;
+         nakamoto_double_spend ~ratio ~confirmations:z));
+  List.rev !reads
+
+let deepest_read ?(limit = default_depth_limit) ~first depth =
+  min limit (if first >= depth then first else (2 * depth) - first - 1)
 
 let confirmations_for ?(limit = default_depth_limit) ~ratio ~epsilon () =
   Option.map fst (depth_search ~limit ~ratio ~epsilon)

@@ -53,8 +53,8 @@ val min_epsilon : float
 (** The smallest risk target the depth search accepts ([1e-9]).  Below
     it the float double-spend probability sits near its rounding floor
     (around [1e-11] by z = 2000, [2e-10] by z = 10_000) and is no longer
-    nonincreasing in [z], so a galloping search could stop at a later
-    crossing than the first one, or find none at all. *)
+    nonincreasing in [z], so a search that reads only a few depths could
+    stop at a later crossing than the first one, or find none at all. *)
 
 val confirmations_for :
   ?limit:int -> ratio:float -> epsilon:float -> unit -> int option
@@ -66,35 +66,64 @@ val confirmations_for :
     parameter grid can report the unsettleable cells instead of dying on
     the first one.
 
-    The search gallops — it evaluates z = 1, 2, 4, ..., the last probe
-    capped at [limit], until one meets [epsilon], and answers [None] if
-    [limit] does not — then bisects between the last failing probe and
-    the first passing one.  That is O(log z) evaluations of the O(z)
-    sum, O(z log z) in all.  The answer always meets [epsilon] right
-    after a depth that does not (or is 1).  That it is the {e smallest}
-    such depth relies on the double-spend probability being
-    nonincreasing in [z]: it is mathematically, and the tests pin the
-    float evaluation down to {!min_epsilon}.  They pin it
-    nonincreasing on a grid of ratios up to 0.95, for z < 2000 while it
-    is at least [1e-9] and up to {!default_depth_limit} while it is at
-    least [1e-3].  They pin the search equal to a linear scan for
-    [epsilon] in [[1e-9, 0.5]] and limits up to 2000, and its answers
-    first crossings at 1000 ratios in [[0.05, 0.95]] at
-    [epsilon = 1e-3].
+    The search starts at the closed-form crossing {!first_read}.  If
+    that depth fails [epsilon] it gallops up (first + 1, first + 3,
+    first + 7, ..., capped at [limit]) until a depth meets it, and
+    answers [None] if [limit] does not.  If it meets [epsilon], a secant
+    step on the geometric decay predicts the crossing and reads the depth
+    just below it, then the search gallops down while depths meet and up
+    while they fail.  Either way it bisects what is left.  Every read
+    after the first lies inside the bracket of the deepest failing and
+    the shallowest meeting depth read so far, so every depth read below
+    the answer fails [epsilon] and every depth read at or above it meets
+    it.  At the 1000 assess-settle ratios in [[0.05, 0.95]] and
+    [epsilon = 1e-3] that is two reads of the O(z) sum for most ratios
+    and at most three.
+
+    The answer always meets [epsilon] right after a depth that does not
+    (or is 1).  That it is the {e smallest} such depth relies on the
+    double-spend probability being nonincreasing in [z]: it is
+    mathematically, and the tests pin the float evaluation down to
+    {!min_epsilon}.  They pin it nonincreasing on a grid of ratios up to
+    0.95, for z < 2000 while it is at least [1e-9] and up to
+    {!default_depth_limit} while it is at least [1e-3].  They pin the
+    search equal to a linear scan for [epsilon] in [[1e-9, 0.5]] and
+    limits up to 2000, and its answers first crossings at 1000 ratios in
+    [[0.05, 0.95]] at [epsilon = 1e-3].
     @raise Invalid_argument unless [0 < ratio < 1],
     [min_epsilon <= epsilon < 1] and [limit >= 1]. *)
 
-val search_probes : int -> int list
-(** [search_probes depth] lists, in order, the depths {!confirmations_for}
-    evaluates at its default limit ({!default_depth_limit}, the one
-    {!assess_checked} uses) when its answer is [Some depth].  The search
-    reads nothing else, so if [nakamoto_double_spend] meets [epsilon] at
-    exactly the listed depths
-    that are [>= depth], the search answers [Some depth] whatever the
-    probability does elsewhere: that is how {!Nakamoto_surface.Cert}
-    certifies a depth.  At most [ceil (log2 depth)] of them exceed
-    [depth].
-    @raise Invalid_argument unless [1 <= depth <= default_depth_limit]. *)
+val first_read : ?limit:int -> ratio:float -> epsilon:float -> unit -> int
+(** [first_read ~ratio ~epsilon ()] is the first depth
+    {!confirmations_for} reads, in [[1, limit]]: the ceiling of four
+    fixed-point steps, from z = 1, of
+    [z = max 1 ((log epsilon -. log f) /. log r)] with
+    [log r = log ratio +. (1. -. ratio)] and
+    [f = 0.5 +. ((ratio /. (1. -. ratio)) /. ((2. *. Float.pi *. z) ** 0.5))],
+    the crossing of the approximation [r^z f] of the double-spend
+    probability.  {!Nakamoto_surface.Cert} encloses exactly this
+    expression. *)
+
+val search_reads :
+  ?limit:int -> ratio:float -> epsilon:float -> unit -> int list
+(** The depths {!confirmations_for} reads, in order, with the same
+    arguments.
+    @raise Invalid_argument as {!confirmations_for} does. *)
+
+val deepest_read : ?limit:int -> first:int -> int -> int
+(** [deepest_read ~first depth] bounds the depths the search reads
+    when its first read is [first] and every depth at or above [depth]
+    meets [epsilon] while every depth below it fails: [first] when
+    [first >= depth] (every later read lies below it), else
+    [2 depth - first - 1] (galloping up from [first] overshoots [depth]
+    by less than it climbed), and never past [limit] (default
+    {!default_depth_limit}).  So if [nakamoto_double_spend] fails
+    [epsilon] at every depth below [depth] and meets it at every depth
+    from [depth] to this bound, the search answers [Some depth] whatever
+    the probability does elsewhere: that is how
+    {!Nakamoto_surface.Cert} certifies a depth.  The bound is
+    nonincreasing in [first] below [depth] and nondecreasing from it, so
+    over a range of first reads it is largest at an end. *)
 
 type assessment = {
   params : Params.t;

@@ -27,7 +27,11 @@ let two = I.point 2.
 (* Params.c: [1. /. (p *. n *. delta)] *)
 let c_iv ~p ~n ~delta = I.div one (I.mul (I.mul p n) delta)
 
-(* Bounds.neat_c_min: [2. *. mu /. log (mu /. nu)] with [mu = 1. -. nu] *)
+(* Bounds.neat_c_min: [2. *. mu /. log (mu /. nu)] with [mu = 1. -. nu],
+   or [log mu -. log nu] in place of the log where a subnormal nu
+   overflows the quotient.  That value lies in (709.78, 744.45], above
+   the log of any finite quotient, and the widened quotient's upper end
+   is then [infinity], so this enclosure still contains it. *)
 let neat_iv ~nu =
   let mu = I.one_minus nu in
   I.div (I.mul two mu) (I.log (I.div mu nu))
@@ -111,32 +115,56 @@ let double_spend_iv ~ratio ~confirmations:z =
 let top = I.make ~lo:neg_infinity ~hi:infinity
 let nonneg = I.make ~lo:0. ~hi:infinity
 
+(* Confirmation.first_read: the ceiling, clamped to
+   [[1, default_depth_limit]], of four steps from z = 1 of
+   [Float.max 1. ((log epsilon -. log factor) /. log_r)] with
+   [log_r = log ratio +. (1. -. ratio)] and
+   [factor = 0.5 +. (ratio /. (1. -. ratio)) /. ((2. *. Float.pi *. z) ** 0.5)].
+   [2. *. Float.pi] doubles exactly, and [log epsilon] is one float at
+   every point of the box.  Returns the range of first reads. *)
+let first_read_iv ~epsilon ratio =
+  let log_r = I.add (I.log ratio) (I.one_minus ratio) in
+  let excess = I.div ratio (I.one_minus ratio) in
+  let log_epsilon = I.point (log epsilon) in
+  let step z =
+    let root = I.pow (I.mul (I.point (2. *. Float.pi)) z) 0.5 in
+    let factor = I.add (I.point 0.5) (I.div excess root) in
+    I.clamp ~lo:1. ~hi:infinity
+      (I.div (I.sub log_epsilon (I.log factor)) log_r)
+  in
+  let z = step (step (step (step (I.point 1.)))) in
+  let limit = float_of_int Nakamoto_core.Confirmation.default_depth_limit in
+  let depth x = int_of_float (Float.ceil (Float.min limit x)) in
+  (depth (I.lo z), depth (I.hi z))
+
 let certify_conf ~epsilon ~conf_limit ratio =
-  (* [Conf z] is sound because the exact search reads the risk only at
-     depths below [z] and at [Confirmation.search_probes z], and returns
-     [z] once every depth it reads below [z] fails epsilon and every
-     depth it reads at or above [z] meets it.  So: walk z = 1, 2, ...
-     certifying each depth above epsilon (lo > eps) until one is
-     certified at-or-below (hi <= eps), then certify every galloping or
-     bisection probe past [z] at-or-below as well.  Any straddle means
-     the exact answer could go either way inside the cell —
-     inconclusive, fall back. *)
+  (* [Conf z] is sound because the exact search returns [z] once every
+     depth it reads below [z] fails epsilon and every depth it reads at
+     or above [z] meets it, and it reads nothing past
+     [Confirmation.deepest_read ~first z], where [first] is its first
+     read.  So: walk z = 1, 2, ... certifying each depth above epsilon
+     (lo > eps) until one is certified at-or-below (hi <= eps), then
+     certify every depth up to the deepest read at either end of the
+     cell's range of first reads (the bound is largest at an end) as
+     well.  Any straddle means the exact answer could go either way
+     inside the cell — inconclusive, fall back. *)
   let meets z = I.hi (double_spend_iv ~ratio ~confirmations:z) <= epsilon in
   let limit = min conf_limit Nakamoto_core.Confirmation.default_depth_limit in
   if I.lo ratio >= 1. then Conf_none
   else if I.hi ratio >= 1. then Conf_inconclusive
   else begin
+    let certified z =
+      let first_lo, first_hi = first_read_iv ~epsilon ratio in
+      let deepest first = Nakamoto_core.Confirmation.deepest_read ~first z in
+      let bound = max (deepest first_lo) (deepest first_hi) in
+      let rec above d = d > bound || (meets d && above (d + 1)) in
+      if above (z + 1) then Conf z else Conf_inconclusive
+    in
     let rec search z =
       if z > limit then Conf_inconclusive
       else begin
         let ds = double_spend_iv ~ratio ~confirmations:z in
-        if I.hi ds <= epsilon then
-          if
-            List.for_all
-              (fun probe -> probe <= z || meets probe)
-              (Nakamoto_core.Confirmation.search_probes z)
-          then Conf z
-          else Conf_inconclusive
+        if I.hi ds <= epsilon then certified z
         else if I.lo ds <= epsilon then Conf_inconclusive
         else search (z + 1)
       end

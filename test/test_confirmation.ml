@@ -248,27 +248,43 @@ let test_settle_strata () =
           = Some z)
   done
 
+(* The read budget at assess-settle's strata midpoints: the search starts
+   at the closed-form crossing, so it reads about two depths where
+   galloping from z = 1 read about 16 at the mean depth of 241.  Every
+   read stays within [deepest_read], the bound Cert certifies up to. *)
 let test_search_probes () =
-  check_true "depth 1 is one probe" (Confirmation.search_probes 1 = [ 1 ]);
-  check_true "gallop then bisect"
-    (Confirmation.search_probes 5 = [ 1; 2; 4; 8; 6; 5 ]);
-  let limit = Confirmation.default_depth_limit in
-  check_true "the last gallop probe is capped at the limit"
-    (List.filteri (fun i _ -> i < 15) (Confirmation.search_probes limit)
-    = List.init 14 (fun i -> 1 lsl i) @ [ limit ]);
-  check_raises_invalid "depth past the limit" (fun () ->
-      ignore (Confirmation.search_probes (limit + 1)));
-  check_raises_invalid "depth 0" (fun () ->
-      ignore (Confirmation.search_probes 0));
-  for depth = 1 to 5000 do
-    let probes = Confirmation.search_probes depth in
-    let above = List.length (List.filter (fun z -> z > depth) probes) in
-    let log2_ceil = ref 0 in
-    while 1 lsl !log2_ceil < depth do incr log2_ceil done;
-    if not (List.mem depth probes && above <= !log2_ceil) then
-      Alcotest.failf "depth %d: %d probes above, bound %d" depth above
-        !log2_ceil
-  done
+  let epsilon = 1e-3 in
+  let total = ref 0 and most = ref 0 in
+  for i = 0 to 999 do
+    let ratio = 0.05 +. (0.9 *. (float_of_int i +. 0.5) /. 1000.) in
+    let reads = Confirmation.search_reads ~ratio ~epsilon () in
+    let z = Option.get (Confirmation.confirmations_for ~ratio ~epsilon ()) in
+    let first = List.hd reads in
+    check_int "the first read is first_read"
+      (Confirmation.first_read ~ratio ~epsilon ())
+      first;
+    if not (List.mem z reads || z = 1) then
+      Alcotest.failf "ratio %g: the answer %d was never read" ratio z;
+    let deepest = Confirmation.deepest_read ~first z in
+    if List.exists (fun d -> d > deepest) reads then
+      Alcotest.failf "ratio %g: a read past deepest_read %d" ratio deepest;
+    total := !total + List.length reads;
+    most := max !most (List.length reads)
+  done;
+  let mean = float_of_int !total /. 1000. in
+  check_true (Printf.sprintf "mean reads %.3f <= 2.2" mean) (mean <= 2.2);
+  check_true (Printf.sprintf "most reads %d <= 6" !most) (!most <= 6);
+  check_int "a failing first read bounds by the gallop" 13
+    (Confirmation.deepest_read ~first:10 12);
+  check_int "a meeting first read bounds every later read" 12
+    (Confirmation.deepest_read ~first:12 10);
+  check_int "no read past the limit" 20
+    (Confirmation.deepest_read ~limit:20 ~first:5 15);
+  check_true "an unsettleable ratio reads the limit once"
+    (Confirmation.search_reads ~ratio:0.999 ~epsilon:1e-3 ()
+    = [ Confirmation.default_depth_limit ]);
+  check_raises_invalid "search_reads checks its arguments" (fun () ->
+      ignore (Confirmation.search_reads ~ratio:1. ~epsilon:1e-3 ()))
 
 let test_table_rendering () =
   let a = Confirmation.assess (Params.of_c ~n:1e5 ~delta:10. ~nu:0.1 ~c:6.) in
@@ -325,4 +341,20 @@ let suite =
     case "table rendering" test_table_rendering;
   ]
   @ props
-  @ [ case "Nakamoto formula bits" test_nakamoto_bits ]
+  @ [
+      case "Nakamoto formula bits" test_nakamoto_bits;
+      prop "the search reads within deepest_read"
+        QCheck2.Gen.(
+          triple (float_range 1e-6 0.999) (float_range (log 1e-9) (log 0.5))
+            (int_range 1 2000))
+        (fun (ratio, log_epsilon, limit) ->
+          let epsilon = Float.max Confirmation.min_epsilon (exp log_epsilon) in
+          let reads = Confirmation.search_reads ~limit ~ratio ~epsilon () in
+          match Confirmation.confirmations_for ~limit ~ratio ~epsilon () with
+          | None -> List.mem limit reads
+          | Some z ->
+            let deepest =
+              Confirmation.deepest_read ~limit ~first:(List.hd reads) z
+            in
+            List.for_all (fun d -> d >= 1 && d <= deepest) reads);
+    ]
