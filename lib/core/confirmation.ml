@@ -42,13 +42,13 @@ let overtake_probability_bounded ~honest_rate ~adversary_rate ~deficit
 let default_depth_limit = 10_000
 let min_epsilon = 1e-9
 
-(* log k! for k below the table's length, each entry the running sum
-   [t.(k) = t.(k - 1) +. log (float k)] the double-spend sum used to
-   accumulate term by term, so a lookup returns the same bits.  It grows
-   on demand, doubling up to [default_depth_limit + 1] entries; deeper
-   terms continue the running sum from the last entry.  A grown table is
-   a fresh array published whole, so a domain reads either the old one
-   or the new one, never a half-filled one. *)
+(* log k! for k below the table's length, built as the running sum
+   [t.(k) = t.(k - 1) +. log (float k)], so an entry has the same bits
+   as summing the logs term by term.  It grows on demand, doubling up to
+   [default_depth_limit + 1] entries; deeper terms continue the running
+   sum from the last entry.  A grown table is a fresh array published
+   whole, so a domain reads either the old one or the new one, never a
+   half-filled one. *)
 let log_factorials = Atomic.make [| 0. |]
 
 let log_factorials_to z =

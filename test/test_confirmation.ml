@@ -83,14 +83,14 @@ let reference_double_spend ~ratio ~confirmations:z =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* 40 ratios over (0, 1), each at z = 1..64 and then every 97th depth up
-   to the default limit, and the limit itself. *)
+(* 40 ratios over (0, 1), each at z = 1..64, then every 97th depth up to
+   the default limit, the limit itself and a depth past the log k! table. *)
 let test_nakamoto_bits () =
   let limit = Confirmation.default_depth_limit in
   let depths =
     List.init 64 (fun i -> i + 1)
     @ List.init ((limit - 64) / 97) (fun i -> 65 + (97 * i))
-    @ [ limit ]
+    @ [ limit; limit + 2345 ]
   in
   for i = 1 to 40 do
     let ratio = (float_of_int i -. 0.37) /. 40. in
