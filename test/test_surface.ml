@@ -200,6 +200,82 @@ let test_enumerable_plateau_coverage () =
   check_true "at least half the queries served cached"
     (hits * 2 >= List.length queries)
 
+(* The certifier's output on the 3^4-vertex smoke box, pinned bit for
+   bit: each cell's zone and depth verdict, the conclusive counts, the
+   bits of every margin enclosure, and a fold of the bits of the other
+   three enclosures.  A change to Cert's operation trees or its outward
+   rounding shows up here. *)
+let smoke_grid () =
+  Grid.create
+    ~p:(Grid.axis ~lo:1.1e-4 ~hi:1.4e-4 ~count:3 ~scale:Grid.Log)
+    ~n:(Grid.axis ~lo:100. ~hi:140. ~count:3 ~scale:Grid.Log)
+    ~delta:(Grid.axis ~lo:28. ~hi:36. ~count:3 ~scale:Grid.Log)
+    ~nu:(Grid.axis ~lo:0.012 ~hi:0.016 ~count:3 ~scale:Grid.Linear)
+
+let cell_state (cell : Cert.cell) =
+  let zone =
+    match cell.Cert.zone with
+    | Cert.Zone z -> Assessment.zone_to_string z
+    | Cert.Zone_inconclusive -> "?"
+  in
+  let conf =
+    match cell.Cert.conf with
+    | Cert.Conf z -> string_of_int z
+    | Cert.Conf_none -> "none"
+    | Cert.Conf_inconclusive -> "?"
+  in
+  zone ^ "/" ^ conf
+
+let fold_bits acc x =
+  Nakamoto_prob.Rng.splitmix64 (Int64.logxor acc (Int64.bits_of_float x))
+
+let test_smoke_box_pinned () =
+  let g = smoke_grid () in
+  let t = Table.build g in
+  let cells = List.init (Grid.cell_count g) (Table.cell t) in
+  Alcotest.(check (list string))
+    "cell zone/depth verdicts"
+    ("SAFE/3" :: List.init 15 (fun _ -> "SAFE/?"))
+    (List.map cell_state cells);
+  let zones, confs, full = Table.conclusive_counts t in
+  Alcotest.(check (list int)) "conclusive counts" [ 16; 1; 1 ]
+    [ zones; confs; full ];
+  Alcotest.(check (list string))
+    "margin enclosure bits"
+    [
+      "0x1.ae3f1e248796ap+0 0x1.665b77dff4419p+1";
+      "0x1.aa95080658563p+0 0x1.6460802f86281p+1";
+      "0x1.6d66f517b1b59p+0 0x1.3548acc821136p+1";
+      "0x1.69bcdef982752p+0 0x1.334db517b2f9ep+1";
+      "0x1.5936d0b705a01p+0 0x1.26017d6053effp+1";
+      "0x1.558cba98d65fap+0 0x1.240685afe5d67p+1";
+      "0x1.22691e801605dp+0 0x1.f90ffba7dbe52p+0";
+      "0x1.1ebf0861e6c56p+0 0x1.f51a0c46ffb23p+0";
+      "0x1.6fdde7ae75caep+0 0x1.37262b0d8ef7ap+1";
+      "0x1.6c33d190468a7p+0 0x1.352b335d20de2p+1";
+      "0x1.36636f7fed1a5p+0 0x1.0ba6712c2b6fp+1";
+      "0x1.32b95961bdd9ep+0 0x1.09ab797bbd558p+1";
+      "0x1.247e5e00ec3aap+0 0x1.fc37180bb337ap+0";
+      "0x1.20d447e2bcfa3p+0 0x1.f84128aad704bp+0";
+      "0x1.e7d4bdd07fb3dp-1 0x1.b2b0480695adap+0";
+      "0x1.e08091942132fp-1 0x1.aeba58a5b97abp+0";
+    ]
+    (List.map
+       (fun (cell : Cert.cell) ->
+         Printf.sprintf "%h %h" (I.lo cell.Cert.margin) (I.hi cell.Cert.margin))
+       cells);
+  let other =
+    List.fold_left
+      (fun acc (cell : Cert.cell) ->
+        List.fold_left
+          (fun acc iv -> fold_bits (fold_bits acc (I.lo iv)) (I.hi iv))
+          acc
+          [ cell.Cert.neat; cell.Cert.attack; cell.Cert.ratio ])
+      0L cells
+  in
+  Alcotest.(check int64)
+    "neat/attack/ratio enclosure bits" 8756476321096059578L other
+
 let suite =
   [
     case "grid indexing" test_grid_indexing;
@@ -209,4 +285,5 @@ let suite =
     case "telemetry hit/fallback counters" test_telemetry_counters;
     case "describe and header" test_describe_and_header;
     case "enumerable-Delta plateau coverage" test_enumerable_plateau_coverage;
+    case "certifier pinned on the smoke box" test_smoke_box_pinned;
   ]
