@@ -10,7 +10,6 @@ module Core = Nakamoto_core
 module Sim = Nakamoto_sim
 module Campaign = Nakamoto_campaign
 module Serve = Nakamoto_serve
-module Surface = Nakamoto_surface
 
 (* NAKAMOTO_TELEMETRY_CLOCK=zero freezes every span at 0s — the hook
    behind the byte-stable golden smoke checks. *)
@@ -159,11 +158,6 @@ let emit_table ?csv table k =
       Printf.printf "(csv written to %s)\n" path)
     out;
   k ()
-
-(* A precomputed certified surface, loaded when the flag is parsed. *)
-let surface_conv =
-  Arg.conv'
-    (Surface.Table.load, fun ppf _ -> Format.pp_print_string ppf "FILE")
 
 (* bound: all thresholds at one nu.  Delta = inf is the neat bound's
    limit, so Delta is a range-checked scalar here, not a Params point. *)
@@ -429,14 +423,8 @@ let batch_error ~line msg =
 
 (* The point flags are checked in point mode only: a batch ignores them. *)
 let assess_cmd =
-  let run point surface stdin_jsonl =
-    let assess_one params =
-      match surface with
-      | Some t -> Surface.Table.assess_cached t params
-      | None -> Core.Assessment.verdict_of (Core.Assessment.assess params)
-    in
+  let run point stdin_jsonl =
     if stdin_jsonl then begin
-      let hits = ref 0 and fallbacks = ref 0 and errors = ref 0 in
       let line = ref 0 in
       (try
          while true do
@@ -445,34 +433,22 @@ let assess_cmd =
            if String.trim raw <> "" then
              let record =
                match
-                 assess_one (batch_params_of_json (Campaign.Json.parse raw))
+                 Core.Assessment.verdict_of
+                   (Core.Assessment.assess
+                      (batch_params_of_json (Campaign.Json.parse raw)))
                with
-               | v ->
-                 if v.Core.Assessment.v_cached then incr hits
-                 else incr fallbacks;
-                 batch_record_of_verdict ~line:!line v
-               | exception Campaign.Json.Malformed m ->
-                 incr errors;
-                 batch_error ~line:!line m
-               | exception Invalid_argument m ->
-                 incr errors;
+               | v -> batch_record_of_verdict ~line:!line v
+               | exception (Campaign.Json.Malformed m | Invalid_argument m) ->
                  batch_error ~line:!line m
              in
              print_endline record
          done
        with End_of_file -> ());
-      if surface <> None then
-        Printf.eprintf "assess: %d cached, %d exact, %d bad lines\n%!" !hits
-          !fallbacks !errors;
       `Ok ()
     end
     else
       match point with
       | Error m -> `Error (false, m)
-      | Ok (p, _) when surface <> None ->
-        guarded (fun () -> assess_one p) (fun v ->
-            Format.printf "%a@." Core.Assessment.pp_verdict v;
-            `Ok ())
       | Ok (p, _) ->
         guarded
           (fun () -> (Core.Assessment.assess p, Core.Assessment.diagnose p))
@@ -480,13 +456,6 @@ let assess_cmd =
             Format.printf "%a@.%a@." Core.Assessment.pp a
               Core.Assessment.pp_diagnostics d;
             `Ok ())
-  in
-  let surface_arg =
-    Arg.(value & opt (some surface_conv) None
-         & info [ "surface" ] ~docv:"FILE"
-             ~doc:"Answer from a precomputed certified surface (see \
-                   $(b,surface build)); queries outside the table or in \
-                   inconclusive cells fall back to the exact solver.")
   in
   let stdin_jsonl_arg =
     Arg.(value & flag
@@ -500,119 +469,12 @@ let assess_cmd =
   let term =
     Term.(
       ret
-        (const run $ point_result ~n:n_arg (c_arg ~default:3.) $ surface_arg
-        $ stdin_jsonl_arg))
+        (const run $ point_result ~n:n_arg (c_arg ~default:3.) $ stdin_jsonl_arg))
   in
   Cmd.v
     (Cmd.info "assess"
        ~doc:"Full security assessment of one parameter point (the flagship query).")
     term
-
-(* surface *)
-
-(* A surface axis, LO:HI:COUNT:SCALE; Grid.axis checks it when the
-   surface is built. *)
-let axis_arg ~name ~default ~doc =
-  let scale =
-    Arg.enum [ ("lin", Surface.Grid.Linear); ("log", Surface.Grid.Log) ]
-  in
-  Arg.(value
-       & opt (t4 ~sep:':' float float int scale) default
-       & info [ name ] ~docv:"LO:HI:COUNT:SCALE" ~doc)
-
-let surface_build_cmd =
-  let run p n delta nu out jobs epsilon conf_limit refine =
-    let axis (lo, hi, count, scale) = Surface.Grid.axis ~lo ~hi ~count ~scale in
-    guarded
-      (fun () ->
-        Surface.Table.build ~jobs ~epsilon ~conf_limit ~refine
-          (Surface.Grid.create ~p:(axis p) ~n:(axis n) ~delta:(axis delta)
-             ~nu:(axis nu)))
-      (fun table ->
-        Surface.Table.save table ~path:out;
-        Printf.printf "%s\n" (Surface.Table.describe table);
-        Printf.printf "(surface written to %s)\n" out;
-        `Ok ())
-  in
-  let out_arg =
-    Arg.(required & opt (some string) None
-         & info [ "out" ] ~docv:"PATH" ~doc:"Output surface file.")
-  in
-  let jobs_arg =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"J"
-             ~doc:"Certify cells on J domains (the bytes are identical \
-                   for every J).")
-  in
-  let epsilon_arg =
-    Arg.(value & opt float Surface.Table.default_epsilon
-         & info [ "epsilon" ] ~docv:"EPS"
-             ~doc:"Double-spend risk target for the certified depths, in \
-                   [1e-9, 1).")
-  in
-  let conf_limit_arg =
-    Arg.(value & opt int Surface.Table.default_conf_limit
-         & info [ "conf-limit" ] ~docv:"Z"
-             ~doc:"Give up certifying a cell's depth past Z confirmations.")
-  in
-  let refine_arg =
-    Arg.(value & opt int Surface.Table.default_refine
-         & info [ "refine" ] ~docv:"R"
-             ~doc:"Split each cell into R^4 sub-boxes for the depth \
-                   certification (fights interval dependency blow-up).")
-  in
-  let term =
-    Term.(
-      ret
-        (const run
-        $ axis_arg ~name:"p" ~default:(1.1e-4, 1.4e-4, 4, Surface.Grid.Log)
-            ~doc:"Proof-of-work hardness axis."
-        $ axis_arg ~name:"n" ~default:(100., 140., 4, Surface.Grid.Log)
-            ~doc:"Miner-count axis."
-        $ axis_arg ~name:"delta" ~default:(28., 36., 4, Surface.Grid.Log)
-            ~doc:"Delay-bound axis."
-        $ axis_arg ~name:"nu" ~default:(0.012, 0.016, 4, Surface.Grid.Linear)
-            ~doc:"Adversarial-fraction axis."
-        $ out_arg $ jobs_arg $ epsilon_arg $ conf_limit_arg $ refine_arg))
-  in
-  Cmd.v
-    (Cmd.info "build"
-       ~doc:
-         "Precompute an interval-certified assessment surface over a \
-          (p, n, Delta, nu) box.")
-    term
-
-let surface_info_cmd =
-  let run t header =
-    if header then print_endline (Surface.Table.header_json t)
-    else begin
-      print_endline (Surface.Table.describe t);
-      let zones, confs, full = Surface.Table.conclusive_counts t in
-      Printf.printf
-        "zones certified %d, depths certified %d, fully conclusive %d\n"
-        zones confs full
-    end
-  in
-  let path_arg =
-    Arg.(required & pos 0 (some surface_conv) None
-         & info [] ~docv:"FILE" ~doc:"Surface file to inspect.")
-  in
-  let header_arg =
-    Arg.(value & flag
-         & info [ "header" ] ~doc:"Print the canonical JSON header only.")
-  in
-  let term = Term.(const run $ path_arg $ header_arg) in
-  Cmd.v
-    (Cmd.info "info" ~doc:"Describe a surface file (or dump its header).")
-    term
-
-let surface_cmd =
-  Cmd.group
-    (Cmd.info "surface"
-       ~doc:
-         "Build and inspect precomputed interval-certified assessment \
-          surfaces.")
-    [ surface_build_cmd; surface_info_cmd ]
 
 (* sweep *)
 
@@ -946,8 +808,7 @@ let campaign_cmd =
 (* serve *)
 
 let serve_cmd =
-  let run socket tcp max_campaigns max_conns lease_timeout telemetry surface
-      verbose =
+  let run socket tcp max_campaigns max_conns lease_timeout telemetry verbose =
     setup_logging verbose;
     if socket = None && tcp = None then
       `Error (false, "serve needs --socket SOCK, --listen HOST:PORT, or both")
@@ -958,7 +819,7 @@ let serve_cmd =
       guarded ~who:"serve"
         (fun () ->
           Serve.Coordinator.serve ?socket ?tcp ?max_campaigns ~max_conns
-            ~lease_timeout ?telemetry ?telemetry_clock ?surface ~on_tcp_port ())
+            ~lease_timeout ?telemetry ?telemetry_clock ~on_tcp_port ())
         (fun served ->
           Printf.printf "served %d campaign%s\n" served
             (if served = 1 then "" else "s");
@@ -1004,19 +865,11 @@ let serve_cmd =
                    and ship shard instruments only to a daemon started \
                    with this option; the handshake tells them.")
   in
-  let surface_arg =
-    Arg.(value & opt (some surface_conv) None
-         & info [ "surface" ] ~docv:"FILE"
-             ~doc:"Answer assess queries from this precomputed certified \
-                   surface, falling back to the exact solver outside its \
-                   conclusive cells.")
-  in
   let term =
     Term.(
       ret
         (const run $ socket_arg $ listen_arg $ max_campaigns_arg
-        $ max_conns_arg $ lease_timeout_arg $ telemetry_arg $ surface_arg
-        $ verbose_arg))
+        $ max_conns_arg $ lease_timeout_arg $ telemetry_arg $ verbose_arg))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1117,7 +970,7 @@ let () =
       [
         bound_cmd; numax_cmd; figure1_cmd; figure2_cmd; table1_cmd; remark1_cmd;
         simulate_cmd; montecarlo_cmd; campaign_cmd; verify_cmd; confirm_cmd;
-        trace_cmd; sweep_cmd; assess_cmd; surface_cmd; serve_cmd; worker_cmd;
+        trace_cmd; sweep_cmd; assess_cmd; serve_cmd; worker_cmd;
       ]
   in
   exit (Cmd.eval group)

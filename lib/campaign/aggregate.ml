@@ -151,7 +151,6 @@ let max_reorg_depth t = t.max_reorg
 let reorg_histogram t = Array.copy t.reorg_hist
 let growth_summary t = t.growth
 let quality_summary t = t.quality
-let reorg_summary t = t.reorg
 
 type snapshot = {
   s_trials : int;

@@ -73,7 +73,6 @@ val reorg_histogram : t -> int array
 
 val growth_summary : t -> Nakamoto_prob.Stats.Summary.t
 val quality_summary : t -> Nakamoto_prob.Stats.Summary.t
-val reorg_summary : t -> Nakamoto_prob.Stats.Summary.t
 
 (** Exact state, for the journal. *)
 type snapshot = {

@@ -43,7 +43,10 @@ let alpha1 t = exp (log_alpha1 t)
 let adversary_rate t = t.p *. t.nu *. t.n
 
 let log_adversary_rate t =
-  if t.nu = 0. then neg_infinity else log (adversary_rate t)
+  if t.nu = 0. then neg_infinity
+  else
+    let rate = adversary_rate t in
+    if rate > 0. then log rate else log t.p +. log t.nu +. log t.n
 
 let honest_rate t = t.p *. mu t *. t.n
 

@@ -64,7 +64,10 @@ val adversary_rate : t -> float
 (** Expected adversarial blocks per round, [p *. nu *. n] (Eq. 27). *)
 
 val log_adversary_rate : t -> float
-(** [log (adversary_rate t)]; [neg_infinity] when [nu = 0.]. *)
+(** [log (adversary_rate t)]; [neg_infinity] when [nu = 0.].  Where the
+    product underflows to 0 at a tiny [nu > 0] (below ~1e-306 at
+    Internet-scale p) it is [log p + log nu + log n] instead, so it
+    stays finite for every [nu > 0]. *)
 
 val honest_rate : t -> float
 (** Expected honest blocks per round, [p *. mu *. n]. *)

@@ -47,8 +47,6 @@ let support_succ t i =
   Array.to_list t.rows.(i)
   |> List.filter_map (fun (j, p) -> if p > 0. then Some j else None)
 
-let restrict_support t i = support_succ t i
-
 let is_irreducible t =
   Structure.is_strongly_connected ~succ:(support_succ t) ~n:t.size
 

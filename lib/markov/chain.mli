@@ -113,6 +113,3 @@ val visit_counts :
     [steps * pi] (streaming: O(size) memory regardless of [steps]).
     @raise Invalid_argument if [start] is out of range or [steps < 0]. *)
 
-val restrict_support : t -> (int -> int list)
-(** [restrict_support t] is the successor function of the support graph,
-    for reuse with {!Structure}. *)

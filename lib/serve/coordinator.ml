@@ -82,7 +82,7 @@ let listen_tcp (host, port) =
 let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
     ?(max_queue = 16 * 1024 * 1024) ?(lease_timeout = 30.)
     ?heartbeat_interval ?heartbeat_timeout ?telemetry
-    ?(telemetry_clock = Unix.gettimeofday) ?surface ?(log = default_log)
+    ?(telemetry_clock = Unix.gettimeofday) ?(log = default_log)
     ?(on_tcp_port = fun _ -> ()) () =
   (match max_campaigns with
   | Some n when n < 1 ->
@@ -397,49 +397,32 @@ let serve ?socket ?tcp ?max_campaigns ?(max_conns = 240)
               Hashtbl.remove g.g_leases r.Msg.res_lease;
               apply_result g ~pi:l.l_plan agg snap))
   in
+  (* The whole reply is computed under the handler: a query the library
+     rejects, in the parameters or deep in the assessment, becomes a
+     typed Error for that peer and never escapes the select loop. *)
   let handle_assess conn (q : Msg.assess_params) =
     match
-      Core.Params.of_c ~n:q.Msg.q_n ~delta:q.Msg.q_delta ~nu:q.Msg.q_nu
-        ~c:q.Msg.q_c
+      let p =
+        Core.Params.of_c ~n:q.Msg.q_n ~delta:q.Msg.q_delta ~nu:q.Msg.q_nu
+          ~c:q.Msg.q_c
+      in
+      let a = Core.Assessment.assess p in
+      Msg.Assess_reply
+        {
+          Msg.a_zone = Core.Assessment.zone_to_string a.Core.Assessment.zone;
+          a_neat_threshold = a.neat_threshold;
+          a_neat_margin = a.neat_margin;
+          a_attack_threshold = a.attack_threshold;
+          a_confirmations =
+            Option.map
+              (fun (c : Core.Confirmation.assessment) ->
+                c.Core.Confirmation.confirmations)
+              a.confirmations;
+          a_rendered = Format.asprintf "%a" Core.Assessment.pp a;
+        }
     with
-    | exception Invalid_argument m -> send_msg conn (Msg.Error m)
-    | p -> (
-      match surface with
-      | Some table ->
-        (* Surface-backed serving: certified table cells answer directly,
-           everything else falls back to the exact solver inside
-           [assess_cached]; both paths tick the surface counters on the
-           daemon registry when telemetry is on. *)
-        let v = Nakamoto_surface.Table.assess_cached ?telemetry:tel table p in
-        let nu = p.Core.Params.nu in
-        let mu = 1. -. nu in
-        send_msg conn
-          (Msg.Assess_reply
-             {
-               Msg.a_zone = Core.Assessment.zone_to_string v.Core.Assessment.v_zone;
-               a_neat_threshold = Core.Bounds.neat_c_min ~nu;
-               a_neat_margin = v.Core.Assessment.v_margin;
-               a_attack_threshold = 1. /. ((1. /. nu) -. (1. /. mu));
-               a_confirmations = v.Core.Assessment.v_confirmations;
-               a_rendered =
-                 Format.asprintf "%a" Core.Assessment.pp_verdict v;
-             })
-      | None ->
-        let a = Core.Assessment.assess p in
-        send_msg conn
-          (Msg.Assess_reply
-             {
-               Msg.a_zone = Core.Assessment.zone_to_string a.Core.Assessment.zone;
-               a_neat_threshold = a.neat_threshold;
-               a_neat_margin = a.neat_margin;
-               a_attack_threshold = a.attack_threshold;
-               a_confirmations =
-                 Option.map
-                   (fun (c : Core.Confirmation.assessment) ->
-                     c.Core.Confirmation.confirmations)
-                   a.confirmations;
-               a_rendered = Format.asprintf "%a" Core.Assessment.pp a;
-             }))
+    | reply -> send_msg conn reply
+    | exception (Invalid_argument m | Failure m) -> send_msg conn (Msg.Error m)
   in
   let handle_msg conn (m : Msg.t) =
     conn.c_last_seen <- Unix.gettimeofday ();

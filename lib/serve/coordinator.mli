@@ -15,7 +15,9 @@
     in process, for any transport, worker count, or failure schedule.  A
     submitted journal that cannot be opened, repaired or trusted is
     refused to the submitter with a typed [Error]; the daemon keeps
-    serving.
+    serving.  Assessment queries run the exact
+    {!Nakamoto_core.Assessment.assess}; a query it or
+    {!Nakamoto_core.Params.of_c} rejects gets a typed [Error] too.
 
     {b Fleet hardening.}  Every accepted connection is non-blocking with
     a bounded per-connection output queue, drained opportunistically at
@@ -50,7 +52,6 @@ val serve :
   ?heartbeat_timeout:float ->
   ?telemetry:string ->
   ?telemetry_clock:(unit -> float) ->
-  ?surface:Nakamoto_surface.Table.t ->
   ?log:(string -> unit) ->
   ?on_tcp_port:(int -> unit) ->
   unit ->
@@ -59,13 +60,6 @@ val serve :
     path (unlinking any stale file first), a TCP [host, port] pair, or
     both; at least one is required — and runs the event loop; returns
     the number of campaigns served.
-
-    [surface] arms a precomputed certified assessment surface: assess
-    queries landing in a conclusive cell are answered from the table
-    ([v_cached] replies), everything else falls back to the exact
-    solver; both paths count into the daemon's telemetry registry
-    ([surface_hits_total] / [surface_fallbacks_total]) when [telemetry]
-    is set.
 
     With [max_campaigns] (>= 1) the daemon exits cleanly — queued output
     flushed (bounded, 5 s), connections closed, socket unlinked — after

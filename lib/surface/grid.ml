@@ -1,12 +1,5 @@
 type scale = Linear | Log
 
-let scale_name = function Linear -> "lin" | Log -> "log"
-
-let scale_of_name = function
-  | "lin" -> Some Linear
-  | "log" -> Some Log
-  | _ -> None
-
 type axis = { a_lo : float; a_hi : float; a_count : int; a_scale : scale }
 
 let axis ~lo ~hi ~count ~scale =

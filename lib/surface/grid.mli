@@ -1,9 +1,8 @@
 (** The (p, n, Δ, ν) parameter box and its rectangular grid.
 
     Axis order is fixed — p, n, delta, nu — and indices are row-major in
-    that order (p slowest, nu fastest), which is what makes serialized
-    tables a pure function of the axes: every vertex and cell has one
-    canonical position in the file.
+    that order (p slowest, nu fastest): every vertex and cell has one
+    canonical position in a table.
 
     Vertex coordinates pin the axis endpoints {e exactly} ([vertex a 0 =
     lo], [vertex a (count-1) = hi]); interior vertices are linearly or
@@ -11,11 +10,6 @@
     [[vertex j, vertex (j+1)]]. *)
 
 type scale = Linear | Log
-
-val scale_name : scale -> string
-(** ["lin"] | ["log"] — the header-JSON encoding. *)
-
-val scale_of_name : string -> scale option
 
 type axis = private {
   a_lo : float;

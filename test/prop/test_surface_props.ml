@@ -206,37 +206,6 @@ let monotone_prop ((p1, p2), (n, delta, nu)) =
            a.Table.h_margin p1 b.Table.h_margin p2)
   | _ -> ()
 
-(* Regeneration determinism on random boxes: the bytes are a pure
-   function of the build inputs — across runs and across ~jobs. *)
-let grid_arb =
-  let axis_gen ~lo_lo ~lo_hi ~spread_hi ~log_ok rng =
-    let lo = Gen.log_float_range ~lo:lo_lo ~hi:lo_hi rng in
-    let hi = lo *. Gen.float_range ~lo:1.05 ~hi:spread_hi rng in
-    let count = Gen.int_range ~lo:2 ~hi:3 rng in
-    let scale =
-      if log_ok && Gen.bool rng then Grid.Log else Grid.Linear
-    in
-    Grid.axis ~lo ~hi ~count ~scale
-  in
-  let gen rng =
-    Grid.create
-      ~p:(axis_gen ~lo_lo:1e-5 ~lo_hi:1e-3 ~spread_hi:2. ~log_ok:true rng)
-      ~n:(axis_gen ~lo_lo:10. ~lo_hi:1e4 ~spread_hi:2. ~log_ok:true rng)
-      ~delta:(axis_gen ~lo_lo:1. ~lo_hi:1e3 ~spread_hi:2. ~log_ok:true rng)
-      ~nu:(axis_gen ~lo_lo:0.01 ~lo_hi:0.3 ~spread_hi:1.4 ~log_ok:false rng)
-  in
-  Arbitrary.make ~print:(fun g -> Table.describe (Table.build g)) gen
-
-let determinism_prop g =
-  let bytes = Table.to_string (Table.build ~jobs:1 g) in
-  if Table.to_string (Table.build ~jobs:2 g) <> bytes then
-    failwith "parallel rebuild changed the bytes";
-  match Table.of_string bytes with
-  | Error m -> failwith ("round-trip load failed: " ^ m)
-  | Ok back ->
-    if Table.to_string back <> bytes then
-      failwith "decode/encode is not the identity"
-
 let suite =
   [
     prop ~count:1000 "cached verdict equals exact or tags a fallback"
@@ -248,6 +217,4 @@ let suite =
     prop ~count:300 "cell enclosures contain the exact floats" cell_point_arb
       enclosure_prop;
     prop ~count:200 "margin estimate falls along p" slice_arb monotone_prop;
-    prop ~count:5 "rebuilds are byte-identical across jobs" grid_arb
-      determinism_prop;
   ]

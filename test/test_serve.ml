@@ -57,14 +57,14 @@ let oracle =
 
 (* Domain bodies report an exit-code-like int so the assertions read the
    same as they would for processes. *)
-let spawn_daemon ?socket ?tcp ?on_tcp_port ?telemetry ?surface
+let spawn_daemon ?socket ?tcp ?on_tcp_port ?telemetry
     ?(lease_timeout = 5.) ?heartbeat_interval ?heartbeat_timeout () =
   Domain.spawn (fun () ->
       try
         ignore
           (Serve.Coordinator.serve ?socket ?tcp ?on_tcp_port ~max_campaigns:1
              ~lease_timeout ?heartbeat_interval ?heartbeat_timeout ?telemetry
-             ?surface ~log:silent ());
+             ~log:silent ());
         0
       with _ -> 3)
 
@@ -530,48 +530,34 @@ let test_bad_journal_path () =
   cleanup journal;
   cleanup socket
 
-(* Surface-backed daemon: assess RPCs inside a certified cell are served
-   from the table (the rendered verdict says so), everything else still
-   routes through the exact solver — and the campaign path is
-   untouched. *)
-let test_surface_backed_assess () =
-  let module Surface = Nakamoto_surface in
-  let axis lo hi scale =
-    Surface.Grid.axis ~lo ~hi ~count:2 ~scale
-  in
-  let table =
-    Surface.Table.build
-      (Surface.Grid.create
-         ~p:(axis 1.7e-6 1.8e-6 Surface.Grid.Log)
-         ~n:(axis 115. 125. Surface.Grid.Log)
-         ~delta:(axis 1870. 1930. Surface.Grid.Log)
-         ~nu:(axis 0.0136 0.0144 Surface.Grid.Linear))
-  in
-  let _, _, full = Surface.Table.conclusive_counts table in
-  check_int "the cell certifies" 1 full;
-  let socket = temp_path "surface" ".sock" in
+(* An assess RPC the library rejects deep in the assessment must cost
+   that query a typed Error at worst, never the daemon: at nu = 1e-306
+   the adversary rate p nu n once underflowed to 0, the depth search
+   raised, and the exception escaped the select loop.  A valid query and
+   a whole campaign must still be served afterwards. *)
+let test_rejected_assess_keeps_serving () =
+  let socket = temp_path "assess" ".sock" in
   let addr = Serve.Conn.Unix_path socket in
-  let daemon = spawn_daemon ~socket ~surface:table () in
-  (* c = 1/(p n Delta) at the cell's interior point. *)
-  let c = 1. /. (1.75e-6 *. 120. *. 1900.) in
-  (match Serve.Client.assess ~addr ~nu:0.014 ~c ~n:120. ~delta:1900. () with
-  | Ok a ->
-    Alcotest.(check string) "cached zone" "SAFE" a.Msg.a_zone;
-    check_true "served from the table"
-      (contains_substring ~affix:"(cached)" a.Msg.a_rendered);
-    check_true "certified depth" (a.Msg.a_confirmations = Some 3)
-  | Error e -> Alcotest.failf "surface assess: %s" e);
-  (match Serve.Client.assess ~addr ~nu:0.4 ~c:0.2 ~n:1e5 ~delta:1e13 () with
-  | Ok a ->
-    Alcotest.(check string) "fallback zone" "BROKEN" a.Msg.a_zone;
-    check_false "outside the box is not cached"
-      (contains_substring ~affix:"(cached)" a.Msg.a_rendered)
-  | Error e -> Alcotest.failf "fallback assess: %s" e);
-  let journal = temp_path "surface" ".jsonl" in
+  let daemon = spawn_daemon ~socket () in
+  let fd = Serve.Conn.connect ~addr ~timeout:10. in
+  let ch = Frame.Channel.of_fd fd in
+  (match Serve.Conn.handshake ~role:Msg.Client ch with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "client handshake: %s" e);
+  Msg.send ch
+    (Msg.Query_assess { Msg.q_nu = 1e-306; q_c = 3.; q_n = 1e5; q_delta = 1e13 });
+  (match Msg.recv ~timeout:10. ch with
+  | `Msg (Msg.Assess_reply _ | Msg.Error _) -> ()
+  | `Eof -> Alcotest.fail "the daemon hung up on an assess query"
+  | _ -> Alcotest.fail "no Assess_reply or typed Error for the query");
+  Unix.close fd;
+  (match Serve.Client.assess ~addr ~nu:0.25 ~c:3. ~n:1e5 ~delta:1e13 () with
+  | Ok a -> Alcotest.(check string) "valid query answered" "SAFE" a.Msg.a_zone
+  | Error e -> Alcotest.failf "valid assess after the rejected one: %s" e);
+  let journal = temp_path "assess" ".jsonl" in
   let worker = spawn_worker ~addr () in
   submit ~addr ~journal ();
-  Alcotest.(check string)
-    "campaign journal unaffected by the surface" (Lazy.force oracle)
+  Alcotest.(check string) "the daemon kept serving" (Lazy.force oracle)
     (read_file journal);
   check_int "daemon exits cleanly" 0 (Domain.join daemon);
   check_int "worker exits cleanly" 0 (Domain.join worker);
@@ -762,8 +748,8 @@ let suite =
       test_protocol_edges;
     case "an unopenable journal path is refused and the daemon keeps serving"
       test_bad_journal_path;
-    case "surface-backed daemon serves cached verdicts"
-      test_surface_backed_assess;
+    case "an assess RPC the library rejects leaves the daemon serving"
+      test_rejected_assess_keeps_serving;
     case "a worker whose coordinator closes mid-lease exits cleanly"
       test_coordinator_gone_mid_lease;
     case "a worker ships shard telemetry only when the ack asks for it"

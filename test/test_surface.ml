@@ -5,12 +5,10 @@ module Table = Nakamoto_surface.Table
 module Params = Nakamoto_core.Params
 module Assessment = Nakamoto_core.Assessment
 module I = Nakamoto_numerics.Interval
-module Tel = Nakamoto_telemetry
 
 (* A 3x3x3x3-vertex box (16 cells) whose c spans roughly 0.2 .. 14:
    cells on every side of both frontiers.  Cells this coarse (a factor
-   of 8 in c each) rarely certify — they exercise the format and the
-   fallback paths. *)
+   of 8 in c each) rarely certify — they exercise the fallback paths. *)
 let small_grid () =
   Grid.create
     ~p:(Grid.axis ~lo:5e-5 ~hi:2e-4 ~count:3 ~scale:Grid.Log)
@@ -54,35 +52,6 @@ let test_grid_indexing () =
   check_true "locate outside" (Grid.locate p 3e-4 = None);
   close "weight at cell start" 0. (Grid.weight p 0 5e-5);
   close "weight at cell end" 1. (Grid.weight p 0 (Grid.vertex p 1))
-
-let test_roundtrip_and_job_invariance () =
-  let g = small_grid () in
-  let t1 = Table.build ~jobs:1 g in
-  let bytes1 = Table.to_string t1 in
-  let t2 = Table.build ~jobs:1 g in
-  check_true "rebuild is byte-identical" (Table.to_string t2 = bytes1);
-  let t3 = Table.build ~jobs:3 g in
-  check_true "parallel build is byte-identical" (Table.to_string t3 = bytes1);
-  match Table.of_string bytes1 with
-  | Error msg -> Alcotest.failf "round-trip load failed: %s" msg
-  | Ok back ->
-    check_true "decode/encode is the identity" (Table.to_string back = bytes1);
-    check_true "fingerprint survives" (Table.fingerprint back = Table.fingerprint t1)
-
-let test_load_rejects_corruption () =
-  let g = small_grid () in
-  let bytes = Table.to_string (Table.build g) in
-  let expect_error label s =
-    match Table.of_string s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: corrupt surface loaded" label
-  in
-  expect_error "bad magic" ("XXKSURF1" ^ String.sub bytes 8 (String.length bytes - 8));
-  expect_error "truncated" (String.sub bytes 0 (String.length bytes - 9));
-  let flipped = Bytes.of_string bytes in
-  let mid = String.length bytes - 100 in
-  Bytes.set flipped mid (Char.chr (Char.code (Bytes.get flipped mid) lxor 0xff));
-  expect_error "flipped body byte" (Bytes.to_string flipped)
 
 let test_cached_agrees_with_exact () =
   let g = fine_safe_grid () in
@@ -129,40 +98,23 @@ let test_cached_agrees_with_exact () =
   done;
   check_true "some cells are conclusive" (!hits > 0)
 
-let counter_value r ?labels name =
-  Tel.Counter.value (Tel.Registry.counter r ?labels name)
-
+(* The hit and fallback paths of [assess_cached].  The name predates
+   the removal of the surface counters; the tags are what remain. *)
 let test_telemetry_counters () =
   let g = fine_safe_grid () in
   let t = Table.build g in
-  let r = Tel.Registry.create ~clock:(fun () -> 0.) () in
   (* Outside the box on every axis. *)
   let outside = Params.create ~p:1e-3 ~n:1000. ~delta:4. ~nu:0.3 in
-  let v = Table.assess_cached ~telemetry:r t outside in
+  let v = Table.assess_cached t outside in
   check_true "outside-box falls back"
     (v.Assessment.v_fallback = Some "outside_box");
   check_false "fallback is not cached" v.Assessment.v_cached;
-  check_int "fallback counted" 1
-    (counter_value r ~labels:[ ("reason", "outside_box") ]
-       "surface_fallbacks_total");
   (* A safe interior point of the fine grid, inside a certified cell. *)
   let inside = Params.create ~p:1.15e-4 ~n:105. ~delta:29. ~nu:0.014 in
-  let v = Table.assess_cached ~telemetry:r t inside in
+  let v = Table.assess_cached t inside in
   check_true "interior point is served from the table" v.Assessment.v_cached;
-  check_int "hit counted" 1 (counter_value r "surface_hits_total");
   check_true "cached verdict equals exact"
     (v.Assessment.v_zone = (Assessment.assess inside).Assessment.zone)
-
-let test_describe_and_header () =
-  let g = small_grid () in
-  let t = Table.build g in
-  let header = Table.header_json t in
-  check_true "header names the format"
-    (contains_substring ~affix:"nakamoto-assessment-surface" header);
-  check_true "header carries the fingerprint"
-    (contains_substring ~affix:(Int64.to_string (Table.fingerprint t)) header);
-  check_true "describe mentions cells"
-    (contains_substring ~affix:"16 cells" (Table.describe t))
 
 (* The enumerable-Delta plateau: a 4^4 box at integer Delta 1800-2048
    on the depth-3 band (rate ratio 0.02-0.04), queried at 40 seeded
@@ -276,14 +228,52 @@ let test_smoke_box_pinned () =
   Alcotest.(check int64)
     "neat/attack/ratio enclosure bits" 8756476321096059578L other
 
+let test_grid_rejects_bad_boxes () =
+  let ok = Grid.axis ~lo:0.1 ~hi:0.2 ~count:2 ~scale:Grid.Linear in
+  check_raises_invalid "lo = hi" (fun () ->
+      ignore (Grid.axis ~lo:1. ~hi:1. ~count:2 ~scale:Grid.Linear));
+  check_raises_invalid "non-finite hi" (fun () ->
+      ignore (Grid.axis ~lo:1. ~hi:infinity ~count:2 ~scale:Grid.Linear));
+  check_raises_invalid "one vertex" (fun () ->
+      ignore (Grid.axis ~lo:1. ~hi:2. ~count:1 ~scale:Grid.Linear));
+  check_raises_invalid "log axis through 0" (fun () ->
+      ignore (Grid.axis ~lo:0. ~hi:2. ~count:2 ~scale:Grid.Log));
+  let box ?(p = Grid.axis ~lo:1e-4 ~hi:2e-4 ~count:2 ~scale:Grid.Log)
+      ?(n = Grid.axis ~lo:100. ~hi:200. ~count:2 ~scale:Grid.Log) ?(nu = ok)
+      () =
+    ignore
+      (Grid.create ~p ~n
+         ~delta:(Grid.axis ~lo:10. ~hi:20. ~count:2 ~scale:Grid.Log)
+         ~nu)
+  in
+  box ();
+  check_raises_invalid "nu = 0 takes the exact path" (fun () ->
+      box ~nu:(Grid.axis ~lo:0. ~hi:0.2 ~count:2 ~scale:Grid.Linear) ());
+  check_raises_invalid "nu reaching 1/2" (fun () ->
+      box ~nu:(Grid.axis ~lo:0.1 ~hi:0.5 ~count:2 ~scale:Grid.Linear) ());
+  check_raises_invalid "n below 4" (fun () ->
+      box ~n:(Grid.axis ~lo:2. ~hi:200. ~count:2 ~scale:Grid.Log) ());
+  check_raises_invalid "p reaching 1" (fun () ->
+      box ~p:(Grid.axis ~lo:0.5 ~hi:1. ~count:2 ~scale:Grid.Log) ())
+
+let test_build_rejects_bad_arguments () =
+  let g = small_grid () in
+  check_raises_invalid "epsilon below the exact floor" (fun () ->
+      ignore (Table.build ~epsilon:1e-10 g));
+  check_raises_invalid "epsilon of 1" (fun () ->
+      ignore (Table.build ~epsilon:1. g));
+  check_raises_invalid "conf_limit 0" (fun () ->
+      ignore (Table.build ~conf_limit:0 g));
+  check_raises_invalid "refine 0" (fun () -> ignore (Table.build ~refine:0 g))
+
 let suite =
   [
     case "grid indexing" test_grid_indexing;
-    case "round-trip and --jobs byte-identity" test_roundtrip_and_job_invariance;
-    case "corrupt surfaces rejected" test_load_rejects_corruption;
+    case "certifier pinned on the smoke box" test_smoke_box_pinned;
+    case "grid rejects malformed axes and boxes" test_grid_rejects_bad_boxes;
     case "cached answers agree with exact" test_cached_agrees_with_exact;
     case "telemetry hit/fallback counters" test_telemetry_counters;
-    case "describe and header" test_describe_and_header;
+    case "build rejects out-of-range arguments"
+      test_build_rejects_bad_arguments;
     case "enumerable-Delta plateau coverage" test_enumerable_plateau_coverage;
-    case "certifier pinned on the smoke box" test_smoke_box_pinned;
   ]
