@@ -36,11 +36,6 @@ let certify_cell grid ~epsilon ~conf_limit ~refine id =
   Cert.certify ~refine ~epsilon ~conf_limit ~p:(box 0) ~n:(box 1)
     ~delta:(box 2) ~nu:(box 3)
 
-(* [conf_limit] sits well below the exact solver's
-   Confirmation.default_depth_limit: the certified walk evaluates the
-   double-spend sum at every depth up to z, O(z^2) per cell, and a cell
-   needing hundreds of confirmations sits so close to the consistency
-   frontier that falling back is the right answer anyway. *)
 let build ?(epsilon = 1e-3) ?(conf_limit = 256) ?(refine = 2) grid =
   if not (epsilon >= Nakamoto_core.Confirmation.min_epsilon && epsilon < 1.)
   then invalid_arg "Table.build: epsilon must lie in [1e-9, 1)";

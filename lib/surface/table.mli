@@ -22,7 +22,9 @@ val build : ?epsilon:float -> ?conf_limit:int -> ?refine:int -> Grid.t -> t
     cell's depth inconclusive — far below the exact solver's
     {!Nakamoto_core.Confirmation.default_depth_limit}, because the
     certified walk evaluates the double-spend sum at every depth up to
-    z, O(z^2) per cell.  [refine] (default [2]) is {!Cert.certify}'s.
+    z, O(z^2) per cell, and a cell needing hundreds of confirmations
+    sits so close to the consistency frontier that falling back is the
+    right answer anyway.  [refine] (default [2]) is {!Cert.certify}'s.
     @raise Invalid_argument for [epsilon] outside
     [[Nakamoto_core.Confirmation.min_epsilon, 1)] (the exact search's
     range), [conf_limit < 1] or [refine < 1]. *)

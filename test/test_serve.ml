@@ -82,15 +82,15 @@ let submit ?(resume = false) ?on_progress ~addr ~journal () =
     check_true "journal path echoed" (jpath = Some journal)
   | Error e -> Alcotest.failf "submit failed: %s" e
 
-(* A hand-driven worker connection, for the tests that need a peer the
-   real [Worker.run] would never be: one that wedges, or one that
-   answers after its lease expired. *)
-let worker_conn ~addr =
+(* A hand-driven connection, for the tests that need a peer the real
+   [Worker.run] or [Client] would never be: one that wedges, one that
+   answers after its lease expired, or one that reads the raw reply. *)
+let peer_conn ?(role = Msg.Worker) ~addr () =
   let fd = Serve.Conn.connect ~addr ~timeout:10. in
   let ch = Frame.Channel.of_fd fd in
-  (match Serve.Conn.handshake ~role:Msg.Worker ch with
+  (match Serve.Conn.handshake ~role ch with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "worker handshake: %s" e);
+  | Error e -> Alcotest.failf "handshake: %s" e);
   (fd, ch)
 
 let rec await_grant ch =
@@ -366,7 +366,7 @@ let test_wedged_peer () =
         | Ok _ -> 0
         | Error _ | (exception _) -> 4)
   in
-  let wedged_fd, wedged_ch = worker_conn ~addr in
+  let wedged_fd, wedged_ch = peer_conn ~addr () in
   let _grant = obtain_grant wedged_ch in
   (* From here the wedged peer neither reads nor writes. *)
   let healthy = spawn_worker ~addr () in
@@ -408,7 +408,7 @@ let test_late_result () =
         | Ok _ -> 0
         | Error _ | (exception _) -> 4)
   in
-  let fd, ch = worker_conn ~addr in
+  let fd, ch = peer_conn ~addr () in
   let { Msg.lease_id; shard }, spec = obtain_grant ch in
   idle_answering_pings ch ~seconds:2.5;
   (* The lease is long expired; compute and answer anyway. *)
@@ -539,11 +539,7 @@ let test_rejected_assess_keeps_serving () =
   let socket = temp_path "assess" ".sock" in
   let addr = Serve.Conn.Unix_path socket in
   let daemon = spawn_daemon ~socket () in
-  let fd = Serve.Conn.connect ~addr ~timeout:10. in
-  let ch = Frame.Channel.of_fd fd in
-  (match Serve.Conn.handshake ~role:Msg.Client ch with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "client handshake: %s" e);
+  let fd, ch = peer_conn ~role:Msg.Client ~addr () in
   Msg.send ch
     (Msg.Query_assess { Msg.q_nu = 1e-306; q_c = 3.; q_n = 1e5; q_delta = 1e13 });
   (match Msg.recv ~timeout:10. ch with
@@ -694,7 +690,7 @@ let test_malformed_telemetry_rejected () =
         | Ok _ -> 0
         | Error _ | (exception _) -> 4)
   in
-  let fd, ch = worker_conn ~addr in
+  let fd, ch = peer_conn ~addr () in
   let { Msg.lease_id; shard }, spec = obtain_grant ch in
   let reg = Nakamoto_telemetry.Registry.create () in
   let agg =
@@ -720,7 +716,7 @@ let test_malformed_telemetry_rejected () =
   | `Eof -> ()
   | _ -> Alcotest.fail "the daemon must hang up on a malformed result");
   Unix.close fd;
-  let fd, ch = worker_conn ~addr in
+  let fd, ch = peer_conn ~addr () in
   let regrant, _ = obtain_grant ch in
   check_int "the rejected shard is leased again" shard.Campaign.Shard.id
     regrant.Msg.shard.Campaign.Shard.id;
