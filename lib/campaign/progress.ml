@@ -18,7 +18,6 @@ let create ?(out = stderr) ?(interval = 5.) ?(resumed_trials = 0)
 let silent () = create ~interval:0. ~total_trials:0 ()
 
 let started t = t.started
-let elapsed t = Unix.gettimeofday () -. t.started
 
 (* Only this process's work counts toward throughput: trials recovered
    from a journal cost no wall time here, so they are subtracted before

@@ -57,6 +57,3 @@ val eta : t -> trials_done:int -> now:float -> float
 
 val started : t -> float
 (** The creation timestamp (the clock {!rate} measures from). *)
-
-val elapsed : t -> float
-(** Seconds since [create]. *)

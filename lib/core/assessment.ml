@@ -167,27 +167,6 @@ let verdict_of (t : t) =
     v_fallback = None;
   }
 
-let pp_verdict fmt v =
-  Format.fprintf fmt "@[<v>verdict for %a@," Params.pp v.v_params;
-  Format.fprintf fmt "  zone                   %s%s@,"
-    (zone_to_string v.v_zone)
-    (if v.v_cached then "  (cached)"
-     else
-       match v.v_fallback with
-       | Some reason -> Printf.sprintf "  (exact fallback: %s)" reason
-       | None -> "");
-  if v.v_margin_lo = v.v_margin_hi then
-    Format.fprintf fmt "  neat margin            %+.4f@," v.v_margin
-  else
-    Format.fprintf fmt
-      "  neat margin            %+.4f  certified in [%+.6f, %+.6f]@,"
-      v.v_margin v.v_margin_lo v.v_margin_hi;
-  match (v.v_confirmations, v.v_conf_reason) with
-  | Some z, _ -> Format.fprintf fmt "  confirmations (1e-3)   %d@]" z
-  | None, Some reason ->
-    Format.fprintf fmt "  confirmations          n/a (%s)@]" reason
-  | None, None -> Format.fprintf fmt "  confirmations          n/a@]"
-
 let to_table assessments =
   let t =
     Table.create ~title:"Security assessments"

@@ -105,7 +105,5 @@ type verdict = {
 
 val verdict_of : t -> verdict
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val to_table : t list -> Nakamoto_numerics.Table.t
 (** One row per assessed point. *)

@@ -215,11 +215,11 @@ let assess_checked ?(epsilon = 1e-3) (params : Params.t) =
     let honest_rate = Conv_chain.convergence_rate params in
     let adversary_rate = Params.adversary_rate params in
     let rate_ratio =
-      if adversary_rate > 0. then adversary_rate /. honest_rate
+      if adversary_rate >= Float.min_float then adversary_rate /. honest_rate
       else
-        (* p nu n underflows to 0 at a tiny nu > 0 while the quotient
-           itself is about nu: take it in logs there, and only there,
-           so every ratio that was representable keeps its bits. *)
+        (* At a tiny nu > 0, p nu n is subnormal or 0 while the quotient
+           itself is about nu: take it in logs there, and only there, so
+           every ratio with a normal adversary rate keeps its bits. *)
         exp (Params.log_adversary_rate params -. log honest_rate)
     in
     if not (rate_ratio < 1.) then Error (Outside_consistency { rate_ratio })

@@ -40,13 +40,18 @@ let log_alpha1 t =
   +. Special.log_pow1p ~base:(-.t.p) ~exponent:((mu t *. t.n) -. 1.)
 
 let alpha1 t = exp (log_alpha1 t)
-let adversary_rate t = t.p *. t.nu *. t.n
+(* p nu n, left to right wherever p nu is a normal float, so those rates
+   keep their bits.  Below Float.min_float the product p nu keeps only a
+   few bits or none, so there p n (always normal) is taken first. *)
+let p_nu_normal t = t.p *. t.nu >= Float.min_float
+
+let adversary_rate t =
+  if p_nu_normal t then t.p *. t.nu *. t.n else t.p *. t.n *. t.nu
 
 let log_adversary_rate t =
   if t.nu = 0. then neg_infinity
-  else
-    let rate = adversary_rate t in
-    if rate > 0. then log rate else log t.p +. log t.nu +. log t.n
+  else if p_nu_normal t then log (adversary_rate t)
+  else log t.p +. log t.nu +. log t.n
 
 let honest_rate t = t.p *. mu t *. t.n
 

@@ -61,13 +61,16 @@ val log_alpha1 : t -> float
 (** [log (alpha1 t)] = [log (p mu n) + (mu n - 1) log1p (-p)]. *)
 
 val adversary_rate : t -> float
-(** Expected adversarial blocks per round, [p *. nu *. n] (Eq. 27). *)
+(** Expected adversarial blocks per round, [p *. nu *. n] (Eq. 27).
+    Where [p *. nu] is below [Float.min_float] (nu below ~7e-290 at
+    Internet-scale p) it is [p *. n *. nu] instead, which keeps the bits
+    that [p *. nu] would round away; every other [nu] gets the
+    left-to-right product. *)
 
 val log_adversary_rate : t -> float
-(** [log (adversary_rate t)]; [neg_infinity] when [nu = 0.].  Where the
-    product underflows to 0 at a tiny [nu > 0] (below ~1e-306 at
-    Internet-scale p) it is [log p + log nu + log n] instead, so it
-    stays finite for every [nu > 0]. *)
+(** [log (adversary_rate t)]; [neg_infinity] when [nu = 0.].  Where
+    [p *. nu] is below [Float.min_float] it is [log p + log nu + log n]
+    instead, so it is accurate and finite for every [nu > 0]. *)
 
 val honest_rate : t -> float
 (** Expected honest blocks per round, [p *. mu *. n]. *)

@@ -43,15 +43,10 @@ val build : delta:int -> alpha:float -> Nakamoto_markov.Chain.t
     is H with probability [alpha].
     @raise Invalid_argument unless [delta >= 1] and [alpha] in (0, 1). *)
 
-val transitions : delta:int -> alpha:float -> int -> (int * float) list
-(** [transitions ~delta ~alpha i] lists state [i]'s two transitions —
-    the band-aware row generator behind {!build} and {!build_sparse}.
-    @raise Invalid_argument as in {!build}, or on a bad index. *)
-
 val build_sparse : delta:int -> alpha:float -> Nakamoto_markov.Sparse.t
-(** [build_sparse ~delta ~alpha] emits {!transitions} straight into CSR
-    form without materializing rows — 2 entries per state, so Δ in the
-    thousands costs O(Δ) memory.
+(** [build_sparse ~delta ~alpha] emits {!build}'s rows (two transitions
+    per state) straight into CSR form without materializing them, so Δ
+    in the thousands costs O(Δ) memory.
     @raise Invalid_argument as in {!build}. *)
 
 val stationary_closed_form : delta:int -> alpha:float -> float array

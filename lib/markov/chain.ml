@@ -175,14 +175,3 @@ let simulate ~rng t ~start ~steps =
 let occupancy ~rng t ~start ~steps ~target =
   let trajectory = simulate ~rng t ~start ~steps in
   Array.fold_left (fun acc s -> if target s then acc + 1 else acc) 0 trajectory
-
-let visit_counts ~rng t ~start ~steps =
-  if start < 0 || start >= t.size then invalid_arg "Chain.visit_counts: bad start";
-  if steps < 0 then invalid_arg "Chain.visit_counts: negative steps";
-  let counts = Array.make t.size 0 in
-  let current = ref start in
-  for _ = 1 to steps do
-    current := sample_row rng t.rows.(!current);
-    counts.(!current) <- counts.(!current) + 1
-  done;
-  counts

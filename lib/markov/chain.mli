@@ -104,12 +104,3 @@ val occupancy :
 (** [occupancy ~rng t ~start ~steps ~target] counts visits to states
     satisfying [target] along a fresh [steps]-step trajectory — the
     Monte-Carlo counterpart of [T * pi(target)]. *)
-
-val visit_counts :
-  rng:Nakamoto_prob.Rng.t -> t -> start:int -> steps:int -> int array
-(** [visit_counts ~rng t ~start ~steps] samples a fresh [steps]-step
-    trajectory from [start] and returns per-state visit counts (summing to
-    [steps]) — the empirical occupancy a chi-square test compares against
-    [steps * pi] (streaming: O(size) memory regardless of [steps]).
-    @raise Invalid_argument if [start] is out of range or [steps < 0]. *)
-

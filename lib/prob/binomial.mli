@@ -19,11 +19,9 @@ val mean : t -> float
 val variance : t -> float
 (** [variance d] is [trials *. p *. (1 -. p)]. *)
 
-val log_pmf : t -> int -> float
-(** [log_pmf d k] is [log P(X = k)]; [neg_infinity] outside [[0, trials]]. *)
-
 val pmf : t -> int -> float
-(** [pmf d k] is [P(X = k)]. *)
+(** [pmf d k] is [P(X = k)], taken as [exp] of its log; [0.] outside
+    [[0, trials]]. *)
 
 val cdf : t -> int -> float
 (** [cdf d k] is [P(X <= k)] by summation (clamped to [[0, 1]]): one
@@ -45,12 +43,9 @@ val prob_positive : t -> float
 (** [prob_positive d] is [P(X > 0) = 1 - prob_zero d] — the paper's
     [alpha], Eq. (7), computed as [-expm1 (log_prob_zero d)]. *)
 
-val log_prob_one : t -> float
-(** [log_prob_one d] is [log P(X = 1)] — the paper's [log alpha1],
-    Eq. (9): [log (p * trials) + (trials - 1) * log1p (-p)]. *)
-
 val prob_one : t -> float
-(** [prob_one d] is [P(X = 1)] — the paper's [alpha1]. *)
+(** [prob_one d] is [P(X = 1)] — the paper's [alpha1], Eq. (9), taken as
+    [exp (log (p * trials) + (trials - 1) * log1p (-p))]. *)
 
 val sample : Rng.t -> t -> int
 (** [sample rng d] draws from the distribution in O(1) expected time for

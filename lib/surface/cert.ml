@@ -47,7 +47,11 @@ let attack_iv ~nu =
    [honest_rate = exp ((2. *. delta *. log_abar) +. log_alpha1)]
    (Conv_chain.convergence_rate), with
    [log_abar  = (mu *. n) *. log1p (-. p)] and
-   [log_alpha1 = log (p *. mu *. n) +. ((mu *. n -. 1.) *. log1p (-. p))]. *)
+   [log_alpha1 = log (p *. mu *. n) +. ((mu *. n -. 1.) *. log1p (-. p))].
+   Where p nu is subnormal the float code takes p n first, and where the
+   rate is subnormal it takes the ratio in logs; the interval product
+   below encloses the exact p nu n whatever the float order, so it
+   encloses the ratio on either path. *)
 let ratio_iv ~p ~n ~delta ~nu =
   let mu = I.one_minus nu in
   let log1p_neg_p = I.log1p (I.neg p) in

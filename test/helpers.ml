@@ -1,4 +1,10 @@
-(* Shared test utilities: float comparison testables and qcheck adapters. *)
+(* Shared test utilities: float comparison, Alcotest adapters and the
+   adapter onto the in-repo property runner.  Both test binaries use this
+   one file; test/prop/dune copies it into the property tier. *)
+
+module P = Nakamoto_proptest
+module Gen = P.Gen
+module Arbitrary = P.Arbitrary
 
 let close ?(rtol = 1e-9) ?(atol = 1e-12) msg expected actual =
   if not (Nakamoto_numerics.Special.approx_equal ~rtol ~atol expected actual)
@@ -21,9 +27,24 @@ let check_raises_invalid msg f =
 
 let case name f = Alcotest.test_case name `Quick f
 
-let prop ?(count = 200) name gen law =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen law)
+(* A property as an alcotest case.  The law fails by returning false or by
+   raising; the engine's failure report (input rendered before and after
+   shrinking, and the (seed, path) replay line) is the assertion
+   message. *)
+let prop ?(count = 200) name arb law =
+  case name (fun () ->
+      try
+        P.Property.check ~count ~name arb (fun x ->
+            if not (law x) then failwith "the law returned false")
+      with P.Property.Failed f -> Alcotest.fail (P.Property.failure_message f))
+
+(* The law of a property body that fails only by raising. *)
+let holds body x =
+  body x;
+  true
+
+(* Soak scaling: a size that grows when PROPTEST_TRIALS is set. *)
+let sized ~fast ~soak = if P.Property.soak_active () then soak else fast
 
 (* A deterministic rng for tests that need one. *)
 let rng ?(seed = 12345L) () = Nakamoto_prob.Rng.create ~seed

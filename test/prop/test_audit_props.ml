@@ -3,9 +3,7 @@
    with Nakamoto_sim.Metrics on generated executions under every
    executor a configuration admits. *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
-module Arbitrary = P.Arbitrary
+open Helpers
 module Block = Nakamoto_chain.Block
 module Block_tree = Nakamoto_chain.Block_tree
 module Hash = Nakamoto_chain.Hash

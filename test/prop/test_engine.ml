@@ -1,8 +1,7 @@
 (* Self-tests of the property engine: deterministic replay, shrinking
    quality, and the statistical assertion kit's calibration. *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
+open Helpers
 module Rng = Nakamoto_prob.Rng
 module Stats = Nakamoto_prob.Stats
 
@@ -62,14 +61,13 @@ let test_failure_reports_seed_and_path () =
       (fun x -> if x >= 100 then failwith "too big")
   in
   check_true "path is the failing trial index" (List.length f.path = 1);
+  let msg = P.Property.failure_message f in
   check_true "message mentions replay"
-    (let msg = P.Property.failure_message f in
-     let has ~affix s =
-       let n = String.length affix and m = String.length s in
-       let rec scan i = i + n <= m && (String.sub s i n = affix || scan (i + 1)) in
-       scan 0
-     in
-     has ~affix:"PROPTEST_SEED=42" msg && has ~affix:"PROPTEST_REPLAY=" msg);
+    (contains_substring ~affix:"PROPTEST_SEED=42" msg
+    && contains_substring ~affix:"PROPTEST_REPLAY=" msg);
+  check_true
+    (Printf.sprintf "replay line names test/prop/prop_main.exe:\n%s" msg)
+    (contains_substring ~affix:"dune exec test/prop/prop_main.exe -- test" msg);
   (* Replaying the reported (seed, path) regenerates a failing input. *)
   let rng =
     Rng.of_path
@@ -92,7 +90,7 @@ let test_shrinking_reaches_boundary () =
 let test_shrinking_lists () =
   let f =
     run_expecting_failure ~name:"shrinks to 3 elements"
-      (P.Arbitrary.list ~max_len:30 (P.Arbitrary.int_range ~lo:0 ~hi:9 ()))
+      Arbitrary.(list ~min_len:0 ~max_len:30 (int_range ~lo:0 ~hi:9 ()))
       (fun l -> if List.length l >= 3 then failwith "too long")
   in
   let element_count s =

@@ -9,10 +9,7 @@
    stationary distribution, which is what makes the 1e-12 three-way
    agreement bound meaningful rather than hopeful. *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
-module Gen = P.Gen
-module Arbitrary = P.Arbitrary
+open Helpers
 module Chain = Nakamoto_markov.Chain
 module Sparse = Nakamoto_markov.Sparse
 module Linalg = Nakamoto_numerics.Linalg
@@ -126,7 +123,8 @@ let suite =
       "banded ergodic chains: sparse stationary matches linear solve and \
        power iteration to 1e-12"
       ~count:(sized ~fast:1000 ~soak:2000)
-      banded_arb prop_sparse_matches_dense;
+      banded_arb
+      (holds prop_sparse_matches_dense);
     prop "CSR round-trip is the identity on banded chains" ~count:200
-      banded_arb prop_csr_roundtrip;
+      banded_arb (holds prop_csr_roundtrip);
   ]

@@ -5,10 +5,7 @@
    equivalence (the cross-lane leg of the adversarial strategies that
    cannot share a mining mode). *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
-module Gen = P.Gen
-module Arbitrary = P.Arbitrary
+open Helpers
 module Rng = Nakamoto_prob.Rng
 module Block = Nakamoto_chain.Block
 module Network = Nakamoto_net.Network
@@ -359,22 +356,24 @@ let cross_lane_strategy ~label ~strategy ~tie_break () =
 let suite =
   [
     prop "differential oracle across the four executor lanes" ~count:50
-      P.Domain_gen.oracle_spec prop_differential_oracle;
+      P.Domain_gen.oracle_spec
+      (holds prop_differential_oracle);
     case "skip executor: sampled inter-event gaps are Geometric(1 - (1-p)^n)"
       test_skip_gap_law;
     case "suffix chain stationary: closed form vs solve vs power iteration"
       test_suffix_stationary_sweep;
     prop "concatenated chain stationary: four derivations agree" ~count:15
       (P.Domain_gen.explicit_chain_point ~delta_max:3)
-      prop_conv_stationary;
+      (holds prop_conv_stationary);
     case "suffix chain stationary at large delta: sparse four-way"
       test_suffix_stationary_sparse;
     prop "concatenated chain stationary: sparse path agrees with Eqs. 40/44"
       ~count:10
       (P.Domain_gen.explicit_chain_point ~delta_max:3)
-      prop_conv_stationary_sparse;
+      (holds prop_conv_stationary_sparse);
     prop "Δ-ring lane delivers the same multisets as per-recipient queues"
-      ~count:200 schedule_arb prop_ring_matches_queues;
+      ~count:200 schedule_arb
+      (holds prop_ring_matches_queues);
     case "selfish mining: Exact, Aggregate and Skip lanes agree"
       (cross_lane_strategy ~label:"selfish mining"
          ~strategy:Adversary.Selfish_mining

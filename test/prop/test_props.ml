@@ -2,10 +2,7 @@
    simulation layers — invariants that must hold at every generated
    point, with failures replayable from the printed (seed, path). *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
-module Gen = P.Gen
-module Arbitrary = P.Arbitrary
+open Helpers
 module Special = Nakamoto_numerics.Special
 module Stats = Nakamoto_prob.Stats
 module Binomial = Nakamoto_prob.Binomial
@@ -215,24 +212,27 @@ let prop_trace_capture_deterministic (spec : Scenarios.spec) =
 
 let suite =
   [
-    prop "binomial cdf + survival = 1, cdf monotone" binomial_params
-      prop_cdf_survival_complement;
+    prop "binomial cdf + survival = 1, cdf monotone" ~count:100
+      binomial_params
+      (holds prop_cdf_survival_complement);
     prop "binomial sampler obeys its own law" ~count:60 sampler_params
-      prop_sampler_law;
-    prop "regularized gamma P + Q = 1" gamma_point
-      prop_regularized_gamma_complement;
-    prop "chi-square survival df=2 is exp(-x/2)"
+      (holds prop_sampler_law);
+    prop "regularized gamma P + Q = 1" ~count:100 gamma_point
+      (holds prop_regularized_gamma_complement);
+    prop "chi-square survival df=2 is exp(-x/2)" ~count:100
       (Arbitrary.log_float_range ~lo:1e-4 ~hi:200.)
-      prop_chi_square_df2_exact;
-    prop "pattern streaming matches window rescan" round_state_trace
-      prop_pattern_streaming_matches_rescan;
-    prop "round state classification round-trips"
+      (holds prop_chi_square_df2_exact);
+    prop "pattern streaming matches window rescan" ~count:100
+      round_state_trace
+      (holds prop_pattern_streaming_matches_rescan);
+    prop "round state classification round-trips" ~count:100
       (Arbitrary.int_range ~lo:0 ~hi:1000 ())
-      prop_round_state_roundtrip;
-    prop "of_spec realizes the requested c" P.Domain_gen.exec_spec
-      prop_of_spec_realizes_c;
+      (holds prop_round_state_roundtrip);
+    prop "of_spec realizes the requested c" ~count:100 P.Domain_gen.exec_spec
+      (holds prop_of_spec_realizes_c);
     prop "executor conservation laws" ~count:25 P.Domain_gen.exec_spec
-      prop_execution_conservation;
+      (holds prop_execution_conservation);
     prop "trace capture is deterministic and round-trips" ~count:10
-      P.Domain_gen.exec_spec prop_trace_capture_deterministic;
+      P.Domain_gen.exec_spec
+      (holds prop_trace_capture_deterministic);
   ]

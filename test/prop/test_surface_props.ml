@@ -10,10 +10,7 @@
    mixes in-box points with the full paper-scale parameter distribution
    so both the cached path and every fallback reason get exercised. *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
-module Gen = P.Gen
-module Arbitrary = P.Arbitrary
+open Helpers
 module Grid = Nakamoto_surface.Grid
 module Cert = Nakamoto_surface.Cert
 module Table = Nakamoto_surface.Table
@@ -209,12 +206,14 @@ let monotone_prop ((p1, p2), (n, delta, nu)) =
 let suite =
   [
     prop ~count:1000 "cached verdict equals exact or tags a fallback"
-      (point_arb box_nu) (differential_prop table);
+      (point_arb box_nu)
+      (holds (differential_prop table));
     prop ~count:300
       "cached verdict at epsilon 1e-6 equals exact or tags a fallback"
       (point_arb strict_box_nu)
-      (differential_prop strict_table);
+      (holds (differential_prop strict_table));
     prop ~count:300 "cell enclosures contain the exact floats" cell_point_arb
-      enclosure_prop;
-    prop ~count:200 "margin estimate falls along p" slice_arb monotone_prop;
+      (holds enclosure_prop);
+    prop ~count:200 "margin estimate falls along p" slice_arb
+      (holds monotone_prop);
   ]

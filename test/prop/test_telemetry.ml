@@ -8,8 +8,7 @@
    2^-10 with bounded magnitude; under that regime structural equality
    [=] is the right notion and the laws hold bit-for-bit. *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
+open Helpers
 module Arb = P.Arbitrary
 module Tel = Nakamoto_telemetry
 module Counter = Tel.Counter
@@ -28,7 +27,7 @@ let dyadic =
     (fun k -> float_of_int k /. 1024.)
     (Arb.int_range ~lo:0 ~hi:(1 lsl 20) ())
 
-let values = Arb.list ~max_len:40 dyadic
+let values = Arb.list ~min_len:0 ~max_len:40 dyadic
 
 let counter_snapshot =
   Arb.map ~print:string_of_int Counter.snapshot
@@ -76,20 +75,20 @@ let monoid_cases tag snap_arb ~merge ~empty =
     prop ~count:1000
       (tag ^ " merge is associative")
       (triple snap_arb)
-      (fun ((a, b), c) ->
-        if merge (merge a b) c <> merge a (merge b c) then
-          failwith "associativity violated");
+      (holds (fun ((a, b), c) ->
+           if merge (merge a b) c <> merge a (merge b c) then
+             failwith "associativity violated"));
     prop ~count:1000
       (tag ^ " merge is commutative")
       (Arb.pair snap_arb snap_arb)
-      (fun (a, b) ->
-        if merge a b <> merge b a then failwith "commutativity violated");
+      (holds (fun (a, b) ->
+           if merge a b <> merge b a then failwith "commutativity violated"));
     prop ~count:1000
       (tag ^ " empty is the identity")
       snap_arb
-      (fun a ->
-        if merge empty a <> a || merge a empty <> a then
-          failwith "identity violated");
+      (holds (fun a ->
+           if merge empty a <> a || merge a empty <> a then
+             failwith "identity violated"));
   ]
 
 (* Splitting one observation stream across two instruments and merging
@@ -100,27 +99,27 @@ let split_stream_case tag snapshot_of =
   prop ~count:1000
     (tag ^ " merged split streams equal the single stream")
     (Arb.pair values values)
-    (fun (xs, ys) ->
-      let together = snapshot_of (xs @ ys) in
-      let merged = Histogram.merge (snapshot_of xs) (snapshot_of ys) in
-      if merged <> together then
-        failwith
-          (Printf.sprintf "split %s <> single %s" (print_hist merged)
-             (print_hist together)))
+    (holds (fun (xs, ys) ->
+         let together = snapshot_of (xs @ ys) in
+         let merged = Histogram.merge (snapshot_of xs) (snapshot_of ys) in
+         if merged <> together then
+           failwith
+             (Printf.sprintf "split %s <> single %s" (print_hist merged)
+                (print_hist together))))
 
 let counter_split_case =
   prop ~count:1000 "counter merged split streams equal the single stream"
     (Arb.pair
-       (Arb.list ~max_len:40 (Arb.int_range ~lo:0 ~hi:10_000 ()))
-       (Arb.list ~max_len:40 (Arb.int_range ~lo:0 ~hi:10_000 ())))
-    (fun (xs, ys) ->
-      let count is =
-        let c = Counter.create () in
-        List.iter (Counter.add c) is;
-        Counter.snapshot c
-      in
-      if Counter.merge (count xs) (count ys) <> count (xs @ ys) then
-        failwith "split counter streams diverge")
+       (Arb.list ~min_len:0 ~max_len:40 (Arb.int_range ~lo:0 ~hi:10_000 ()))
+       (Arb.list ~min_len:0 ~max_len:40 (Arb.int_range ~lo:0 ~hi:10_000 ())))
+    (holds (fun (xs, ys) ->
+         let count is =
+           let c = Counter.create () in
+           List.iter (Counter.add c) is;
+           Counter.snapshot c
+         in
+         if Counter.merge (count xs) (count ys) <> count (xs @ ys) then
+           failwith "split counter streams diverge"))
 
 (* --- Interarrival law: log2 histogram against the geometric law ----- *)
 

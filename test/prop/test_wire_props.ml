@@ -3,10 +3,7 @@
    NaN floats, empty lists, extreme ints), and the frame decoder must be
    indifferent to how the byte stream is chunked. *)
 
-open Prop_helpers
-module P = Nakamoto_proptest
-module Gen = P.Gen
-module Arbitrary = P.Arbitrary
+open Helpers
 module Frame = Nakamoto_wire.Frame
 module Msg = Nakamoto_wire.Message
 module Spec = Nakamoto_campaign.Spec
@@ -297,7 +294,7 @@ let prop_chunking_indifference (ms, cut) =
 let suite =
   [
     prop ~count:120 "wire: decode (encode m) = m" arb_message
-      prop_decode_encode_id;
+      (holds prop_decode_encode_id);
     prop ~count:80 "wire: frame decoding is chunking-indifferent" arb_stream
-      prop_chunking_indifference;
+      (holds prop_chunking_indifference);
   ]

@@ -38,24 +38,16 @@ let log_float_range ~lo ~hi =
 
 let bool = { gen = Gen.bool; shrink = (function true -> Seq.return false | false -> Seq.empty); print = string_of_bool }
 
-let oneof_value ?(print = fun _ -> "<choice>") xs =
-  (* Shrinks toward the head of the list: order alternatives simplest
-     first. *)
+let list ~min_len ~max_len elem =
+  if not (0 <= min_len && min_len <= max_len) then
+    invalid_arg "Arbitrary.list: requires 0 <= min_len <= max_len";
   {
-    gen = Gen.oneof_value xs;
+    gen = Gen.list ~len:(Gen.int_range ~lo:min_len ~hi:max_len) elem.gen;
     shrink =
-      (fun x ->
-        match xs with
-        | simplest :: _ when simplest <> x -> Seq.return simplest
-        | _ -> Seq.empty);
-    print;
-  }
-
-let list ~max_len elem =
-  if max_len < 0 then invalid_arg "Arbitrary.list: negative max_len";
-  {
-    gen = Gen.list ~len:(Gen.int_range ~lo:0 ~hi:max_len) elem.gen;
-    shrink = Shrink.list elem.shrink;
+      (fun l ->
+        Seq.filter
+          (fun l' -> List.length l' >= min_len)
+          (Shrink.list elem.shrink l));
     print =
       (fun l -> "[" ^ String.concat "; " (List.map elem.print l) ^ "]");
   }
@@ -65,6 +57,19 @@ let pair a b =
     gen = Gen.pair a.gen b.gen;
     shrink = Shrink.pair a.shrink b.shrink;
     print = (fun (x, y) -> Printf.sprintf "(%s, %s)" (a.print x) (b.print y));
+  }
+
+let triple a b c =
+  {
+    gen = Gen.triple a.gen b.gen c.gen;
+    shrink =
+      (fun (x, y, z) ->
+        Seq.map
+          (fun ((x, y), z) -> (x, y, z))
+          (Shrink.pair (Shrink.pair a.shrink b.shrink) c.shrink ((x, y), z)));
+    print =
+      (fun (x, y, z) ->
+        Printf.sprintf "(%s, %s, %s)" (a.print x) (b.print y) (c.print z));
   }
 
 let map ?(shrink = Shrink.nothing) ?(print = fun _ -> "<mapped>") f t =

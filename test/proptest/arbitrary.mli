@@ -29,12 +29,12 @@ val log_float_range : lo:float -> hi:float -> float t
 val bool : bool t
 (** Shrinks toward [false]. *)
 
-val oneof_value : ?print:('a -> string) -> 'a list -> 'a t
-(** Uniform choice among constants; shrinks toward the head of the list,
-    so order alternatives simplest-first. *)
+val list : min_len:int -> max_len:int -> 'a t -> 'a list t
+(** Lengths uniform on [[min_len, max_len]]; shrinking never goes below
+    [min_len].  @raise Invalid_argument unless [0 <= min_len <= max_len]. *)
 
-val list : max_len:int -> 'a t -> 'a list t
 val pair : 'a t -> 'b t -> ('a * 'b) t
+val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
 val map : ?shrink:'b Shrink.t -> ?print:('b -> string) -> ('a -> 'b) -> 'a t -> 'b t
 (** Mapped values lose the source shrinker (no inverse is available);

@@ -4,7 +4,7 @@ type 'a t = Rng.t -> 'a
 
 let return x _ = x
 let map f g rng = f (g rng)
-let bind g f rng = f (g rng) rng
+let ( let* ) g f rng = f (g rng) rng
 let pair a b rng =
   let x = a rng in
   let y = b rng in

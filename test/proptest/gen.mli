@@ -12,7 +12,10 @@ type 'a t = Nakamoto_prob.Rng.t -> 'a
 
 val return : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
-val bind : 'a t -> ('a -> 'b t) -> 'b t
+
+val ( let* ) : 'a t -> ('a -> 'b t) -> 'b t
+(** Bind: the second generator draws after the first. *)
+
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val bool : bool t

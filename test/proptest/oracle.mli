@@ -26,41 +26,16 @@
     ({!Stat.assert_family}), so a scenario either passes deterministically
     at its seed or names the offending lane and statistic. *)
 
-type lane = Exact_lane | Aggregate_lane | Skip_lane | State_lane
-
-type lane_stats = {
-  lane : lane;
-  rounds : int;
-  honest_blocks : int;
-  adversary_blocks : int;
-  h_rounds : int;
-  h1_rounds : int;
-  convergence_opportunities : int;
-  honest_mined_histogram : int array;  (** rounds mining 0, 1, 2, 3, >= 4 *)
-  growth_rate : float option;  (** [None] for the network-free state lane *)
-}
-
-type report = {
-  spec : Nakamoto_sim.Scenarios.spec;
-  exact : lane_stats;
-  aggregate : lane_stats;
-  skip : lane_stats;
-  state : lane_stats;
-  checks : Stat.check list;
-}
-
-val report : Nakamoto_sim.Scenarios.spec -> report
-(** [report spec] runs the four lanes (each under an independent seed
-    derived from [spec.seed] by the audited path derivation) and collects
-    every cross-check.  The spec's own [mining_mode] is ignored.
+val check : ?alpha:float -> Nakamoto_sim.Scenarios.spec -> unit
+(** [check spec] runs the four lanes (each under an independent seed
+    derived from [spec.seed] by the audited path derivation; the spec's
+    own [mining_mode] is ignored) and asserts every cross-check: envelope
+    checks per lane, then the statistical family at [alpha] (default
+    [1e-6]).
+    @raise Failure on an envelope violation.
+    @raise Stat.Rejected on a statistical disagreement.
     @raise Invalid_argument if the spec cannot run in every lane (use
     {!Domain_gen.oracle_spec}). *)
-
-val check : ?alpha:float -> Nakamoto_sim.Scenarios.spec -> unit
-(** [check spec] asserts the whole report: envelope checks per lane, then
-    the statistical family at [alpha] (default {!Stat.default_alpha}).
-    @raise Failure on an envelope violation.
-    @raise Stat.Rejected on a statistical disagreement. *)
 
 val suffix_stationary : delta:int -> alpha:float -> unit
 (** Asserts the suffix chain [C_F]'s closed-form stationary distribution

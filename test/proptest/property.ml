@@ -18,6 +18,19 @@ let max_shrink_attempts = 1_000
 
 let path_to_string path = String.concat "," (List.map string_of_int path)
 
+(* The command that reruns the running test binary: [dune exec] on its
+   source-tree path when it runs from a dune build directory
+   ([_build/<context>/<path>]), else the binary itself. *)
+let replay_command () =
+  let rec source_path = function
+    | "_build" :: _context :: (_ :: _ as rest) -> Some (String.concat "/" rest)
+    | _ :: rest -> source_path rest
+    | [] -> None
+  in
+  match source_path (String.split_on_char '/' Sys.executable_name) with
+  | Some path -> Printf.sprintf "dune exec %s -- test" path
+  | None -> Filename.quote Sys.executable_name ^ " test"
+
 let failure_message f =
   Printf.sprintf
     "property '%s' failed\n\
@@ -25,10 +38,10 @@ let failure_message f =
     \  original input: %s\n\
     \  shrunk input (%d steps): %s\n\
     \  error: %s\n\
-    \  replay: PROPTEST_SEED=%Ld PROPTEST_REPLAY=%s dune exec \
-     test/prop/prop_main.exe -- test"
+    \  replay: PROPTEST_SEED=%Ld PROPTEST_REPLAY=%s %s"
     f.name f.seed (path_to_string f.path) f.trials_run f.original_input
     f.shrink_steps f.shrunk_input f.error f.seed (path_to_string f.path)
+    (replay_command ())
 
 let () =
   Printexc.register_printer (function

@@ -13,12 +13,12 @@
     - [PROPTEST_TRIALS]: trial count for every property — the soak tier
       sets this large.
     - [PROPTEST_REPLAY]: a comma-separated path; each property runs
-      exactly that one trial.  Combine with the test binary's name filter
-      to replay a single printed failure, e.g.
+      exactly that one trial.  A failure prints the line that replays it
+      through the binary that ran it, e.g.
       {v
-      PROPTEST_SEED=42 PROPTEST_REPLAY=17 \
-        dune exec test/prop/prop_main.exe -- test engine
-      v} *)
+      PROPTEST_SEED=42 PROPTEST_REPLAY=17 dune exec test/test_main.exe -- test
+      v}
+      Append a group name after [test] to run only that group. *)
 
 type failure = {
   name : string;
@@ -37,11 +37,9 @@ exception Failed of failure
 
 val failure_message : failure -> string
 (** Multi-line report: inputs before and after shrinking, the error, and
-    the copy-pasteable replay one-liner. *)
-
-val default_seed : int64
-(** [42L] — the base seed when neither the caller nor the environment
-    supplies one. *)
+    the copy-pasteable replay one-liner.  The one-liner names the running
+    binary ([Sys.executable_name]); one built by dune is named by its
+    source-tree path under [dune exec]. *)
 
 val property_seed : seed:int64 -> name:string -> int64
 (** The per-property stream seed: the base seed with the property name
@@ -54,7 +52,8 @@ val check :
   ?count:int -> ?seed:int64 -> name:string -> 'a Arbitrary.t ->
   ('a -> unit) -> unit
 (** [check ~name arb prop] runs [prop] on [count] (default 100) generated
-    inputs; a property fails by raising any exception.  On failure the
+    inputs from the base [seed] (default 42); a property fails by raising
+    any exception.  On failure the
     input is greedily shrunk (bounded at 1000 extra property executions)
     and {!Failed} is raised.
     @raise Invalid_argument if [count <= 0] or an override variable is

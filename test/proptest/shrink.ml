@@ -26,11 +26,6 @@ let float ?(target = 0.) x =
          (target
          :: List.map (fun f -> x -. ((x -. target) *. f)) deltas))
 
-let option shrink_x = function
-  | None -> Seq.empty
-  | Some x ->
-    Seq.cons None (Seq.map (fun x' -> Some x') (shrink_x x))
-
 (* Standard list shrinking: drop progressively smaller chunks, then
    shrink single elements in place. *)
 let list shrink_elem l =

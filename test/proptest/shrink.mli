@@ -17,9 +17,6 @@ val int : ?target:int -> int t
 val float : ?target:float -> float t
 (** A few waypoints toward [target] (default 0.). *)
 
-val option : 'a t -> 'a option t
-(** Try [None] first, then shrink the payload. *)
-
 val list : 'a t -> 'a list t
 (** Drop progressively smaller chunks, then shrink elements in place. *)
 

@@ -19,9 +19,6 @@ exception Rejected of string
 (** Raised by {!assert_family} with every failing check's label,
     p-value, and statistic. *)
 
-val default_alpha : float
-(** [1e-6]. *)
-
 val chi_square_gof :
   label:string -> observed:int array -> expected:float array -> check
 (** Pearson goodness-of-fit of counts against expected masses (pooled per

@@ -106,7 +106,7 @@ let test_monte_carlo_agreement () =
 let props =
   [
     prop ~count:60 "probabilities are in [0,1] and monotone in start"
-      QCheck2.Gen.(pair (int_range 3 15) (float_range 0.2 0.8))
+      Arbitrary.(pair (int_range ~lo:3 ~hi:15 ()) (float_range ~lo:0.2 ~hi:0.8))
       (fun (n, q) ->
         let chain = ruin_chain ~n ~q in
         let a = Absorbing.create ~chain ~absorbing:[ 0; n ] in

@@ -147,13 +147,16 @@ let test_lemma6_exp_inequality () =
 let props =
   [
     prop "Prop 2's f positive for x > 1"
-      QCheck2.Gen.(pair (float_range 1.000001 1e6) (float_range 2. 1e6))
+      Arbitrary.(
+        pair (float_range ~lo:1.000001 ~hi:1e6) (float_range ~lo:2. ~hi:1e6))
       (fun (x, two_delta) -> prop2_f ~two_delta x >= 0.);
     prop "Lemma 7's g positive on (0, 1]"
-      QCheck2.Gen.(pair (float_range 0.01 0.99) (float_range 0.001 1.))
+      Arbitrary.(
+        pair (float_range ~lo:0.01 ~hi:0.99) (float_range ~lo:0.001 ~hi:1.))
       (fun (lambda, x) -> lemma7_g ~lambda x > 0.);
     prop "Lemma 7's sandwich over random (lambda, 2D)"
-      QCheck2.Gen.(pair (float_range 0.01 0.99) (float_range 2. 1e6))
+      Arbitrary.(
+        pair (float_range ~lo:0.01 ~hi:0.99) (float_range ~lo:2. ~hi:1e6))
       (fun (lambda, two_delta) ->
         let f = lemma7_f ~lambda (1. /. two_delta) in
         let base = 1. /. log (1. /. lambda) in

@@ -255,14 +255,15 @@ let test_outside_consistency_is_structured () =
 let props =
   [
     prop ~count:100 "zone ordering is monotone in c"
-      QCheck2.Gen.(
-        (* c is round-tripped through p = 1/(cnD); keep the two points a
-           few ulps apart so rounding cannot swap them across a boundary. *)
-        let* nu = float_range 0.05 0.45 in
-        let* c1 = float_range 0.05 50. in
-        let* factor = float_range 1.001 3. in
-        return (nu, c1, c1 *. factor))
-      (fun (nu, c_lo, c_hi) ->
+      (* c is round-tripped through p = 1/(cnD); keep the two points a
+         few ulps apart so rounding cannot swap them across a boundary. *)
+      Arbitrary.(
+        triple
+          (float_range ~lo:0.05 ~hi:0.45)
+          (float_range ~lo:0.05 ~hi:50.)
+          (float_range ~lo:1.001 ~hi:3.))
+      (fun (nu, c_lo, factor) ->
+        let c_hi = c_lo *. factor in
         let rank z =
           match z with Assessment.Broken -> 0 | Assessment.Gap -> 1 | Assessment.Safe -> 2
         in

@@ -234,10 +234,7 @@ let test_trials_dispatch_boundary () =
 
 let props =
   let gen_dist =
-    QCheck2.Gen.(
-      let* trials = int_range 0 60 in
-      let* p = float_range 0. 1. in
-      return (trials, p))
+    Arbitrary.(pair (int_range ~lo:0 ~hi:60 ()) (float_range ~lo:0. ~hi:1.))
   in
   [
     prop "pmf sums to 1" gen_dist (fun (trials, p) ->

@@ -215,7 +215,9 @@ let test_children_and_tips () =
 let props =
   [
     prop ~count:60 "random trees: best tip maximizes height"
-      QCheck2.Gen.(list_size (int_range 1 40) (pair (int_range 0 20) (int_range 0 4)))
+      Arbitrary.(
+        list ~min_len:1 ~max_len:40
+          (pair (int_range ~lo:0 ~hi:20 ()) (int_range ~lo:0 ~hi:4 ())))
       (fun choices ->
         let t = Block_tree.create () in
         let blocks = ref [| Block.genesis |] in
@@ -230,7 +232,7 @@ let props =
         let best = Block_tree.best_tip t in
         Array.for_all (fun (b : Block.t) -> b.height <= best.Block.height) !blocks);
     prop ~count:60 "prefix_within is reflexive at any T"
-      QCheck2.Gen.(int_range 0 10)
+      (Arbitrary.int_range ~lo:0 ~hi:10 ())
       (fun truncate ->
         let t = Block_tree.create () in
         let chain = extend t ~parent:Block.genesis ~miner:0 ~start_round:1 ~len:5 in

@@ -138,18 +138,20 @@ let test_flawed_accounting_ablation () =
 
 let props =
   [
-    prop "ordering ours within [PSS, attack]" QCheck2.Gen.(float_range 0.11 100.)
+    prop "ordering ours within [PSS, attack]"
+      (Arbitrary.float_range ~lo:0.11 ~hi:100.)
       (fun c ->
         let ours = Bounds.neat_numax ~c in
         let pss = Bounds.pss_numax_closed ~c in
         let attack = Bounds.pss_attack_nu ~c in
         pss <= ours +. 1e-9 && ours <= attack +. 1e-9);
-    prop "neat bound round trip" QCheck2.Gen.(float_range 0.02 0.48)
+    prop "neat bound round trip" (Arbitrary.float_range ~lo:0.02 ~hi:0.48)
       (fun nu ->
         let c = Bounds.neat_c_min ~nu in
         Float.abs (Bounds.neat_numax ~c -. nu) < 1e-7);
     prop "theorem1_holds iff margin positive"
-      QCheck2.Gen.(pair (float_range 0.05 0.45) (float_range 0.5 20.))
+      Arbitrary.(
+        pair (float_range ~lo:0.05 ~hi:0.45) (float_range ~lo:0.5 ~hi:20.))
       (fun (nu, c) ->
         let p = Params.of_c ~n:1e4 ~delta:1e4 ~nu ~c in
         Bounds.theorem1_holds p = (Bounds.theorem1_margin p > 0.));

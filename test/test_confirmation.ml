@@ -294,16 +294,18 @@ let test_table_rendering () =
 let props =
   [
     prop "galloping search equals the linear scan"
-      QCheck2.Gen.(
-        triple (float_range 1e-6 0.999) (float_range (log 1e-9) (log 0.5))
-          (int_range 1 2000))
+      Arbitrary.(
+        triple
+          (float_range ~lo:1e-6 ~hi:0.999)
+          (float_range ~lo:(log 1e-9) ~hi:(log 0.5))
+          (int_range ~lo:1 ~hi:2000 ()))
       (fun (ratio, log_epsilon, limit) ->
         let epsilon = Float.max Confirmation.min_epsilon (exp log_epsilon) in
         Confirmation.confirmations_for ~limit ~ratio ~epsilon ()
         = linear_confirmations ~limit ~ratio ~epsilon
         && settle_matches_linear_scan ~ratio ~epsilon);
     prop "overtake decreasing in deficit"
-      QCheck2.Gen.(pair (float_range 0.1 0.9) (int_range 0 20))
+      Arbitrary.(pair (float_range ~lo:0.1 ~hi:0.9) (int_range ~lo:0 ~hi:20 ()))
       (fun (ratio, deficit) ->
         let h = 0.1 in
         let a = h *. ratio in
@@ -313,7 +315,7 @@ let props =
              ~deficit
            +. 1e-12);
     prop ~count:50 "bounded race matches closed form at large cutoff"
-      QCheck2.Gen.(pair (float_range 0.1 0.7) (int_range 0 4))
+      Arbitrary.(pair (float_range ~lo:0.1 ~hi:0.7) (int_range ~lo:0 ~hi:4 ()))
       (fun (ratio, deficit) ->
         let h = 0.1 in
         let a = h *. ratio in
@@ -344,9 +346,11 @@ let suite =
   @ [
       case "Nakamoto formula bits" test_nakamoto_bits;
       prop "the search reads within deepest_read"
-        QCheck2.Gen.(
-          triple (float_range 1e-6 0.999) (float_range (log 1e-9) (log 0.5))
-            (int_range 1 2000))
+        Arbitrary.(
+          triple
+            (float_range ~lo:1e-6 ~hi:0.999)
+            (float_range ~lo:(log 1e-9) ~hi:(log 0.5))
+            (int_range ~lo:1 ~hi:2000 ()))
         (fun (ratio, log_epsilon, limit) ->
           let epsilon = Float.max Confirmation.min_epsilon (exp log_epsilon) in
           let reads = Confirmation.search_reads ~limit ~ratio ~epsilon () in

@@ -125,11 +125,11 @@ let test_rate_at_paper_scale () =
 let props =
   [
     prop ~count:30 "stationary of explicit chain sums to 1"
-      QCheck2.Gen.(
-        let* delta = int_range 1 3 in
-        let* nu = float_range 0.05 0.45 in
-        let* p = float_range 0.001 0.1 in
-        return (delta, nu, p))
+      Arbitrary.(
+        triple
+          (int_range ~lo:1 ~hi:3 ())
+          (float_range ~lo:0.05 ~hi:0.45)
+          (float_range ~lo:0.001 ~hi:0.1))
       (fun (delta, nu, p) ->
         let params =
           Params.create ~n:50. ~delta:(float_of_int delta) ~p ~nu

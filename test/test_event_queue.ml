@@ -86,7 +86,7 @@ let test_heap_growth () =
 let props =
   [
     prop ~count:60 "pop sequence is sorted by time"
-      QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 50))
+      Arbitrary.(list ~min_len:0 ~max_len:200 (int_range ~lo:0 ~hi:50 ()))
       (fun times ->
         let q = Event_queue.create () in
         List.iter (fun t -> Event_queue.push q ~time:t t) times;

@@ -101,7 +101,8 @@ let test_malformed_blocks_rejected_everywhere () =
 let props =
   [
     prop ~count:20 "random nasty policies keep the execution sound"
-      QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 1000))
+      Arbitrary.(
+        pair (int_range ~lo:0 ~hi:1000 ()) (int_range ~lo:0 ~hi:1000 ()))
       (fun (salt, seed) ->
         let r = run_with_policy ~salt ~seed:(Int64.of_int seed) in
         r.orphans_remaining = 0

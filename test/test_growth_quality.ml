@@ -98,10 +98,8 @@ let test_delay_advantaged_selfish_mining () =
 let props =
   [
     prop "bounds ordered across parameter space"
-      QCheck2.Gen.(
-        let* nu = float_range 0. 0.49 in
-        let* c = float_range 0.2 50. in
-        return (nu, c))
+      Arbitrary.(
+        pair (float_range ~lo:0. ~hi:0.49) (float_range ~lo:0.2 ~hi:50.))
       (fun (nu, c) ->
         let p = Params.of_c ~n:100. ~delta:8. ~nu ~c in
         let lower = Growth_quality.growth_rate_lower_bound p in

@@ -90,10 +90,8 @@ let test_certification_domain_edge () =
 let props =
   [
     prop "interval ops enclose real arithmetic"
-      QCheck2.Gen.(
-        let* a = float_range 0.01 10. in
-        let* b = float_range 0.01 10. in
-        return (a, b))
+      Arbitrary.(
+        pair (float_range ~lo:0.01 ~hi:10.) (float_range ~lo:0.01 ~hi:10.))
       (fun (a, b) ->
         let ia = I.point a and ib = I.point b in
         I.contains (I.add ia ib) (a +. b)
@@ -104,7 +102,7 @@ let props =
         && I.contains (I.pow ia b) (a ** b)
         && I.contains (I.log1p (I.point (1. /. (1. +. a)))) (log1p (1. /. (1. +. a))));
     prop ~count:60 "certification succeeds across c"
-      QCheck2.Gen.(float_range 0.3 100.)
+      (Arbitrary.float_range ~lo:0.3 ~hi:100.)
       (fun c -> Certify.certify_neat_numax ~c () <> None);
   ]
 

@@ -58,10 +58,8 @@ let test_table () =
 let props =
   [
     prop ~count:80 "flawed >= correct everywhere"
-      QCheck2.Gen.(
-        let* nu = float_range 0.05 0.45 in
-        let* p = float_range 0.0005 0.05 in
-        return (nu, p))
+      Arbitrary.(
+        pair (float_range ~lo:0.05 ~hi:0.45) (float_range ~lo:0.0005 ~hi:0.05))
       (fun (nu, p) ->
         let params = Params.create ~n:100. ~delta:4. ~p ~nu in
         Kiffer.flawed_rate params >= Kiffer.correct_rate params -. 1e-15);

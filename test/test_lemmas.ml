@@ -146,13 +146,18 @@ let test_verify_chain_validation () =
 
 let props =
   let gen =
-    QCheck2.Gen.(
-      let* nu = float_range 0.02 0.48 in
-      let* log_delta = float_range 0.5 12. in
-      let* log_n = float_range 1. 5.5 in
-      let* eps1 = float_range 0.05 0.95 in
-      let* eps2 = float_range 0.001 2. in
-      return (nu, 10. ** log_delta, 10. ** log_n, eps1, eps2))
+    Arbitrary.make
+      ~print:(fun (nu, delta, n, eps1, eps2) ->
+        Printf.sprintf
+          "(nu %.17g, delta %.17g, n %.17g, eps1 %.17g, eps2 %.17g)" nu delta
+          n eps1 eps2)
+      Gen.(
+        let* nu = float_range ~lo:0.02 ~hi:0.48 in
+        let* log_delta = float_range ~lo:0.5 ~hi:12. in
+        let* log_n = float_range ~lo:1. ~hi:5.5 in
+        let* eps1 = float_range ~lo:0.05 ~hi:0.95 in
+        let* eps2 = float_range ~lo:0.001 ~hi:2. in
+        return (nu, 10. ** log_delta, 10. ** log_n, eps1, eps2))
   in
   [
     prop ~count:150 "Theorem 3 chain holds under its preconditions" gen

@@ -64,13 +64,21 @@ let test_norms_and_vec_ops () =
   check_raises_invalid "normalize zero" (fun () ->
       ignore (Linalg.normalize_l1 [| 0.; 0. |]))
 
+let show_floats xs =
+  "[" ^ String.concat "; " (List.map (Printf.sprintf "%.17g") xs) ^ "]"
+
 let props =
   let gen_system =
-    QCheck2.Gen.(
-      let* n = int_range 1 8 in
-      let* entries = list_size (return (n * n)) (float_range (-5.) 5.) in
-      let* rhs = list_size (return n) (float_range (-5.) 5.) in
-      return (n, entries, rhs))
+    Arbitrary.make
+      ~print:(fun (n, entries, rhs) ->
+        Printf.sprintf "(%d, %s, %s)" n (show_floats entries) (show_floats rhs))
+      Gen.(
+        let* n = int_range ~lo:1 ~hi:8 in
+        let* entries =
+          list ~len:(return (n * n)) (float_range ~lo:(-5.) ~hi:5.)
+        in
+        let* rhs = list ~len:(return n) (float_range ~lo:(-5.) ~hi:5.) in
+        return (n, entries, rhs))
   in
   [
     prop "solve then multiply returns rhs" gen_system (fun (n, entries, rhs) ->
@@ -85,11 +93,16 @@ let props =
         let back = Linalg.mat_vec m x in
         Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-8) back b);
     prop "transpose is an involution"
-      QCheck2.Gen.(
-        let* rows = int_range 1 5 in
-        let* cols = int_range 1 5 in
-        let* entries = list_size (return (rows * cols)) (float_range (-1.) 1.) in
-        return (rows, cols, entries))
+      (Arbitrary.make
+         ~print:(fun (rows, cols, entries) ->
+           Printf.sprintf "(%d, %d, %s)" rows cols (show_floats entries))
+         Gen.(
+           let* rows = int_range ~lo:1 ~hi:5 in
+           let* cols = int_range ~lo:1 ~hi:5 in
+           let* entries =
+             list ~len:(return (rows * cols)) (float_range ~lo:(-1.) ~hi:1.)
+           in
+           return (rows, cols, entries)))
       (fun (rows, cols, entries) ->
         let m =
           Array.init rows (fun i ->

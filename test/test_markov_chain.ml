@@ -125,16 +125,24 @@ let test_power_iteration_nonconvergence_message () =
 let props =
   let gen_chain =
     (* Random dense stochastic matrices of size 2..6. *)
-    QCheck2.Gen.(
-      let* n = int_range 2 6 in
-      let* raw = list_size (return (n * n)) (float_range 0.05 1.) in
-      let rows =
-        Array.init n (fun i ->
-            let row = List.filteri (fun k _ -> k / n = i) raw in
-            let total = List.fold_left ( +. ) 0. row in
-            List.mapi (fun j x -> (j, x /. total)) row)
-      in
-      return (n, rows))
+    Arbitrary.make
+      ~print:(fun (n, rows) ->
+        let show_row row =
+          String.concat "; "
+            (List.map (fun (j, x) -> Printf.sprintf "%d: %.17g" j x) row)
+        in
+        Printf.sprintf "(%d, [|%s|])" n
+          (String.concat " | " (Array.to_list (Array.map show_row rows))))
+      Gen.(
+        let* n = int_range ~lo:2 ~hi:6 in
+        let* raw = list ~len:(return (n * n)) (float_range ~lo:0.05 ~hi:1.) in
+        let rows =
+          Array.init n (fun i ->
+              let row = List.filteri (fun k _ -> k / n = i) raw in
+              let total = List.fold_left ( +. ) 0. row in
+              List.mapi (fun j x -> (j, x /. total)) row)
+        in
+        return (n, rows))
   in
   [
     prop ~count:50 "solve and power iteration agree" gen_chain (fun (n, rows) ->

@@ -104,12 +104,15 @@ let test_of_sim_config () =
 
 let props =
   let gen =
-    QCheck2.Gen.(
-      let* n = float_range 4. 1e6 in
-      let* delta = float_range 1. 1e6 in
-      let* nu = float_range 0.01 0.49 in
-      let* c = float_range 0.1 100. in
-      return (n, delta, nu, c))
+    Arbitrary.make
+      ~print:(fun (n, delta, nu, c) ->
+        Printf.sprintf "(n %.17g, delta %.17g, nu %.17g, c %.17g)" n delta nu c)
+      Gen.(
+        let* n = float_range ~lo:4. ~hi:1e6 in
+        let* delta = float_range ~lo:1. ~hi:1e6 in
+        let* nu = float_range ~lo:0.01 ~hi:0.49 in
+        let* c = float_range ~lo:0.1 ~hi:100. in
+        return (n, delta, nu, c))
   in
   [
     prop "alpha1 <= alpha <= 1" gen (fun (n, delta, nu, c) ->
@@ -125,6 +128,43 @@ let props =
           (Params.abar p));
   ]
 
+(* Where p nu is subnormal, p nu n taken left to right keeps only the
+   few bits of p nu.  At c = 3 and Delta = 1e13 the rate is nu / 3e13;
+   every nu whose p nu is normal keeps the left-to-right product's bits. *)
+let test_subnormal_adversary_rate () =
+  let params nu = Params.of_c ~n:1e5 ~delta:1e13 ~nu ~c:3. in
+  let smallest = Float.min_float *. epsilon_float in
+  List.iter
+    (fun nu ->
+      let p = params nu in
+      let expected = nu /. 3e13 in
+      let rate = Params.adversary_rate p in
+      if Float.abs (rate -. expected)
+         > Float.max (4. *. epsilon_float *. expected) smallest
+      then
+        Alcotest.failf "adversary rate at nu = %g: %h, expected %h" nu rate
+          expected;
+      close ~rtol:1e-12
+        (Printf.sprintf "log adversary rate at nu = %g" nu)
+        (log nu -. log 3e13)
+        (Params.log_adversary_rate p);
+      let honest = Nakamoto_core.Conv_chain.convergence_rate p in
+      match Nakamoto_core.Confirmation.assess_checked p with
+      | Ok a ->
+        close ~rtol:1e-12
+          (Printf.sprintf "rate ratio at nu = %g" nu)
+          (exp (log nu -. log 3e13 -. log honest))
+          a.Nakamoto_core.Confirmation.rate_ratio
+      | Error _ -> Alcotest.failf "assess_checked refused nu = %g" nu)
+    [ 1e-292; 1e-300; 1e-305; 1e-306; 1e-310; 1e-320 ];
+  List.iter
+    (fun nu ->
+      let p = params nu in
+      check_true
+        (Printf.sprintf "bits kept at nu = %g" nu)
+        (Params.adversary_rate p = p.Params.p *. nu *. p.Params.n))
+    [ 0.25; 1e-9; 1e-200; 1e-285 ]
+
 let suite =
   [
     case "validation (Eqs. 1-3)" test_validation;
@@ -137,3 +177,7 @@ let suite =
     case "of_c rejects a NaN c" test_of_c_nan;
   ]
   @ props
+  @ [
+      case "adversary rate where p nu is subnormal"
+        test_subnormal_adversary_rate;
+    ]

@@ -72,13 +72,16 @@ let test_rescan_agrees_on_cases () =
     ]
 
 let gen_trace =
-  QCheck2.Gen.(
-    let* delta = int_range 1 4 in
-    let* states =
-      list_size (int_range 0 400)
-        (frequency [ (6, return 'N'); (3, return '1'); (1, return 'H') ])
-    in
-    return (delta, String.init (List.length states) (List.nth states)))
+  Arbitrary.make
+    ~print:(fun (delta, s) -> Printf.sprintf "(%d, %S)" delta s)
+    Gen.(
+      let* delta = int_range ~lo:1 ~hi:4 in
+      let* states =
+        list
+          ~len:(int_range ~lo:0 ~hi:400)
+          (frequency [ (6, return 'N'); (3, return '1'); (1, return 'H') ])
+      in
+      return (delta, String.init (List.length states) (List.nth states)))
 
 let props =
   [

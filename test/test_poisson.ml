@@ -91,11 +91,11 @@ let test_simulate_validation () =
 let props =
   [
     prop ~count:100 "neat-bound identity over random configs"
-      QCheck2.Gen.(
-        let* lambda = float_range 0.1 10. in
-        let* mu = float_range 0.51 0.99 in
-        let* delta = float_range 0.05 5. in
-        return (lambda, mu, delta))
+      Arbitrary.(
+        triple
+          (float_range ~lo:0.1 ~hi:10.)
+          (float_range ~lo:0.51 ~hi:0.99)
+          (float_range ~lo:0.05 ~hi:5.))
       (fun (lambda, mu, delta) ->
         Poisson.neat_bound_equivalent { Poisson.lambda; mu; delta });
   ]

@@ -159,6 +159,21 @@ let test_of_path_statistical_independence () =
     (Printf.sprintf "covariance near zero (%.2e)" cov)
     (Float.abs cov < 5. /. 12. /. sqrt fn)
 
+(* A property failing inside this binary prints a replay line that
+   reruns this binary, not the property tier's. *)
+let test_property_replay_line () =
+  match
+    P.Property.check ~count:3 ~name:"fails on every input"
+      (Arbitrary.int_range ~lo:0 ~hi:9 ())
+      (fun _ -> failwith "always")
+  with
+  | () -> Alcotest.fail "expected the property to fail"
+  | exception P.Property.Failed f ->
+    let msg = P.Property.failure_message f in
+    check_true
+      (Printf.sprintf "replay line names test/test_main.exe:\n%s" msg)
+      (contains_substring ~affix:"dune exec test/test_main.exe -- test" msg)
+
 let suite =
   [
     case "determinism" test_determinism;
@@ -172,4 +187,6 @@ let suite =
     case "bernoulli" test_bernoulli;
     case "splitmix avalanche" test_splitmix_mixing;
     case "shuffle" test_shuffle;
+    case "a failing property's replay line names this binary"
+      test_property_replay_line;
   ]

@@ -64,14 +64,14 @@ let test_bracket_upward () =
 let props =
   [
     prop "bisect finds the root of monotone cubics"
-      QCheck2.Gen.(float_range (-3.) 3.)
+      (Arbitrary.float_range ~lo:(-3.) ~hi:3.)
       (fun target ->
         let f x = ((x -. target) ** 3.) +. (x -. target) in
         match Roots.bisect ~f ~lo:(-10.) ~hi:10. () with
         | Roots.Converged { root; _ } -> Float.abs (root -. target) < 1e-9
         | _ -> false);
     prop "brent agrees with bisect on exp(x) - k"
-      QCheck2.Gen.(float_range 1.5 50.)
+      (Arbitrary.float_range ~lo:1.5 ~hi:50.)
       (fun k ->
         let f x = exp x -. k in
         let a = root_of (Roots.bisect ~f ~lo:0. ~hi:10. ()) in

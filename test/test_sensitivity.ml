@@ -52,7 +52,7 @@ let test_table () =
 let props =
   [
     prop "inverse-function identity: T'(numax c) * slope(c) = 1"
-      QCheck2.Gen.(float_range 0.3 100.)
+      (Arbitrary.float_range ~lo:0.3 ~hi:100.)
       (fun c ->
         let nu = Bounds.neat_numax ~c in
         let product =

@@ -91,18 +91,22 @@ let test_geometric_series () =
 
 let props =
   [
-    prop "log_add commutes" QCheck2.Gen.(pair (float_range (-50.) 50.) (float_range (-50.) 50.))
+    prop "log_add commutes"
+      Arbitrary.(
+        pair (float_range ~lo:(-50.) ~hi:50.) (float_range ~lo:(-50.) ~hi:50.))
       (fun (a, b) ->
         Special.approx_equal (Special.log_add a b) (Special.log_add b a));
     prop "log_add = log of sum"
-      QCheck2.Gen.(pair (float_range (-30.) 30.) (float_range (-30.) 30.))
+      Arbitrary.(
+        pair (float_range ~lo:(-30.) ~hi:30.) (float_range ~lo:(-30.) ~hi:30.))
       (fun (a, b) ->
         Special.approx_equal ~rtol:1e-9 (Special.log_add a b)
           (log (exp a +. exp b)));
-    prop "sigmoid inverts logit" QCheck2.Gen.(float_range 0.001 0.999)
+    prop "sigmoid inverts logit" (Arbitrary.float_range ~lo:0.001 ~hi:0.999)
       (fun x -> Special.approx_equal ~rtol:1e-9 x (Special.sigmoid (Special.logit x)));
     prop "geometric closed form vs fold"
-      QCheck2.Gen.(pair (float_range 0.01 0.99) (int_range 0 40))
+      Arbitrary.(
+        pair (float_range ~lo:0.01 ~hi:0.99) (int_range ~lo:0 ~hi:40 ()))
       (fun (ratio, terms) ->
         let direct = ref 0. and pow = ref 1. in
         for _ = 1 to terms do

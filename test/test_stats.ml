@@ -76,17 +76,18 @@ let test_rates () =
 let props =
   [
     prop "welford mean equals arithmetic mean"
-      QCheck2.Gen.(list_size (int_range 2 100) (float_range (-100.) 100.))
+      Arbitrary.(
+        list ~min_len:2 ~max_len:100 (float_range ~lo:(-100.) ~hi:100.))
       (fun xs ->
         let s = Stats.Summary.create () in
         List.iter (Stats.Summary.add s) xs;
         let direct = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
         Float.abs (Stats.Summary.mean s -. direct) < 1e-9);
     prop "merge is order-insensitive"
-      QCheck2.Gen.(
+      Arbitrary.(
         pair
-          (list_size (int_range 1 30) (float_range (-10.) 10.))
-          (list_size (int_range 1 30) (float_range (-10.) 10.)))
+          (list ~min_len:1 ~max_len:30 (float_range ~lo:(-10.) ~hi:10.))
+          (list ~min_len:1 ~max_len:30 (float_range ~lo:(-10.) ~hi:10.)))
       (fun (xs, ys) ->
         let build l =
           let s = Stats.Summary.create () in

@@ -197,13 +197,14 @@ let test_to_dot () =
 let props =
   [
     prop ~count:50 "closed form sums to 1"
-      QCheck2.Gen.(pair (int_range 1 40) (float_range 0.01 0.99))
+      Arbitrary.(
+        pair (int_range ~lo:1 ~hi:40 ()) (float_range ~lo:0.01 ~hi:0.99))
       (fun (delta, alpha) ->
         let pi = Suffix_chain.stationary_closed_form ~delta ~alpha in
         Float.abs (Array.fold_left ( +. ) 0. pi -. 1.) < 1e-9);
     prop ~count:50 "all transitions stay in range"
-      QCheck2.Gen.(
-        triple (int_range 1 20) (int_range 0 60) bool)
+      Arbitrary.(
+        triple (int_range ~lo:1 ~hi:20 ()) (int_range ~lo:0 ~hi:60 ()) bool)
       (fun (delta, i, h) ->
         let i = i mod Suffix_chain.state_count ~delta in
         let s = Suffix_chain.state_of_index ~delta i in

@@ -95,14 +95,15 @@ let test_pi_norm_bound () =
 let props =
   [
     prop "relative entropy nonnegative"
-      QCheck2.Gen.(pair (float_range 0.01 0.99) (float_range 0.01 0.99))
+      Arbitrary.(
+        pair (float_range ~lo:0.01 ~hi:0.99) (float_range ~lo:0.01 ~hi:0.99))
       (fun (q, p) -> Tail_bounds.relative_entropy_bernoulli ~q ~p >= 0.);
     prop "upper tail bound within [0,1]"
-      QCheck2.Gen.(
-        let* trials = int_range 1 1000 in
-        let* p = float_range 0.001 0.5 in
-        let* delta = float_range 0. 3. in
-        return (trials, p, delta))
+      Arbitrary.(
+        triple
+          (int_range ~lo:1 ~hi:1000 ())
+          (float_range ~lo:0.001 ~hi:0.5)
+          (float_range ~lo:0. ~hi:3.))
       (fun (trials, p, delta) ->
         let b =
           Tail_bounds.binomial_upper_tail (Binomial.create ~trials ~p) ~delta

@@ -154,17 +154,13 @@ let test_table1 () =
 let props =
   [
     prop "Table I identities hold everywhere"
-      QCheck2.Gen.(
-        let* nu = float_range 0.01 0.49 in
-        let* c = float_range 0.2 50. in
-        return (nu, c))
+      Arbitrary.(
+        pair (float_range ~lo:0.01 ~hi:0.49) (float_range ~lo:0.2 ~hi:50.))
       (fun (nu, c) ->
         Table1.identities_hold (Params.of_c ~n:1e4 ~delta:1e4 ~nu ~c));
     prop "Theorem 2 condition iff c >= c_min"
-      QCheck2.Gen.(
-        let* nu = float_range 0.05 0.45 in
-        let* c = float_range 0.5 50. in
-        return (nu, c))
+      Arbitrary.(
+        pair (float_range ~lo:0.05 ~hi:0.45) (float_range ~lo:0.5 ~hi:50.))
       (fun (nu, c) ->
         let p = Params.of_c ~n:1e5 ~delta:1e10 ~nu ~c in
         Theorem2.condition_holds ~eps1:0.5 ~eps2:0.1 p
