@@ -93,7 +93,42 @@ let test_extreme_scale_log_domain () =
   (* 2 Delta log abar ~ -2 mu / c: the dimensional identity behind the
      neat bound. *)
   close ~rtol:1e-6 "2D log abar = -2mu/c" (-2. *. 0.75 /. 3.)
-    (2. *. p.Params.delta *. Params.log_abar p)
+    (2. *. p.Params.delta *. Params.log_abar p);
+  (* At a tiny nu, where p nu is subnormal, p nu n taken left to right
+     keeps only the few bits of p nu.  At c = 3 and Delta = 1e13 the rate
+     is nu / 3e13; every nu whose p nu is normal keeps the left-to-right
+     product's bits. *)
+  let smallest = Float.min_float *. epsilon_float in
+  List.iter
+    (fun nu ->
+      let p = Params.figure1_point ~nu ~c:3. in
+      let expected = nu /. 3e13 in
+      let rate = Params.adversary_rate p in
+      if Float.abs (rate -. expected)
+         > Float.max (4. *. epsilon_float *. expected) smallest
+      then
+        Alcotest.failf "adversary rate at nu = %g: %h, expected %h" nu rate
+          expected;
+      close ~rtol:1e-12
+        (Printf.sprintf "log adversary rate at nu = %g" nu)
+        (log nu -. log 3e13)
+        (Params.log_adversary_rate p);
+      let honest = Nakamoto_core.Conv_chain.convergence_rate p in
+      match Nakamoto_core.Confirmation.assess_checked p with
+      | Ok a ->
+        close ~rtol:1e-12
+          (Printf.sprintf "rate ratio at nu = %g" nu)
+          (exp (log nu -. log 3e13 -. log honest))
+          a.Nakamoto_core.Confirmation.rate_ratio
+      | Error _ -> Alcotest.failf "assess_checked refused nu = %g" nu)
+    [ 1e-292; 1e-300; 1e-305; 1e-306; 1e-310; 1e-320 ];
+  List.iter
+    (fun nu ->
+      let p = Params.figure1_point ~nu ~c:3. in
+      check_true
+        (Printf.sprintf "bits kept at nu = %g" nu)
+        (Params.adversary_rate p = p.Params.p *. nu *. p.Params.n))
+    [ 0.25; 1e-9; 1e-200; 1e-285 ]
 
 let test_of_sim_config () =
   let cfg = { Nakamoto_sim.Config.default with n = 40; nu = 0.25 } in
@@ -128,43 +163,6 @@ let props =
           (Params.abar p));
   ]
 
-(* Where p nu is subnormal, p nu n taken left to right keeps only the
-   few bits of p nu.  At c = 3 and Delta = 1e13 the rate is nu / 3e13;
-   every nu whose p nu is normal keeps the left-to-right product's bits. *)
-let test_subnormal_adversary_rate () =
-  let params nu = Params.of_c ~n:1e5 ~delta:1e13 ~nu ~c:3. in
-  let smallest = Float.min_float *. epsilon_float in
-  List.iter
-    (fun nu ->
-      let p = params nu in
-      let expected = nu /. 3e13 in
-      let rate = Params.adversary_rate p in
-      if Float.abs (rate -. expected)
-         > Float.max (4. *. epsilon_float *. expected) smallest
-      then
-        Alcotest.failf "adversary rate at nu = %g: %h, expected %h" nu rate
-          expected;
-      close ~rtol:1e-12
-        (Printf.sprintf "log adversary rate at nu = %g" nu)
-        (log nu -. log 3e13)
-        (Params.log_adversary_rate p);
-      let honest = Nakamoto_core.Conv_chain.convergence_rate p in
-      match Nakamoto_core.Confirmation.assess_checked p with
-      | Ok a ->
-        close ~rtol:1e-12
-          (Printf.sprintf "rate ratio at nu = %g" nu)
-          (exp (log nu -. log 3e13 -. log honest))
-          a.Nakamoto_core.Confirmation.rate_ratio
-      | Error _ -> Alcotest.failf "assess_checked refused nu = %g" nu)
-    [ 1e-292; 1e-300; 1e-305; 1e-306; 1e-310; 1e-320 ];
-  List.iter
-    (fun nu ->
-      let p = params nu in
-      check_true
-        (Printf.sprintf "bits kept at nu = %g" nu)
-        (Params.adversary_rate p = p.Params.p *. nu *. p.Params.n))
-    [ 0.25; 1e-9; 1e-200; 1e-285 ]
-
 let suite =
   [
     case "validation (Eqs. 1-3)" test_validation;
@@ -177,7 +175,3 @@ let suite =
     case "of_c rejects a NaN c" test_of_c_nan;
   ]
   @ props
-  @ [
-      case "adversary rate where p nu is subnormal"
-        test_subnormal_adversary_rate;
-    ]
