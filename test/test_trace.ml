@@ -221,6 +221,142 @@ let test_skip_shares_snapshots () =
   check_true "consecutive snapshots share an unchanged tips array"
     (shares (Sim.Execution.run cfg).snapshots)
 
+(* Everything the consistency audit and the campaign journal read of a
+   result: every snapshot's round and tips, the final tips, the block and
+   opportunity counters, the deepest reorg, the orphans left and the
+   messages sent. *)
+let result_digest (r : Sim.Execution.result) =
+  let mix = Nakamoto_prob.Rng.splitmix64 in
+  let feed acc v = mix (Int64.add acc v) in
+  let feed_int acc v = feed acc (Int64.of_int v) in
+  let feed_tips acc tips =
+    Array.fold_left
+      (fun acc (b : Nakamoto_chain.Block.t) ->
+        feed acc (Nakamoto_chain.Hash.to_int64 b.hash))
+      acc tips
+  in
+  let acc = feed_int (snapshot_digest r) (List.length r.snapshots) in
+  let acc = feed_tips acc r.final_tips in
+  List.fold_left feed_int acc
+    [
+      r.honest_blocks;
+      r.adversary_blocks;
+      r.h_rounds;
+      r.h1_rounds;
+      r.convergence_opportunities;
+      r.max_reorg_depth;
+      r.adversary_releases;
+      r.orphans_remaining;
+      r.messages_sent;
+      r.processed_rounds;
+    ]
+
+(* Fast-mode results over a spread of configurations: n from 4 to 64,
+   both tie-breaks, every shared delay override and the strategy
+   defaults, and Balance under a shared override (direct sends and the
+   crowd's retirement), each under Aggregate and Skip.  A change to how
+   the fast executors hold or deliver to miners must leave every one of
+   these results bit-identical.  Pins were produced by this build; a
+   drift prints the actuals. *)
+let test_fast_mode_result_pins () =
+  let module Net = Nakamoto_net.Network in
+  let drifted = ref [] in
+  let shape ~n ~nu ~delta ~c ?delay ?(tie_break = Sim.Config.default.tie_break)
+      strategy =
+    Sim.Config.with_c
+      {
+        Sim.Config.default with
+        n;
+        nu;
+        delta;
+        rounds = 1_200;
+        seed = Int64.of_int ((n * 1_000) + delta);
+        strategy;
+        delay_override = delay;
+        tie_break;
+        snapshot_interval = 40;
+        truncate = 4;
+      }
+      ~c
+  in
+  let first_seen = Nakamoto_chain.Block_tree.First_seen in
+  let private_chain k = Sim.Adversary.Private_chain { reorg_target = k } in
+  let balance g = Sim.Adversary.Balance { group_boundary = g } in
+  let pin name cfg expected =
+    let actual = result_digest (Sim.Execution.run cfg) in
+    if actual <> expected then
+      drifted :=
+        Printf.sprintf "%s: result digest %LdL, pinned %LdL" name actual
+          expected
+        :: !drifted
+  in
+  List.iter
+    (fun (name, cfg, aggregate, skip) ->
+      pin (name ^ " aggregate")
+        { cfg with Sim.Config.mining_mode = Sim.Config.Aggregate }
+        aggregate;
+      pin (name ^ " skip")
+        { cfg with Sim.Config.mining_mode = Sim.Config.Skip }
+        skip)
+    [
+      ( "n4 idle",
+        shape ~n:4 ~nu:0.25 ~delta:2 ~c:0.5 Sim.Adversary.Idle,
+        -3350169513963174645L,
+        -3512559804542542672L );
+      ( "n5 private",
+        shape ~n:5 ~nu:0.2 ~delta:1 ~c:0.5 (private_chain 2),
+        9217779524758387882L,
+        4362798051921407054L );
+      ( "n7 private maximal",
+        shape ~n:7 ~nu:0.3 ~delta:3 ~c:1. ~delay:Net.Maximal (private_chain 3),
+        -8183967523310541850L,
+        6417854265912942436L );
+      ( "n10 selfish first-seen",
+        shape ~n:10 ~nu:0.3 ~delta:4 ~c:1.5 ~tie_break:first_seen
+          Sim.Adversary.Selfish_mining,
+        5976203093552993375L,
+        1139255294708076679L );
+      ( "n12 balance immediate first-seen",
+        shape ~n:12 ~nu:0.25 ~delta:6 ~c:0.7 ~delay:Net.Immediate
+          ~tie_break:first_seen (balance 5),
+        -4448970317292998800L,
+        -8020888742288558728L );
+      ( "n16 private fixed first-seen",
+        shape ~n:16 ~nu:0.2 ~delta:5 ~c:0.8 ~delay:(Net.Fixed 3)
+          ~tie_break:first_seen (private_chain 4),
+        -30975259659366102L,
+        6794134340567132830L );
+      ( "n20 selfish fixed",
+        shape ~n:20 ~nu:0.45 ~delta:3 ~c:0.6 ~delay:(Net.Fixed 1)
+          Sim.Adversary.Selfish_mining,
+        -6846111650984211736L,
+        -5512328524626397444L );
+      ( "n24 balance fixed",
+        shape ~n:24 ~nu:0.3 ~delta:3 ~c:1. ~delay:(Net.Fixed 2) (balance 8),
+        -507164780956048397L,
+        -6750725648018574899L );
+      ( "n32 idle maximal first-seen",
+        shape ~n:32 ~nu:0.1 ~delta:2 ~c:0.3 ~delay:Net.Maximal
+          ~tie_break:first_seen Sim.Adversary.Idle,
+        -4200426675983620312L,
+        -5977335637213540710L );
+      ( "n40 private",
+        shape ~n:40 ~nu:0.25 ~delta:4 ~c:1.25 (private_chain 12),
+        -4545799131271607795L,
+        1616863102451104413L );
+      ( "n48 balance maximal",
+        shape ~n:48 ~nu:0.35 ~delta:8 ~c:2. ~delay:Net.Maximal (balance 24),
+        8622102250969794637L,
+        7412591022359192379L );
+      ( "n64 selfish immediate",
+        shape ~n:64 ~nu:0.4 ~delta:4 ~c:2. ~delay:Net.Immediate
+          Sim.Adversary.Selfish_mining,
+        2976570239187811690L,
+        -6271262697896625046L );
+    ];
+  if !drifted <> [] then
+    Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
+
 let test_summarize () =
   let t = Trace.create () in
   Trace.record t (entry ~round:1 ~hb:2 ~bh:1 ());
@@ -241,4 +377,5 @@ let suite =
     case "snapshot digest goldens" test_snapshot_golden;
     case "skip snapshots share unchanged tips" test_skip_shares_snapshots;
     case "summarize" test_summarize;
+    case "fast-mode result pins" test_fast_mode_result_pins;
   ]
