@@ -8,8 +8,8 @@ end)
 type tie_break = Prefer_honest | First_seen
 
 type t = {
-  blocks : Block.t Table.t;
-  children : Hash.t list Table.t;  (** parent hash -> child hashes *)
+  blocks : Block.t Table.t;  (** the blocks this tree stored itself *)
+  base : t option;  (** an overlay's fall-through tree *)
   tie_break : tie_break;
   mutable best : Block.t;  (** cached longest-chain head *)
 }
@@ -38,42 +38,81 @@ let better t (candidate : Block.t) (incumbent : Block.t) =
 
 (* 256 buckets is the largest array the runtime still allocates in the
    minor heap (Max_young_wosize): a tree of up to 512 blocks never
-   resizes, and {!copy} (a fast-mode miner's materialization) is a small
-   minor allocation, where a 1024-bucket table was a major one that also
-   forced extra minor collections.  No caller depends on the iteration
-   order. *)
+   resizes, where a 1024-bucket table was a major allocation that also
+   forced extra minor collections.  An {!overlay} starts at 8 buckets: it
+   holds only the few blocks its miner has and its base lacks.  No caller
+   depends on the iteration order. *)
 let create ?(tie_break = Prefer_honest) () =
   let t =
-    {
-      blocks = Table.create 256;
-      children = Table.create 256;
-      tie_break;
-      best = Block.genesis;
-    }
+    { blocks = Table.create 256; base = None; tie_break; best = Block.genesis }
   in
   Table.replace t.blocks Block.genesis.hash Block.genesis;
   t
 
-let copy t =
+let overlay base =
   {
-    blocks = Table.copy t.blocks;
-    children = Table.copy t.children;
-    tie_break = t.tie_break;
-    best = t.best;
+    blocks = Table.create 8;
+    base = Some base;
+    tie_break = base.tie_break;
+    best = base.best;
   }
 
-let block_count t = Table.length t.blocks
-let mem t h = Table.mem t.blocks h
-let find t h = Table.find_opt t.blocks h
-let find_exn t h = Table.find t.blocks h
+let rec mem t h =
+  Table.mem t.blocks h
+  || match t.base with None -> false | Some base -> mem base h
+
+let rec find t h =
+  match Table.find_opt t.blocks h with
+  | Some _ as found -> found
+  | None -> ( match t.base with None -> None | Some base -> find base h)
+
+let rec find_exn t h =
+  match t.base with
+  | None -> Table.find t.blocks h
+  | Some base -> (
+    match Table.find_opt t.blocks h with
+    | Some b -> b
+    | None -> find_exn base h)
+
+(* An overlay may store a block its base gained later too, so its own
+   table is read minus what the base already holds. *)
+let rec iter_blocks t f =
+  match t.base with
+  | None -> Table.iter (fun _ b -> f b) t.blocks
+  | Some base ->
+    iter_blocks base f;
+    Table.iter (fun h b -> if not (mem base h) then f b) t.blocks
+
+let block_count t =
+  match t.base with
+  | None -> Table.length t.blocks
+  | Some _ ->
+    let count = ref 0 in
+    iter_blocks t (fun _ -> incr count);
+    !count
+
+let subsumed_by t base =
+  match t.base with
+  | Some b when b == base ->
+    Table.fold (fun h _ ok -> ok && mem base h) t.blocks true
+  | Some _ | None -> false
+
+let copy t =
+  let blocks =
+    match t.base with
+    | None -> Table.copy t.blocks
+    | Some _ ->
+      let blocks = Table.create 256 in
+      iter_blocks t (fun b -> Table.replace blocks b.hash b);
+      blocks
+  in
+  { blocks; base = None; tie_break = t.tie_break; best = t.best }
 
 let insert t (b : Block.t) =
-  if Table.mem t.blocks b.hash then `Duplicate
-  else if not (Table.mem t.blocks b.parent) then `Orphan
+  if mem t b.hash then `Duplicate
+  else if not (mem t b.parent) then `Orphan
   else begin
-    Table.replace t.blocks b.hash b;
-    let siblings = Option.value ~default:[] (Table.find_opt t.children b.parent) in
-    Table.replace t.children b.parent (b.hash :: siblings);
+    Table.add t.blocks b.hash b;
     if better t b t.best then t.best <- b;
     `Inserted
   end
@@ -86,15 +125,22 @@ let insert_chain t blocks =
     (fun acc b -> match insert t b with `Inserted -> acc + 1 | `Duplicate | `Orphan -> acc)
     0 sorted
 
+(* Nothing reads the tree by parent on a hot path, so the child relation
+   is not indexed: both of these scan the block set. *)
 let children t h =
-  Option.value ~default:[] (Table.find_opt t.children h)
-  |> List.filter_map (find t)
+  let kids = ref [] in
+  iter_blocks t (fun b ->
+      if (not (Block.is_genesis b)) && Hash.equal b.parent h then
+        kids := b :: !kids);
+  !kids
 
 let tips t =
+  let parents = Table.create 256 in
+  iter_blocks t (fun b ->
+      if not (Block.is_genesis b) then Table.replace parents b.parent ());
   let leaves = ref [] in
-  Table.iter
-    (fun h b -> if not (Table.mem t.children h) then leaves := b :: !leaves)
-    t.blocks;
+  iter_blocks t (fun b ->
+      if not (Table.mem parents b.hash) then leaves := b :: !leaves);
   !leaves
 
 let best_tip t = t.best
@@ -159,4 +205,3 @@ let honest_fraction_on_chain t b =
     in
     float_of_int honest /. float_of_int (List.length non_genesis)
 
-let iter_blocks t f = Table.iter (fun _ b -> f b) t.blocks

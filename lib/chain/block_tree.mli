@@ -24,7 +24,22 @@ val create : ?tie_break:tie_break -> unit -> t
     defaults to [Prefer_honest]. *)
 
 val copy : t -> t
-(** [copy t] is an independent snapshot (blocks are immutable and shared). *)
+(** [copy t] is an independent snapshot (blocks are immutable and shared);
+    a copy of an {!overlay} holds the overlay's whole block set and no
+    longer reads its base. *)
+
+val overlay : t -> t
+(** [overlay base] is a tree that starts with [base]'s block set and best
+    tip.  Reads fall through to [base]; inserts stay in the overlay, and
+    it never writes [base].  [base] may keep growing: the overlay's block
+    set is its own blocks plus [base]'s current ones.  Its {!best_tip}
+    tracks its own inserts only, so it stays the best tip of that union
+    while every block [base] gains is inserted into the overlay first. *)
+
+val subsumed_by : t -> t -> bool
+(** [subsumed_by t base] holds when [t] is an {!overlay} of [base] and
+    every block it stored itself is now in [base] too: the two hold the
+    same block set.  O(blocks stored in the overlay). *)
 
 val block_count : t -> int
 (** [block_count t] includes genesis. *)
@@ -47,8 +62,11 @@ val insert_chain : t -> Block.t list -> int
     unknown even after the whole batch is ignored. *)
 
 val children : t -> Hash.t -> Block.t list
+(** [children t h] lists the blocks whose parent is [h].  O(blocks): the
+    tree keeps no child index. *)
+
 val tips : t -> Block.t list
-(** [tips t] lists the leaves of the tree. *)
+(** [tips t] lists the leaves of the tree.  O(blocks). *)
 
 val best_tip : t -> Block.t
 (** [best_tip t] is the head of the longest chain, ties resolved by the

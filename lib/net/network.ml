@@ -159,6 +159,9 @@ let deliver t ~recipient ~round =
   | None -> []
   | Some q -> Event_queue.pop_due q ~now:round
 
+let queued t ~recipient =
+  match t.inboxes.(recipient) with None -> 0 | Some q -> Event_queue.length q
+
 let deliver_shared t ~round =
   match t.ring with
   | None -> []

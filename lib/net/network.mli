@@ -82,6 +82,10 @@ val deliver : t -> recipient:int -> round:int -> message list
     Ring-lane messages are not included — aggregate-mode consumers read
     those once via {!deliver_shared} and fan them out themselves. *)
 
+val queued : t -> recipient:int -> int
+(** [queued t ~recipient] counts the queue-lane messages still in flight
+    to [recipient]. *)
+
 val deliver_shared : t -> round:int -> message list
 (** [deliver_shared t ~round] drains the ring buckets for every round up
     to and including [round] (in due order, send-stable within a round)

@@ -15,9 +15,11 @@ type mining_mode =
           from the same binomial laws the queries realize (honest
           winners chosen by partial Fisher–Yates, so the round outcome
           is distribution-identical), broadcasts ride the shared Δ-ring
-          lane, and only miners whose view ever diverges from the crowd
-          (winners and direct-send recipients) are materialized.  Round
-          cost is O(blocks mined + messages due) instead of O(n).
+          lane, and only miners whose view currently differs from the
+          crowd's (recent winners and direct-send recipients) are
+          materialized, each as an overlay of the crowd's tree that
+          folds back into the crowd once its view is the crowd's again.
+          Round cost is O(blocks mined + messages due) instead of O(n).
           Requires a recipient-independent delay policy ([Immediate],
           [Fixed] or [Maximal]), enforced as a typed {!Incompatible}
           error at {!validate} time *)

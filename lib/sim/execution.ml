@@ -349,16 +349,27 @@ let run_exact ?on_round ~instr config =
      Adversary.act consumes).  Round outcomes are distribution-identical
      to Exact, not bit-identical.
    - Broadcasts ride the network's shared Δ-ring lane (O(1) each); every
-     miner whose view never diverged from that shared stream is one
-     "crowd" view.  A miner is materialized (cloned from the crowd) the
-     first time it wins a block or is targeted by a direct send, and from
-     then on consumes the ring plus its own queue.  Untouched miners are
-     exact replicas of the crowd, so snapshots and final tips fill their
-     slots with the crowd tip and [orphans_remaining] counts the crowd
-     once.  Once every miner is materialized (Balance's first release
-     does it) the crowd retires from delivery, reorg and orphan
-     accounting: it would otherwise receive ring blocks whose direct-sent
-     parents it never saw and report phantom orphans no miner holds.
+     miner whose view equals what that shared stream built is one
+     "crowd" view.  A miner is materialized when it wins a block or is
+     targeted by a direct send: it becomes a clone whose tree is an
+     overlay of the crowd's, holding only the blocks it has beyond the
+     crowd's, and it consumes the ring (minus its own broadcasts) plus
+     its own queue.  Materialized miners receive before the crowd, so a
+     shared block lands in each overlay before the crowd's tree.  At the
+     end of a delivery round a materialized miner whose view has come
+     back to the crowd's (no orphans, the same best tip, no block the
+     crowd lacks, nothing direct in flight) folds back into the crowd;
+     a winner typically does so once its block has crossed the ring.
+     So a delivery costs the blocks delivered times the few miners
+     materialized at the time, not times every winner so far.  The
+     miners not materialized are exact replicas of the crowd, so
+     snapshots and final tips fill their slots with the crowd tip and
+     [orphans_remaining] counts the crowd once.  The first time every
+     miner is materialized at once (Balance's first release does it)
+     the crowd retires for good from delivery, reorg and orphan
+     accounting, and nothing folds back: it would otherwise receive ring
+     blocks whose direct-sent parents it never saw and report phantom
+     orphans no miner holds.
    - The loop steps from event to event.  The next simulated round is
      the earlier of the next mining round and the next due delivery
      (Network.next_due).  Because mining is i.i.d. per round, a drawn
@@ -484,14 +495,13 @@ let run_events ?on_round ~instr ~law config =
   let h1_rounds = ref 0 in
   let max_reorg = ref 0 in
   let processed = ref 0 in
-  (* The crowd is live while it still stands for at least one untouched
-     miner; materialization is monotone, so once this flips it stays. *)
-  let crowd_live () = Hashtbl.length materialized < honest_n in
+  (* Set, for good, the first time every miner is materialized at once. *)
+  let retired = ref false in
+  (* Materialized miners receive before the crowd (their overlays must
+     see each shared block first); then the ones whose view is the
+     crowd's again fold back into it. *)
   let deliver_round round ~round_reorg =
     let shared = Network.deliver_shared network ~round in
-    if crowd_live () then
-      receive_tracked ~god ~max_reorg crowd (blocks_of shared) ~round
-        ~round_reorg;
     Hashtbl.iter
       (fun id miner ->
         let own_filtered =
@@ -506,7 +516,19 @@ let run_events ?on_round ~instr ~law config =
         receive_tracked ~god ~max_reorg miner
           (own_filtered @ blocks_of direct)
           ~round ~round_reorg)
-      materialized
+      materialized;
+    if not !retired then begin
+      receive_tracked ~god ~max_reorg crowd (blocks_of shared) ~round
+        ~round_reorg;
+      Hashtbl.filter_map_inplace
+        (fun id miner ->
+          if
+            Network.queued network ~recipient:id = 0
+            && Miner.folds_into miner ~crowd
+          then None
+          else Some miner)
+        materialized
+    end
   in
   let materialize id =
     match Hashtbl.find_opt materialized id with
@@ -514,6 +536,7 @@ let run_events ?on_round ~instr ~law config =
     | None ->
       let miner = Miner.clone crowd ~id in
       Hashtbl.add materialized id miner;
+      if Hashtbl.length materialized = honest_n then retired := true;
       miner
   in
   (* Every slot holds the crowd tip except the materialized miners'. *)
@@ -685,7 +708,7 @@ let run_events ?on_round ~instr ~law config =
       Hashtbl.fold
         (fun _ m acc -> acc + Miner.orphan_count m)
         materialized
-        (if crowd_live () then Miner.orphan_count crowd else 0);
+        (if !retired then 0 else Miner.orphan_count crowd);
     processed_rounds = !processed;
   }
 

@@ -21,10 +21,15 @@ let id t = t.id
 let clone t ~id =
   {
     id;
-    tree = Block_tree.copy t.tree;
+    tree = Block_tree.overlay t.tree;
     orphans = t.orphans;
     best = t.best;
   }
+
+let folds_into t ~crowd =
+  t.orphans = [] && crowd.orphans = []
+  && Block.equal t.best crowd.best
+  && Block_tree.subsumed_by t.tree crowd.tree
 
 let refresh_best t = t.best <- Block_tree.best_tip t.tree
 

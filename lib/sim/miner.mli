@@ -16,10 +16,21 @@ val create : ?tie_break:Nakamoto_chain.Block_tree.tie_break -> id:int -> unit ->
 val id : t -> int
 
 val clone : t -> id:int -> t
-(** [clone t ~id] is an independent miner with [t]'s exact view (tree,
-    orphan buffer and best tip) under a new identity.  The aggregate
-    executor materializes a miner from the shared crowd view the first
-    time it wins a block or is targeted by a direct send. *)
+(** [clone t ~id] is a miner under a new identity whose view starts as
+    [t]'s (tree, orphan buffer and best tip).  Its tree is a
+    {!Nakamoto_chain.Block_tree.overlay} of [t]'s: the clone reads [t]'s
+    blocks and stores only what it receives beyond them, and it never
+    writes [t].  Its view stays exact while every block [t] gains reaches
+    the clone first.  The fast executors materialize a miner from the
+    shared crowd view this way when it wins a block or is targeted by a
+    direct send. *)
+
+val folds_into : t -> crowd:t -> bool
+(** [folds_into t ~crowd] holds when [t], a {!clone} of [crowd], has come
+    back to [crowd]'s exact view: neither has a buffered orphan, their
+    best tips are equal, and every block [t] stored itself is now in
+    [crowd]'s tree.  Fed the same blocks from then on, the two stay
+    equal. *)
 
 val receive : t -> Nakamoto_chain.Block.t list -> unit
 (** [receive t blocks] adds blocks to the view, draining any orphans that

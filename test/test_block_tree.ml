@@ -212,6 +212,75 @@ let test_children_and_tips () =
   Block_tree.iter_blocks t (fun _ -> incr count);
   check_int "iter visits all" 3 !count
 
+(* A base holding genesis -> a1 -> a2 and an overlay made from it. *)
+let base_and_overlay () =
+  let base = Block_tree.create () in
+  let chain = extend base ~parent:Block.genesis ~miner:0 ~start_round:1 ~len:2 in
+  (base, chain, Block_tree.overlay base)
+
+let test_overlay_reads_fall_through () =
+  let base, chain, o = base_and_overlay () in
+  let a2 = List.nth chain 1 in
+  check_int "overlay count" 3 (Block_tree.block_count o);
+  check_true "best tip inherited" (Block.equal (Block_tree.best_tip o) a2);
+  List.iter
+    (fun (b : Block.t) ->
+      check_true "mem falls through" (Block_tree.mem o b.hash);
+      check_true "find falls through" (Block_tree.find o b.hash = Some b);
+      check_true "find_exn falls through"
+        (Block.equal (Block_tree.find_exn o b.hash) b))
+    chain;
+  check_int "chain walks cross into the base" 3
+    (List.length (Block_tree.chain_to_genesis o a2));
+  (* The base keeps growing after the overlay is made. *)
+  let a3 = mine ~parent:a2 ~miner:0 ~round:3 ~nonce:0 () in
+  ignore (Block_tree.insert base a3);
+  check_true "later base blocks are visible" (Block_tree.mem o a3.hash);
+  check_int "and counted" 4 (Block_tree.block_count o)
+
+let test_overlay_inserts_stay_local () =
+  let base, chain, o = base_and_overlay () in
+  let a2 = List.nth chain 1 in
+  let x = mine ~parent:a2 ~miner:1 ~round:3 ~nonce:0 () in
+  check_true "inserted" (Block_tree.insert o x = `Inserted);
+  check_true "best tip moves" (Block.equal (Block_tree.best_tip o) x);
+  check_true "duplicate of a base block" (Block_tree.insert o a2 = `Duplicate);
+  let gap = mine ~parent:x ~miner:1 ~round:4 ~nonce:0 () in
+  let far = mine ~parent:gap ~miner:1 ~round:5 ~nonce:0 () in
+  check_true "orphan" (Block_tree.insert o far = `Orphan);
+  check_false "base never written" (Block_tree.mem base x.hash);
+  check_int "base count" 3 (Block_tree.block_count base);
+  check_true "base best tip" (Block.equal (Block_tree.best_tip base) a2);
+  check_int "overlay count" 4 (Block_tree.block_count o)
+
+let test_overlay_subsumed_and_copied () =
+  let base, chain, o = base_and_overlay () in
+  let a2 = List.nth chain 1 in
+  let x = mine ~parent:a2 ~miner:1 ~round:3 ~nonce:0 () in
+  ignore (Block_tree.insert o x);
+  check_false "holds a block the base lacks" (Block_tree.subsumed_by o base);
+  check_false "not an overlay of another tree"
+    (Block_tree.subsumed_by o (Block_tree.create ()));
+  check_false "a plain tree is no overlay" (Block_tree.subsumed_by base base);
+  let snapshot = Block_tree.copy o in
+  ignore (Block_tree.insert base x);
+  check_true "the base caught up" (Block_tree.subsumed_by o base);
+  (* x is now stored on both levels and still counted once. *)
+  check_int "count" 4 (Block_tree.block_count o);
+  let seen = ref 0 in
+  Block_tree.iter_blocks o (fun _ -> incr seen);
+  check_int "iter visits each block once" 4 !seen;
+  check_int "one tip" 1 (List.length (Block_tree.tips o));
+  check_int "one child of a2" 1 (List.length (Block_tree.children o a2.hash));
+  (* A copy holds the overlay's whole block set and no longer reads the
+     base. *)
+  let y = mine ~parent:x ~miner:0 ~round:4 ~nonce:0 () in
+  ignore (Block_tree.insert base y);
+  check_int "copy count" 4 (Block_tree.block_count snapshot);
+  check_true "copy has the overlay's block" (Block_tree.mem snapshot x.hash);
+  check_false "copy does not see later base blocks"
+    (Block_tree.mem snapshot y.hash)
+
 let props =
   [
     prop ~count:60 "random trees: best tip maximizes height"
@@ -240,6 +309,48 @@ let props =
         Block_tree.prefix_within t ~truncate ~chain_r:tip ~chain_s:tip);
   ]
 
+(* The executor's contract for an overlay: every block its base gains
+   reaches the overlay first.  The overlay then agrees with a private copy
+   fed the same blocks, best tip included, under either tie-break. *)
+let overlay_props =
+  [
+    prop ~count:60 "overlay agrees with a copy fed the same blocks"
+      Arbitrary.(
+        pair bool
+          (list ~min_len:1 ~max_len:40
+             (triple (int_range ~lo:0 ~hi:20 ()) (int_range ~lo:0 ~hi:4 ())
+                bool)))
+      (fun (first_seen, choices) ->
+        let tie_break =
+          if first_seen then Block_tree.First_seen else Block_tree.Prefer_honest
+        in
+        let base = Block_tree.create ~tie_break () in
+        let o = Block_tree.overlay base in
+        let copy = Block_tree.copy base in
+        let blocks = ref [| Block.genesis |] in
+        List.iteri
+          (fun i (pick, miner, shared) ->
+            let parent = !blocks.(pick mod Array.length !blocks) in
+            let miner_class =
+              if miner = 4 then Block.Adversarial else Block.Honest
+            in
+            let b =
+              mine ~miner_class ~parent ~miner ~round:(i + 1) ~nonce:i ()
+            in
+            let r = Block_tree.insert o b in
+            if r <> Block_tree.insert copy b then
+              failwith "insert results differ";
+            blocks := Array.append !blocks [| b |];
+            if shared then ignore (Block_tree.insert base b))
+          choices;
+        Block.equal (Block_tree.best_tip o) (Block_tree.best_tip copy)
+        && Block_tree.block_count o = Block_tree.block_count copy
+        && Array.for_all
+             (fun (b : Block.t) ->
+               Block_tree.mem o b.hash = Block_tree.mem copy b.hash)
+             !blocks);
+  ]
+
 let suite =
   [
     case "create" test_create;
@@ -259,3 +370,9 @@ let suite =
     case "children and tips" test_children_and_tips;
   ]
   @ props
+  @ [
+      case "overlay reads fall through" test_overlay_reads_fall_through;
+      case "overlay inserts stay local" test_overlay_inserts_stay_local;
+      case "overlay subsumption and copy" test_overlay_subsumed_and_copied;
+    ]
+  @ overlay_props

@@ -534,6 +534,12 @@ let test_skip_honest_convergence () =
   check_true "tips within one block of each other" (max_h - min_h <= 1);
   check_true "chain grew" (max_h > 50)
 
+(* The allocation counters read the minor heap only as of its last
+   collection, so empty it on both sides of a measured trial. *)
+let allocated_words () =
+  Gc.minor ();
+  Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+
 (* A fast-mode trial allocates for its events and its snapshots, not
    for every miner.  At n = 10^5 and the paper's c = 8 a Skip trial
    simulates a handful of events; its only mu n-sized allocations are
@@ -552,12 +558,6 @@ let test_skip_allocation_scales_with_events () =
       }
       ~c:8.
   in
-  (* The allocation counters read the minor heap only as of its last
-     collection, so empty it on both sides of the trial. *)
-  let allocated_words () =
-    Gc.minor ();
-    Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
-  in
   let before = allocated_words () in
   let r = Sim.Execution.run cfg in
   let words = allocated_words () -. before in
@@ -573,6 +573,44 @@ let test_skip_allocation_scales_with_events () =
     (Printf.sprintf "%.0f words allocated, budget %.0f (%d events)" words
        budget r.processed_rounds)
     (words <= budget)
+
+(* A fast-mode delivery costs the blocks delivered, not one insert per
+   materialized miner: a miner whose view has come back to the crowd's
+   folds back into it, and a materialized miner's tree is an overlay over
+   the crowd's rather than a copy.  At the default campaign grid (n = 40,
+   Delta = 4, p = 0.005, nu in {0.1, 0.25, 0.4}, 1 500 rounds, Private
+   chain) a trial measured 238k words under Aggregate and 118k under
+   Skip; with every winner kept materialized in a private tree copy it
+   was 524k and 414k. *)
+let test_fast_mode_allocation_floor () =
+  let words_per_trial mining_mode =
+    let spec =
+      { Nakamoto_campaign.Spec.default with mining_mode; trials_per_cell = 4 }
+    in
+    let cells = Nakamoto_campaign.Spec.cells spec in
+    let before = allocated_words () in
+    Array.iter
+      (fun cell ->
+        for trial = 0 to spec.trials_per_cell - 1 do
+          ignore
+            (Sim.Execution.run
+               (Nakamoto_campaign.Spec.config_of_cell spec cell ~trial))
+        done)
+      cells;
+    (allocated_words () -. before)
+    /. float_of_int (Array.length cells * spec.trials_per_cell)
+  in
+  List.iter
+    (fun (name, mode, budget) ->
+      let words = words_per_trial mode in
+      check_true
+        (Printf.sprintf "%s: %.0f words per trial, budget %.0f" name words
+           budget)
+        (words <= budget))
+    [
+      ("aggregate", Sim.Config.Aggregate, 360_000.);
+      ("skip", Sim.Config.Skip, 240_000.);
+    ]
 
 let suite =
   [
@@ -612,4 +650,6 @@ let suite =
     case "skip honest convergence" test_skip_honest_convergence;
     case "skip allocation scales with events, not n"
       test_skip_allocation_scales_with_events;
+    case "fast-mode allocation floor at the default campaign grid"
+      test_fast_mode_allocation_floor;
   ]

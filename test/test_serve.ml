@@ -647,8 +647,8 @@ let test_worker_telemetry_follows_ack () =
   check_true "= the in-process aggregate" (off.Msg.res_aggregate = inproc)
 
 (* The grid of [make serve-smoke], whose journal is the committed
-   [golden/campaign_smoke.jsonl] (a dependency of the test binary, copied
-   beside it). *)
+   [golden/campaign_smoke.jsonl] (compiled into the test binary as
+   [Golden_journal.campaign_smoke]). *)
 let smoke_spec =
   {
     Spec.default with
@@ -674,12 +674,7 @@ let rec await_reply ch =
    shard goes back to the queue and the journal still matches the
    golden. *)
 let test_malformed_telemetry_rejected () =
-  let golden =
-    read_file
-      (Filename.concat
-         (Filename.dirname Sys.executable_name)
-         "golden/campaign_smoke.jsonl")
-  in
+  let golden = Golden_journal.campaign_smoke in
   let socket = temp_path "malformed" ".sock" in
   let j = temp_path "malformed" ".jsonl" in
   let addr = Serve.Conn.Unix_path socket in
