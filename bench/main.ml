@@ -737,7 +737,26 @@ let fail msg =
   print_endline ("FAIL: " ^ msg);
   exit 1
 
-(* Simulated rounds per second of one Execution.run under Fixed-2 delays
+(* Single-shot timing of a microsecond-scale run is all clock noise and
+   first-run state; rerun until ~50ms of work has accumulated and
+   average.  A run that exceeds the floor in one shot (the dense LU
+   solve, the exact executor) is never repeated. *)
+let time_averaged f =
+  let t0 = Unix.gettimeofday () in
+  let result = f () in
+  let dt0 = Unix.gettimeofday () -. t0 in
+  if dt0 >= 0.05 then (result, dt0)
+  else begin
+    let reps = max 1 (int_of_float (0.05 /. Float.max dt0 1e-7)) in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (f ())
+    done;
+    let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
+    (result, dt)
+  end
+
+(* Simulated rounds per second of Execution.run under Fixed-2 delays
    with c = 1/(p n Delta) held fixed (so p scales as 1/n), plus the
    rounds the executor actually processed. *)
 let executor_rate ~n ~mode ~rounds ~c ~delta =
@@ -756,9 +775,7 @@ let executor_rate ~n ~mode ~rounds ~c ~delta =
       }
       ~c
   in
-  let t0 = Unix.gettimeofday () in
-  let r = Sim.Execution.run cfg in
-  let dt = Unix.gettimeofday () -. t0 in
+  let r, dt = time_averaged (fun () -> Sim.Execution.run cfg) in
   ( (if dt > 0. then float_of_int rounds /. dt else infinity),
     r.Sim.Execution.processed_rounds )
 
@@ -821,24 +838,6 @@ let execscale_smoke () =
     fail "Binomial.sample cost grows with trials at fixed mean";
   print_endline "execscale smoke OK"
 
-(* Single-shot timing of a microsecond-scale solve is all clock noise;
-   rerun until ~50ms of work has accumulated and average.  The dense LU
-   solve exceeds the floor in one shot and is never repeated. *)
-let time_solver f =
-  let t0 = Unix.gettimeofday () in
-  let pi = f () in
-  let dt0 = Unix.gettimeofday () -. t0 in
-  if dt0 >= 0.05 then (pi, dt0)
-  else begin
-    let reps = max 1 (int_of_float (0.05 /. Float.max dt0 1e-7)) in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-    (pi, dt)
-  end
-
 (* `--markovscale-smoke`: on the Delta = 500 suffix chain C_F (alpha
    chosen so abar^Delta ~ e^-4), GTH censoring must out-run the dense LU
    solve 10x, and every solver must sit within 1e-9 of Eq. 37. *)
@@ -851,7 +850,7 @@ let markovscale_smoke () =
   let chain = Core.Suffix_chain.build ~delta ~alpha in
   let sp = Core.Suffix_chain.build_sparse ~delta ~alpha in
   let solve name f =
-    let pi, dt = time_solver f in
+    let pi, dt = time_averaged f in
     let err = Nakamoto_numerics.Linalg.max_abs_diff pi exact in
     let rate = float_of_int (Array.length pi) /. Float.max dt 1e-9 in
     Printf.printf "%s: %.0f states/s, max|err| vs Eq. 37 %.3e\n" name rate

@@ -11,7 +11,13 @@ type zone =
   | Safe  (** above our bound: consistency guaranteed (Theorem 2) *)
   | Gap
       (** between our bound and the PSS attack line: no guarantee, no
-          known attack — the open region of the paper's conclusion *)
+          known attack — the open region of the paper's conclusion.  The
+          PSS attack line is also the boundary of the tight condition
+          [lambda_a < lambda_h / (1 + lambda_h Delta)] of Li–Guo–Ren
+          (arXiv 2011.14051) and Cao–Guo (arXiv 2312.05506), which is
+          [c > mu nu / (mu - nu)] here.  So in their continuous-time
+          model Gap means consistent under the tight condition, not
+          proved so by this paper's bound. *)
   | Broken  (** at or below the PSS attack line: provably attackable *)
 
 type suffix_diagnostics = {

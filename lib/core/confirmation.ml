@@ -42,52 +42,45 @@ let overtake_probability_bounded ~honest_rate ~adversary_rate ~deficit
 let default_depth_limit = 10_000
 let min_epsilon = 1e-9
 
-(* log k! for k below the table's length, built as the running sum
-   [t.(k) = t.(k - 1) +. log (float k)], so an entry has the same bits
-   as summing the logs term by term.  It grows on demand, doubling up to
-   [default_depth_limit + 1] entries; deeper terms continue the running
-   sum from the last entry.  A grown table is a fresh array published
-   whole, so a domain reads either the old one or the new one, never a
-   half-filled one. *)
-let log_factorials = Atomic.make [| 0. |]
-
-let log_factorials_to z =
-  let t = Atomic.get log_factorials in
-  let have = Array.length t in
-  if z < have || have > default_depth_limit then t
-  else begin
-    let size = min (default_depth_limit + 1) (max (z + 1) (2 * have)) in
-    let t = Array.append t (Array.make (size - have) 0.) in
-    for k = have to size - 1 do
-      t.(k) <- t.(k - 1) +. log (float_of_int k)
-    done;
-    Atomic.set log_factorials t;
-    t
-  end
-
+(* Nakamoto's [1 - sum] is, after expanding [1 - ratio^(z-k)] and using
+   r^z e^-z z^k = e^-lambda lambda^k ratio^(z-k), the positive two-term
+   form P(Pois(lambda) > z) + r^z P(Pois(z) <= z) with lambda = z ratio
+   and r = ratio e^(1 - ratio).  Both terms are multiples of the Poisson
+   mass a = e^-lambda lambda^z / z!: the tail is a times a sum over
+   k > z of terms falling by lambda / k < ratio, the head a times a sum
+   over k <= z, from 1 at k = z down, of terms falling by k / z.  Each
+   sum starts at its largest term and stops once a term no longer
+   changes it: about 37 / (1 - ratio) tail terms, and 9 sqrt z head
+   terms but never more than z + 1.  Nothing cancels, and a read costs
+   one log k!, one log and one exp besides the multiply-divides. *)
 let nakamoto_double_spend ~ratio ~confirmations =
   if not (ratio > 0.) then invalid_arg "Confirmation: ratio must be positive";
   if confirmations < 1 then
     invalid_arg "Confirmation: confirmations must be >= 1";
   if ratio >= 1. then 1.
   else begin
-    let z = confirmations in
-    let lambda = float_of_int z *. ratio in
-    let log_lambda = log lambda in
-    let table = log_factorials_to z in
-    let tabled = Array.length table in
-    (* sum_{k=0}^{z} poisson(k; lambda) * (1 - ratio^(z-k)), accumulated
-       in linear domain (lambda <= z). *)
-    let acc = ref 0. in
-    let log_fact = ref 0. in
-    for k = 0 to z do
-      log_fact :=
-        if k < tabled then table.(k) else !log_fact +. log (float_of_int k);
-      let log_pois = (float_of_int k *. log_lambda) -. lambda -. !log_fact in
-      let caught = ratio ** float_of_int (z - k) in
-      acc := !acc +. (exp log_pois *. (1. -. caught))
-    done;
-    Nakamoto_numerics.Special.clamp ~lo:0. ~hi:1. (1. -. !acc)
+    let z = float_of_int confirmations in
+    let lambda = z *. ratio in
+    let rec head k term sum =
+      if k = 0 then sum
+      else begin
+        let term = term *. (float_of_int k /. z) in
+        let next = sum +. term in
+        if next = sum then sum else head (k - 1) term next
+      end
+    in
+    let rec tail k term sum =
+      let term = term *. (lambda /. float_of_int k) in
+      let next = sum +. term in
+      if next = sum then sum else tail (k + 1) term next
+    in
+    let mass =
+      exp
+        ((z *. log lambda) -. lambda
+        -. Nakamoto_numerics.Special.log_factorial confirmations)
+    in
+    Float.min 1.
+      (mass *. (head confirmations 1. 1. +. tail (confirmations + 1) 1. 0.))
   end
 
 (* [ceil x] restricted to [[lo, hi]]; a NaN [x] gives [lo]. *)

@@ -65,13 +65,12 @@ let ratio_iv ~p ~n ~delta ~nu =
   let adversary = I.mul (I.mul p nu) n in
   I.div adversary (I.exp log_honest)
 
-(* Confirmation.nakamoto_double_spend computes
-   [clamp 0 1 (1. -. acc)] with
-   [acc = sum_k exp log_pois *. (1. -. ratio ** float (z - k))].
-   Mirroring that subtraction literally is useless over a box: the
-   interval enclosure of [acc ~= 1] is as wide as the lambda spread,
-   which swamps a double-spend probability of 1e-4.  So this enclosure
-   takes the algebraically identical positive form
+(* Confirmation.nakamoto_double_spend evaluates Nakamoto's [1 - sum]
+   as the positive two-term form P(X > z) + r^z P(Pois(z) <= z), X
+   Poisson with mean lambda = z ratio: a Poisson mass a = e^-lambda
+   lambda^z / z! times a head and a tail sum, each run until it stops
+   changing.  This enclosure takes the same positive form written the
+   other way round,
 
      ds = sum_{k=0}^{z} P_k(lambda) * ratio^(z-k)  +  P(X > z)
 
@@ -81,16 +80,18 @@ let ratio_iv ~p ~n ~delta ~nu =
 
      P_{z+1}  <=  P(X > z)  <=  P_{z+1} / (1 - lambda/(z+2))
 
-   — and then pads outward by a forward rounding-error bound for the
-   exact solver's float evaluation of the subtraction form.  The pad
-   covers: log_fact accumulated over <= 2z ops on a value <= z log z,
-   amplified through exp at derivative <= 1; libm pow within a few
-   ulps; and z+1 summations of terms <= 1.  Each contributes O(z^2)
-   ulps absolute, so 1e-12 + z^2 * 1e-13 dominates by orders of
-   magnitude.  The padded interval therefore contains the exact
-   solver's float at every ratio in the box, which is the containment
-   {!certify_conf} needs; against thresholds like epsilon = 1e-3 the
-   pad is invisible. *)
+   — and then pads outward by a bound on the exact solver's float
+   error.  That float is within O(z (1 + |log lambda|)) ulps relative of
+   the true risk: z log lambda - lambda - log z! carries the exponent of
+   a, and each sum at most z + 1 roundings and a truncation below half
+   an ulp of at most z + 1 times its last term.  Where |log lambda| is
+   large lambda < 1, and the risk is at most (z + 2) lambda^z, so the
+   absolute error is a few z^2 ulps at worst; the tests measure 1.1e-11
+   relative up to z = 10^4.  The pad 1e-12 + z^2 * 1e-13 is over 450
+   z^2 ulps, so the padded interval contains the exact solver's float
+   at every ratio in the box, which is the containment {!certify_conf}
+   needs; against thresholds like epsilon = 1e-3 the pad is
+   invisible. *)
 let double_spend_iv ~ratio ~confirmations:z =
   let lambda = I.mul (I.point (float_of_int z)) ratio in
   let log_lambda = I.log lambda in

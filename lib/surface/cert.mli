@@ -2,12 +2,13 @@
 
     The certifier replays the exact solver's float expressions —
     {!Nakamoto_core.Params.c}, {!Nakamoto_core.Bounds.neat_c_min}, the
-    PSS attack threshold, the Eq. 44 rate ratio and Nakamoto's
-    double-spend sum — with the {e same} operation trees over
-    outward-rounded intervals spanning the cell's parameter box.  Since
-    round-to-nearest keeps every primitive within one ulp of its true
-    value and every interval op widens one ulp outward, each enclosure
-    provably contains the float the exact solver computes at {e every}
+    PSS attack threshold and the Eq. 44 rate ratio — with the {e same}
+    operation trees over outward-rounded intervals spanning the cell's
+    parameter box, and encloses Nakamoto's double-spend risk in a
+    padded positive form ({!double_spend_iv}).  Since round-to-nearest
+    keeps every primitive within one ulp of its true value and every
+    interval op widens one ulp outward, each enclosure provably
+    contains the float the exact solver computes at {e every}
     point of the cell.  A verdict read off disjoint enclosures therefore
     equals the exact solver's verdict throughout the cell; overlapping
     enclosures mean the cell straddles a frontier and the answer is
@@ -46,13 +47,11 @@ val ratio_iv : p:I.t -> n:I.t -> delta:I.t -> nu:I.t -> I.t
 
 val double_spend_iv : ratio:I.t -> confirmations:int -> I.t
 (** Encloses {!Nakamoto_core.Confirmation.nakamoto_double_spend} for a
-    ratio interval strictly inside (0, 1).  Not a literal mirror: the
-    exact solver's [1 - sum] form cancels catastrophically in interval
-    arithmetic, so this evaluates the algebraically identical
-    all-positive form (survival sum plus a geometrically-dominated
-    Poisson tail) and pads outward by a forward rounding-error bound
-    on the exact solver's evaluation — see the implementation comment
-    for the containment argument. *)
+    ratio interval strictly inside (0, 1).  Not a literal mirror: it
+    evaluates the same positive form as the exact solver, but term by
+    term (survival sum plus a geometrically-dominated Poisson tail),
+    and pads outward by a bound on the exact solver's float error — see
+    the implementation comment for the containment argument. *)
 
 val certify :
   refine:int ->

@@ -174,6 +174,38 @@ let test_subnormal_nu () =
   check_true "a normal nu keeps the quotient"
     (Bounds.neat_c_min ~nu = 2. *. (1. -. nu) /. log ((1. -. nu) /. nu))
 
+(* The tight fault-tolerance condition of Li, Guo and Ren (arXiv
+   2011.14051), lambda_a < lambda_h / (1 + lambda_h Delta) with
+   lambda_h = mu p n and lambda_a = nu p n, is c > mu nu / (mu - nu) at
+   c = 1 / (p n Delta).  At equality it is nu^2 - (1 + 2c) nu + c = 0,
+   whose smaller root is the PSS attack threshold.  The neat bound is
+   sufficient, so it never asks for less than the tight condition (by a
+   factor 2 (y - 1) / ln y >= 2 with y = mu / nu). *)
+let test_tight_condition () =
+  let tight nu =
+    let mu = 1. -. nu in
+    mu *. nu /. (mu -. nu)
+  in
+  for i = 0 to 40 do
+    let c = 10. ** ((float_of_int i /. 10.) -. 2.) in
+    let nu = Bounds.pss_attack_nu ~c in
+    close ~rtol:1e-12 ~atol:0.
+      (Printf.sprintf "the attack threshold solves the quadratic at c = %g" c)
+      c
+      (((1. +. (2. *. c)) *. nu) -. (nu *. nu));
+    close ~rtol:1e-9 ~atol:0.
+      (Printf.sprintf "the attack threshold is the tight boundary at c = %g" c)
+      c (tight nu)
+  done;
+  List.iter
+    (fun nu ->
+      let neat = Bounds.neat_c_min ~nu in
+      if not (neat >= tight nu) then
+        Alcotest.failf "nu = %g: neat %.17g below tight %.17g" nu neat
+          (tight nu))
+    ([ 1e-300; 1e-12; 1e-6; 0.5 -. 1e-9 ]
+    @ List.init 499 (fun i -> float_of_int (i + 1) /. 1000.))
+
 let suite =
   [
     case "neat c_min known values" test_neat_c_min_known_values;
@@ -192,4 +224,7 @@ let suite =
     case "flawed accounting ablation (DESIGN #3)" test_flawed_accounting_ablation;
   ]
   @ props
-  @ [ case "subnormal nu" test_subnormal_nu ]
+  @ [
+      case "subnormal nu" test_subnormal_nu;
+      case "tight condition: attack line and neat bound" test_tight_condition;
+    ]
