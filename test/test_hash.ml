@@ -50,6 +50,46 @@ let test_no_collisions_small_space () =
   done;
   check_int "no collisions" 0 !collisions
 
+(* Known-answer pins on the header digest: the genesis hash, and every
+   digest of a fixed grid of (parent, miner, round, nonce) folded into
+   one value. *)
+let test_of_fields_known_answers () =
+  Alcotest.(check string)
+    "genesis" "d6f45b413949bf61"
+    (Hash.to_hex Nakamoto_chain.Block.genesis.hash);
+  let acc = ref 0L in
+  List.iter
+    (fun parent ->
+      List.iter
+        (fun miner ->
+          for round = 0 to 9 do
+            for nonce = 0 to 2 do
+              let h = Hash.of_fields ~parent ~miner ~round ~nonce in
+              acc :=
+                Nakamoto_prob.Rng.splitmix64
+                  (Int64.logxor !acc (Hash.to_int64 h))
+            done
+          done)
+        [ -1; 0; 3; 4_095; max_int ])
+    [ Hash.zero; Hash.of_int64 0x0123_4567_89AB_CDEFL; Hash.of_int64 (-1L) ];
+  Alcotest.(check string)
+    "folded digests" "ed63ae715929277c"
+    (Printf.sprintf "%016Lx" !acc)
+
+(* [combine] is the SplitMix64 finalizer of h * 0x100000001B3 + x, the
+   same mix as the rng's seeding step. *)
+let test_combine_is_splitmix () =
+  let r = Nakamoto_prob.Rng.create ~seed:0xC0FFEEL in
+  for i = 1 to 10_000 do
+    let h = Nakamoto_prob.Rng.bits64 r and x = Nakamoto_prob.Rng.bits64 r in
+    let expected =
+      Nakamoto_prob.Rng.splitmix64 (Int64.add (Int64.mul h 0x100000001B3L) x)
+    in
+    let got = Hash.to_int64 (Hash.combine (Hash.of_int64 h) x) in
+    if not (Int64.equal got expected) then
+      Alcotest.failf "input %d: combine %Lx %Lx differs from splitmix64" i h x
+  done
+
 let suite =
   [
     case "int64 roundtrip" test_roundtrip;
@@ -57,4 +97,6 @@ let suite =
     case "combine sensitivity" test_combine_sensitivity;
     case "of_fields distinguishes fields" test_of_fields_distinct;
     case "birthday test" test_no_collisions_small_space;
+    case "of_fields known answers" test_of_fields_known_answers;
+    case "combine is splitmix64" test_combine_is_splitmix;
   ]

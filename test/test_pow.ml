@@ -135,6 +135,88 @@ let test_execution_uses_oracle_rates () =
        (Nakamoto_core.Params.adversary_rate p))
     (Float.abs (a_rate -. Nakamoto_core.Params.adversary_rate p) < 0.01)
 
+(* Known-answer pins on the oracle's digest bits.  A fixed grid of
+   (seed, parent, miner, round, query index) is queried in order; every
+   hit must verify and carry its query's fields, and the hits' grid
+   indices and digests are folded into one value.  Any change to the
+   mixing, the field order or the threshold test moves the fold. *)
+let fold acc x = Nakamoto_prob.Rng.splitmix64 (Int64.logxor acc x)
+
+let test_query_known_answers () =
+  let parents =
+    [
+      Hash.zero;
+      Nakamoto_chain.Block.genesis.hash;
+      Hash.of_int64 0x0123_4567_89AB_CDEFL;
+      Hash.of_int64 (-1L);
+    ]
+  in
+  let miners = [ -1; 0; 1; 7 ] and rounds = [ 0; 1; 2; 1_000 ] in
+  List.iter
+    (fun (seed, p, expected_hits, expected_fold) ->
+      let o = Pow.create ~seed ~p in
+      let acc = ref 0L and hits = ref [] and index = ref 0 in
+      List.iter
+        (fun parent ->
+          List.iter
+            (fun miner ->
+              List.iter
+                (fun round ->
+                  for query_index = 0 to 3 do
+                    (match Pow.query o ~parent ~miner ~round ~query_index with
+                    | None -> ()
+                    | Some proof ->
+                      check_true "hit verifies" (Pow.verify o proof);
+                      check_true "hit carries its query"
+                        (Hash.equal proof.parent parent
+                        && proof.miner = miner && proof.round = round
+                        && proof.query_index = query_index);
+                      hits := !index :: !hits;
+                      acc :=
+                        fold
+                          (fold !acc (Int64.of_int !index))
+                          (Hash.to_int64 proof.digest));
+                    incr index
+                  done)
+                rounds)
+            miners)
+        parents;
+      let label = Printf.sprintf "seed %Ld, p = %g" seed p in
+      (match expected_hits with
+      | `Indices l ->
+        Alcotest.(check (list int)) (label ^ ": hit indices") l (List.rev !hits)
+      | `Count c -> check_int (label ^ ": hit count") c (List.length !hits));
+      Alcotest.(check string)
+        (label ^ ": folded digest") expected_fold
+        (Printf.sprintf "%016Lx" !acc))
+    [
+      ( 11L,
+        0.05,
+        `Indices
+          [ 4; 7; 18; 46; 55; 81; 89; 102; 117; 119; 129; 155; 175; 190; 211;
+            232; 238 ],
+        "b941a901642799b9" );
+      (0x5EEDL, 0.5, `Count 119, "fe91bce2589ccb30");
+    ]
+
+(* The counting loop reads the same bits: its per-round counts over the
+   same kind of grid, folded. *)
+let test_successes_known_answers () =
+  let o = Pow.create ~seed:0x5EEDL ~p:0.1 in
+  let acc = ref 0L and total = ref 0 in
+  List.iter
+    (fun parent ->
+      for round = 0 to 63 do
+        let wins = Pow.successes o ~parent ~miner:(-1) ~round ~queries:12 in
+        total := !total + wins;
+        acc := fold !acc (Int64.of_int wins)
+      done)
+    [ Hash.zero; Nakamoto_chain.Block.genesis.hash; Hash.of_int64 (-1L) ];
+  check_int "total successes" 230 !total;
+  Alcotest.(check string)
+    "folded counts" "51d241139f70aca3"
+    (Printf.sprintf "%016Lx" !acc)
+
 let suite =
   [
     case "create validation" test_create_validation;
@@ -146,4 +228,6 @@ let suite =
     case "sequential queries follow binomial law" test_success_count_binomial_law;
     case "successes matches success_count" test_successes_matches_success_count;
     case "execution rates with the oracle" test_execution_uses_oracle_rates;
+    case "query known answers" test_query_known_answers;
+    case "successes known answers" test_successes_known_answers;
   ]
