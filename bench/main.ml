@@ -756,9 +756,14 @@ let time_averaged f =
     (result, dt)
   end
 
+let allocated_words () =
+  Gc.minor ();
+  Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+
 (* Simulated rounds per second of Execution.run under Fixed-2 delays
-   with c = 1/(p n Delta) held fixed (so p scales as 1/n), plus the
-   rounds the executor actually processed. *)
+   with c = 1/(p n Delta) held fixed (so p scales as 1/n), the rounds
+   the executor actually processed and the words its first run
+   allocated (the same on every run of a fixed config). *)
 let executor_rate ~n ~mode ~rounds ~c ~delta =
   let cfg =
     Sim.Config.with_c
@@ -775,9 +780,20 @@ let executor_rate ~n ~mode ~rounds ~c ~delta =
       }
       ~c
   in
-  let r, dt = time_averaged (fun () -> Sim.Execution.run cfg) in
+  let words = ref nan in
+  let run () =
+    if Float.is_nan !words then begin
+      let before = allocated_words () in
+      let r = Sim.Execution.run cfg in
+      words := allocated_words () -. before;
+      r
+    end
+    else Sim.Execution.run cfg
+  in
+  let r, dt = time_averaged run in
   ( (if dt > 0. then float_of_int rounds /. dt else infinity),
-    r.Sim.Execution.processed_rounds )
+    r.Sim.Execution.processed_rounds,
+    !words )
 
 (* `--execscale-smoke`: Aggregate must not lose to Exact at n = 10^4;
    Skip must run 20x Aggregate at the sparse paper-scale cell (c = 8,
@@ -789,26 +805,33 @@ let execscale_smoke () =
     "EXECSCALE (smoke): aggregate must out-run exact, skip must out-run \
      aggregate 20x at the paper scale (n = 10^4)";
   let dense mode =
-    fst (executor_rate ~n:10_000 ~mode ~rounds:50 ~c:2.5 ~delta:4)
+    let rate, _, words =
+      executor_rate ~n:10_000 ~mode ~rounds:50 ~c:2.5 ~delta:4
+    in
+    (rate, words)
   in
-  let exact = dense Sim.Config.Exact in
-  let agg = dense Sim.Config.Aggregate in
+  let exact, exact_words = dense Sim.Config.Exact in
+  let agg, agg_words = dense Sim.Config.Aggregate in
   Printf.printf "exact: %.1f rounds/s, aggregate: %.1f rounds/s (%.0fx)\n"
     exact agg (agg /. exact);
+  Printf.printf "words per trial: exact %.0f, aggregate %.0f\n" exact_words
+    agg_words;
   if not (agg >= exact) then
     fail "aggregate mode slower than exact at n = 10^4";
   let rounds = 400_000 in
   let sparse mode =
     executor_rate ~n:10_000 ~mode ~rounds ~c:8.0 ~delta:256
   in
-  let agg_sparse, _ = sparse Sim.Config.Aggregate in
-  let skip_sparse, skip_events = sparse Sim.Config.Skip in
+  let agg_sparse, _, agg_sparse_words = sparse Sim.Config.Aggregate in
+  let skip_sparse, skip_events, skip_words = sparse Sim.Config.Skip in
   Printf.printf
     "paper-scale: aggregate %.1f rounds/s, skip %.1f rounds/s (%.0fx; \
      %d events for %d rounds)\n"
     agg_sparse skip_sparse
     (skip_sparse /. agg_sparse)
     skip_events rounds;
+  Printf.printf "paper-scale words per trial: aggregate %.0f, skip %.0f\n"
+    agg_sparse_words skip_words;
   if not (skip_sparse >= 20. *. agg_sparse) then
     fail "skip mode below 20x aggregate at the paper-scale cell";
   (* Two BTPE draws at equal mean (10^3) but 10x apart in trials should

@@ -25,39 +25,37 @@ let create ~seed ~p =
 let hardness t = t.p
 let threshold t = t.threshold
 
-let unsigned_less a b =
-  Int64.compare (Int64.add a Int64.min_int) (Int64.add b Int64.min_int) < 0
-
-let digest_of t ~parent ~miner ~round ~query_index =
-  let h = Hash.combine (Hash.of_int64 t.seed) (Hash.to_int64 parent) in
-  let h = Hash.combine h (Int64.of_int miner) in
-  let h = Hash.combine h (Int64.of_int round) in
-  Hash.combine h (Int64.of_int query_index)
+(* The digest when it beats the target: [H(seed, parent, miner, round,
+   query_index) < D_p], computed by [Hash] in one unboxed body, so a miss
+   allocates nothing. *)
+let winning_digest t ~parent ~miner ~round ~query_index =
+  Hash.keyed_below ~key:t.seed ~target:t.threshold ~parent ~miner ~round
+    ~nonce:query_index
 
 let query t ~parent ~miner ~round ~query_index =
   if round < 0 then invalid_arg "Pow.query: negative round";
   if query_index < 0 then invalid_arg "Pow.query: negative query index";
   if miner < -1 then invalid_arg "Pow.query: bad miner id";
-  let digest = digest_of t ~parent ~miner ~round ~query_index in
-  if unsigned_less (Hash.to_int64 digest) t.threshold then
-    Some { parent; miner; round; query_index; digest }
-  else None
+  match winning_digest t ~parent ~miner ~round ~query_index with
+  | None -> None
+  | Some digest -> Some { parent; miner; round; query_index; digest }
 
 let verify t proof =
-  let recomputed =
-    digest_of t ~parent:proof.parent ~miner:proof.miner ~round:proof.round
-      ~query_index:proof.query_index
-  in
-  Hash.equal recomputed proof.digest
-  && unsigned_less (Hash.to_int64 recomputed) t.threshold
+  match
+    winning_digest t ~parent:proof.parent ~miner:proof.miner
+      ~round:proof.round ~query_index:proof.query_index
+  with
+  | Some recomputed -> Hash.equal recomputed proof.digest
+  | None -> false
 
 let successes t ~parent ~miner ~round ~queries =
   if round < 0 then invalid_arg "Pow.successes: negative round";
   if miner < -1 then invalid_arg "Pow.successes: bad miner id";
   let count = ref 0 in
   for query_index = 0 to queries - 1 do
-    let digest = digest_of t ~parent ~miner ~round ~query_index in
-    if unsigned_less (Hash.to_int64 digest) t.threshold then incr count
+    match winning_digest t ~parent ~miner ~round ~query_index with
+    | Some _ -> incr count
+    | None -> ()
   done;
   !count
 

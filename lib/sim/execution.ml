@@ -172,28 +172,28 @@ let observe_round ?on_round instr ~round ~h ~successes ~releases ~round_reorg
       end
   end
 
-(* Hand [blocks] to [miner] and measure how deep it rolled back its chain:
-   [max_reorg] keeps the run's deepest rollback, [round_reorg] (when given)
-   the current round's. *)
-let receive_tracked ~god ~max_reorg miner blocks ~round ~round_reorg =
-  if blocks <> [] then begin
+(* Hand [blocks] to [miner] and return how deep it rolled back its chain
+   (0 when its tip did not move); [max_reorg] keeps the run's deepest
+   rollback. *)
+let receive_tracked ~god ~max_reorg miner blocks ~round =
+  match blocks with
+  | [] -> 0
+  | _ :: _ ->
     let old_tip = Miner.best_tip miner in
     Miner.receive miner blocks;
     let new_tip = Miner.best_tip miner in
-    if not (Block.equal old_tip new_tip) then begin
+    if Block.equal old_tip new_tip then 0
+    else begin
       let meet = Block_tree.common_prefix_height god old_tip new_tip in
       let rolled_back = old_tip.Block.height - meet in
-      (match round_reorg with
-      | Some cell -> if rolled_back > !cell then cell := rolled_back
-      | None -> ());
       if rolled_back > 2 then
         Log.debug (fun m ->
             m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
               (Miner.id miner) rolled_back old_tip.Block.height
               new_tip.Block.height);
-      if rolled_back > !max_reorg then max_reorg := rolled_back
+      if rolled_back > !max_reorg then max_reorg := rolled_back;
+      rolled_back
     end
-  end
 
 let adversary_acts adversary ~round ~successes =
   let releases = Adversary.act adversary ~round ~successes in
@@ -238,41 +238,60 @@ let run_exact ?on_round ~instr config =
     snapshots :=
       { round; tips = Array.map Miner.best_tip miners } :: !snapshots
   in
-  let deliver_round round ~round_reorg =
-    Array.iter
-      (fun miner ->
-        let inbox = Network.deliver network ~recipient:(Miner.id miner) ~round in
+  (* The round's deepest rollback over every miner's delivery. *)
+  let deliver_round round =
+    let deepest = ref 0 in
+    for i = 0 to honest_n - 1 do
+      let miner = miners.(i) in
+      let inbox = Network.deliver network ~recipient:(Miner.id miner) ~round in
+      let rolled_back =
         receive_tracked ~god ~max_reorg miner (blocks_of inbox) ~round
-          ~round_reorg)
-      miners
+      in
+      if rolled_back > !deepest then deepest := rolled_back
+    done;
+    !deepest
   in
   let best_height () =
     Array.fold_left (fun acc m -> max acc (Miner.chain_length m)) 0 miners
   in
+  let rec send_releases round = function
+    | [] -> ()
+    | { Adversary.audience; delay; blocks } :: rest ->
+      let msg = { Network.sender = -1; sent_round = round; blocks } in
+      (match audience with
+      | Adversary.All_honest ->
+        for recipient = 0 to honest_n - 1 do
+          Network.send_direct network ~recipient ~delay msg
+        done
+      | Adversary.Only recipients ->
+        List.iter
+          (fun recipient -> Network.send_direct network ~recipient ~delay msg)
+          recipients);
+      send_releases round rest
+  in
   for round = 1 to config.rounds do
-    let round_reorg = ref 0 in
     (* Phase 1: delivery.  Record reorg depth when a miner abandons part of
        its previously-best chain. *)
     phase_start instr (fun i -> i.sp_delivery);
-    deliver_round round ~round_reorg:(Some round_reorg);
+    let round_reorg = deliver_round round in
     phase_stop instr (fun i -> i.sp_delivery);
     (* Phase 2: honest mining — one parallel H-query each (Section III's
        oracle: the query digests the miner's current parent). *)
     phase_start instr (fun i -> i.sp_mining);
     let mined_this_round = ref [] in
-    Array.iter
-      (fun miner ->
-        let parent = (Miner.best_tip miner).Block.hash in
-        match
-          Pow.query oracle ~parent ~miner:(Miner.id miner) ~round ~query_index:0
-        with
-        | None -> ()
-        | Some _proof ->
-          let block = Miner.extend_tip miner ~round ~nonce:(Miner.id miner) in
-          mined_this_round := block :: !mined_this_round;
-          Network.broadcast network
-            { Network.sender = Miner.id miner; sent_round = round; blocks = [ block ] })
-      miners;
+    for i = 0 to honest_n - 1 do
+      let miner = miners.(i) in
+      let parent = (Miner.best_tip miner).Block.hash in
+      match
+        Pow.query oracle ~parent ~miner:(Miner.id miner) ~round ~query_index:0
+      with
+      | None -> ()
+      | Some _proof ->
+        let block = Miner.extend_tip miner ~round ~nonce:(Miner.id miner) in
+        mined_this_round := block :: !mined_this_round;
+        Network.broadcast network
+          { Network.sender = Miner.id miner; sent_round = round; blocks = [ block ] }
+    done;
     let h = List.length !mined_this_round in
     phase_stop instr (fun i -> i.sp_mining);
     honest_blocks := !honest_blocks + h;
@@ -290,22 +309,10 @@ let run_exact ?on_round ~instr config =
     in
     adversary_blocks := !adversary_blocks + successes;
     let releases = adversary_acts adversary ~round ~successes in
-    List.iter
-      (fun { Adversary.audience; delay; blocks } ->
-        let send recipient =
-          Network.send_direct network ~recipient ~delay
-            { Network.sender = -1; sent_round = round; blocks }
-        in
-        match audience with
-        | Adversary.All_honest ->
-          for recipient = 0 to honest_n - 1 do
-            send recipient
-          done
-        | Adversary.Only recipients -> List.iter send recipients)
-      releases;
+    send_releases round releases;
     phase_stop instr (fun i -> i.sp_adversary);
-    observe_round ?on_round instr ~round ~h ~successes ~releases
-      ~round_reorg:!round_reorg ~best_height
+    observe_round ?on_round instr ~round ~h ~successes ~releases ~round_reorg
+      ~best_height
       ~conv_count:(Pattern.count pattern)
       ~conv_round:(Pattern.last_count_round pattern);
     if round mod config.snapshot_interval = 0 || round = config.rounds then
@@ -316,7 +323,7 @@ let run_exact ?on_round ~instr config =
      child block delivered but its parent still in transit at the cutoff,
      stranding orphans that the model says must connect. *)
   for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~round_reorg:None
+    ignore (deliver_round round)
   done;
   {
     config;
@@ -500,8 +507,9 @@ let run_events ?on_round ~instr ~law config =
   (* Materialized miners receive before the crowd (their overlays must
      see each shared block first); then the ones whose view is the
      crowd's again fold back into it. *)
-  let deliver_round round ~round_reorg =
+  let deliver_round round =
     let shared = Network.deliver_shared network ~round in
+    let deepest = ref 0 in
     Hashtbl.iter
       (fun id miner ->
         let own_filtered =
@@ -513,13 +521,16 @@ let run_events ?on_round ~instr ~law config =
               shared
         in
         let direct = Network.deliver network ~recipient:id ~round in
-        receive_tracked ~god ~max_reorg miner
-          (own_filtered @ blocks_of direct)
-          ~round ~round_reorg)
+        deepest :=
+          max !deepest
+            (receive_tracked ~god ~max_reorg miner
+               (own_filtered @ blocks_of direct)
+               ~round))
       materialized;
     if not !retired then begin
-      receive_tracked ~god ~max_reorg crowd (blocks_of shared) ~round
-        ~round_reorg;
+      deepest :=
+        max !deepest
+          (receive_tracked ~god ~max_reorg crowd (blocks_of shared) ~round);
       Hashtbl.filter_map_inplace
         (fun id miner ->
           if
@@ -528,7 +539,8 @@ let run_events ?on_round ~instr ~law config =
           then None
           else Some miner)
         materialized
-    end
+    end;
+    !deepest
   in
   let materialize id =
     match Hashtbl.find_opt materialized id with
@@ -621,11 +633,10 @@ let run_events ?on_round ~instr ~law config =
       let round = target in
       incr processed;
       snap_tips := None;
-      let round_reorg = ref 0 in
       (* Phase 1: delivery — the shared ring stream to the crowd and every
          materialized miner, plus per-miner direct queues. *)
       phase_start instr (fun i -> i.sp_delivery);
-      deliver_round round ~round_reorg:(Some round_reorg);
+      let round_reorg = deliver_round round in
       phase_stop instr (fun i -> i.sp_delivery);
       (* Phase 2: honest mining — the law's honest count, then a partial
          Fisher-Yates draw for which miners won.  A delivery-only round
@@ -672,7 +683,7 @@ let run_events ?on_round ~instr ~law config =
         releases;
       phase_stop instr (fun i -> i.sp_adversary);
       observe_round ?on_round instr ~round ~h ~successes ~releases
-        ~round_reorg:!round_reorg ~best_height
+        ~round_reorg ~best_height
         ~conv_count:(Pattern.count pattern)
         ~conv_round:(Pattern.last_count_round pattern);
       emit_snapshots_through round;
@@ -686,7 +697,7 @@ let run_events ?on_round ~instr ~law config =
   let rec quiesce now =
     match Network.next_due network ~now with
     | Some round when round <= config.rounds + config.delta ->
-      deliver_round round ~round_reorg:None;
+      ignore (deliver_round round);
       quiesce round
     | Some _ | None -> ()
   in

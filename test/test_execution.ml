@@ -612,6 +612,79 @@ let test_fast_mode_allocation_floor () =
       ("skip", Sim.Config.Skip, 240_000.);
     ]
 
+(* Exact mode's H-query is one unboxed digest: a query that misses
+   allocates nothing.  With the digest chained through four boxed
+   cross-module combines a miss cost 33 words. *)
+let test_pow_miss_allocation_floor () =
+  let module Pow = Nakamoto_chain.Pow in
+  let oracle = Pow.create ~seed:0x5EEDL ~p:0.02 in
+  let stored =
+    Block.mine ~parent:Block.genesis ~miner:3 ~miner_class:Block.Honest
+      ~round:1 ~nonce:3 ~payload:""
+  in
+  let parent = stored.hash in
+  let rec miss round =
+    match Pow.query oracle ~parent ~miner:5 ~round ~query_index:0 with
+    | None -> round
+    | Some _ -> miss (round + 1)
+  in
+  let round = miss 1 in
+  let queries = 10_000 in
+  let before = allocated_words () in
+  for _ = 1 to queries do
+    ignore
+      (Sys.opaque_identity
+         (Pow.query oracle ~parent ~miner:5 ~round ~query_index:0))
+  done;
+  let words = (allocated_words () -. before) /. float_of_int queries in
+  check_true
+    (Printf.sprintf "%.2f words per missed query, budget 3" words)
+    (words <= 3.)
+
+(* An Exact trial allocates for its blocks, messages and snapshots, not
+   per query or per idle delivery.  At serve-mixed's cell (n = 8,
+   Delta = 2, p = 0.02, nu in {0.1, 0.3}, 200 rounds) a trial measured
+   12 929 words, and 80 009 with the boxed digest, the closure-based
+   queue drain and the per-round closures of the round loop; on the
+   default grid it measured 350 245 against ~2.67 million. *)
+let test_exact_allocation_floor () =
+  let words_per_trial spec =
+    let cells = Nakamoto_campaign.Spec.cells spec in
+    let before = allocated_words () in
+    Array.iter
+      (fun cell ->
+        for trial = 0 to spec.trials_per_cell - 1 do
+          ignore
+            (Sim.Execution.run
+               (Nakamoto_campaign.Spec.config_of_cell spec cell ~trial))
+        done)
+      cells;
+    (allocated_words () -. before)
+    /. float_of_int (Array.length cells * spec.trials_per_cell)
+  in
+  let default = Nakamoto_campaign.Spec.default in
+  List.iter
+    (fun (name, spec, budget) ->
+      let words = words_per_trial spec in
+      check_true
+        (Printf.sprintf "%s: %.0f words per trial, budget %.0f" name words
+           budget)
+        (words <= budget))
+    [
+      ( "serve-mixed cell",
+        {
+          default with
+          ps = [ 0.02 ];
+          ns = [ 8 ];
+          deltas = [ 2 ];
+          nus = [ 0.1; 0.3 ];
+          rounds = 200;
+          trials_per_cell = 8;
+        },
+        35_000. );
+      ("default grid", { default with trials_per_cell = 2 }, 1_000_000.);
+    ]
+
 let suite =
   [
     case "config validation" test_config_validation;
@@ -652,4 +725,7 @@ let suite =
       test_skip_allocation_scales_with_events;
     case "fast-mode allocation floor at the default campaign grid"
       test_fast_mode_allocation_floor;
+    case "a missed H-query allocates nothing" test_pow_miss_allocation_floor;
+    case "exact-mode allocation floor at the serve-mixed cell"
+      test_exact_allocation_floor;
   ]
