@@ -17,7 +17,7 @@ let[@inline] mix h x =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let combine t x = mix t x
+let combine = mix
 
 let[@inline] fields h ~miner ~round ~nonce =
   mix

@@ -259,10 +259,7 @@ let run_exact ?on_round ~instr config =
     | { Adversary.audience; delay; blocks } :: rest ->
       let msg = { Network.sender = -1; sent_round = round; blocks } in
       (match audience with
-      | Adversary.All_honest ->
-        for recipient = 0 to honest_n - 1 do
-          Network.send_direct network ~recipient ~delay msg
-        done
+      | Adversary.All_honest -> Network.broadcast_all network ~delay msg
       | Adversary.Only recipients ->
         List.iter
           (fun recipient -> Network.send_direct network ~recipient ~delay msg)
