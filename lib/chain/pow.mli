@@ -17,9 +17,8 @@
     the oracle seed.
 
     Cost: a query is one {!Hash.keyed_below} call, 16-20 ns on a 2-vCPU
-    x86-64 guest (35 ns when the digest was four boxed {!Hash.combine}
-    calls).  A miss allocates nothing; a hit allocates its proof, 13
-    words. *)
+    x86-64 guest.  A miss allocates nothing; a hit allocates its proof,
+    13 words. *)
 
 type t
 (** An oracle instance (the shared random function). *)
