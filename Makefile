@@ -103,7 +103,10 @@ telemetry-smoke:
 # campaign-smoke grid over the wire.  Both the Unix-socket leg and the
 # TCP-loopback leg must produce journals byte-identical to the same
 # committed golden the CLI smoke uses: the transport and topology are
-# invisible in the artifact.  (Kill-mid-lease fleets over both
+# invisible in the artifact.  The two-worker leg reruns the Unix-socket
+# leg with one --lease-batch 1 and one --lease-batch 2 worker: each
+# keeps a lease request in flight, so they compete for the plan's tail,
+# and the journal must still match.  (Kill-mid-lease fleets over both
 # transports, with their lease churn, are covered by test/test_serve.ml.)
 #
 # The telemetry leg reruns the Unix-socket leg with serve --telemetry
@@ -130,6 +133,17 @@ serve-smoke:
 	rm -f _serve_smoke.sock _serve_smoke.jsonl _serve_smoke_tcp.jsonl
 	_build/default/bin/main.exe serve --socket _serve_smoke.sock \
 	  --max-campaigns 1 >/dev/null & \
+	_build/default/bin/main.exe worker --connect _serve_smoke.sock \
+	  --lease-batch 2 >/dev/null & \
+	_build/default/bin/main.exe campaign -p 0.01 -n 40 --delta 3 \
+	  --nu 0.15,0.4 --trials 4 --rounds 400 --seed 7 \
+	  --connect _serve_smoke.sock --out _serve_smoke.jsonl \
+	  --progress-interval 0 >/dev/null && wait
+	cmp _serve_smoke.jsonl test/golden/campaign_smoke.jsonl
+	_build/default/bin/main.exe serve --socket _serve_smoke.sock \
+	  --max-campaigns 1 >/dev/null & \
+	_build/default/bin/main.exe worker --connect _serve_smoke.sock \
+	  --lease-batch 1 >/dev/null & \
 	_build/default/bin/main.exe worker --connect _serve_smoke.sock \
 	  --lease-batch 2 >/dev/null & \
 	_build/default/bin/main.exe campaign -p 0.01 -n 40 --delta 3 \

@@ -853,7 +853,9 @@ let serve_cmd =
          & info [ "lease-timeout" ] ~docv:"SEC"
              ~doc:"Reassign a granted shard whose worker has not answered \
                    within SEC seconds.  Heartbeat probes run at SEC/6 and \
-                   drop a silent lease holder after SEC/2.")
+                   drop a silent lease holder after SEC/2.  A worker holds \
+                   its next batch while it computes the current one, so \
+                   SEC must cover two batches' compute.")
   in
   let telemetry_arg =
     Arg.(value & opt (some string) None
@@ -901,7 +903,9 @@ let worker_cmd =
     Arg.(value & opt int 1
          & info [ "lease-batch" ] ~docv:"K"
              ~doc:"Ask for up to K leases per request (amortizes round \
-                   trips at high shard counts).")
+                   trips at high shard counts).  The worker asks for its \
+                   next batch before computing the current one, so it \
+                   holds up to 2K leases.")
   in
   let fault_arg =
     fault_arg

@@ -20,12 +20,17 @@ val run :
   int
 (** [run ~addr ()] connects — Unix socket or TCP — (retrying until
     [connect_timeout], default 10 s, a budget the handshake shares),
-    performs the hello handshake, then loops: [Lease_request] →
-    compute → [Cell_result], sleeping through [No_work] backoffs and
-    answering coordinator [Ping]s with [Pong]s wherever it happens to
-    be reading.  [lease_batch] (default 1) asks for up to that many
-    leases per request, amortizing round trips at high shard counts;
-    the granted shards are computed and returned in grant order.
+    performs the hello handshake, then keeps one [Lease_request] in
+    flight: on each [Lease_grant] it sends the next request before
+    computing the granted shards, then returns their [Cell_result]s in
+    grant order, so the daemon's answer is queued while it computes.
+    It sleeps through [No_work] backoffs before requesting again and
+    answers coordinator [Ping]s with [Pong]s wherever it happens to be
+    reading.  [lease_batch] (default 1) asks for up to that many leases
+    per request, amortizing round trips at high shard counts; with the
+    request in flight the worker holds up to [2 * lease_batch] leases
+    (one batch computing, one granted or asked for), so the daemon's
+    lease timeout must cover two batches' compute.
     Returns the number of shards computed when the coordinator closes
     the connection (daemon shutdown), whether the worker sees it as an
     EOF or as a failed write — the worker's natural exit.  When the

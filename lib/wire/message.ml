@@ -214,12 +214,39 @@ let get_tel_entry r =
   in
   ({ Tel.Registry.Snapshot.name; labels }, value)
 
-let add_spec w spec = Codec.add_string w (Spec.to_json spec)
+(* Every grant of a campaign carries the same spec, so each side keeps
+   a one-entry memo: the encoder reuses the JSON it rendered for the
+   physically same (immutable) spec, the decoder returns the spec it
+   parsed from an equal string.  Both functions are pure, so the bytes
+   and values are those of a fresh render or parse.  The memos are
+   per-domain: daemons and workers may share one process. *)
+let rendered_spec : (Spec.t * string) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let parsed_spec : (string * Spec.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let add_spec w spec =
+  let json =
+    match Domain.DLS.get rendered_spec with
+    | Some (s, json) when s == spec -> json
+    | _ ->
+      let json = Spec.to_json spec in
+      Domain.DLS.set rendered_spec (Some (spec, json));
+      json
+  in
+  Codec.add_string w json
 
 let get_spec r =
-  match Spec.of_json (Codec.get_string r) with
-  | Ok spec -> spec
-  | Error msg -> raise (Codec.Error msg)
+  let json = Codec.get_string r in
+  match Domain.DLS.get parsed_spec with
+  | Some (j, spec) when String.equal j json -> spec
+  | _ -> (
+    match Spec.of_json json with
+    | Ok spec ->
+      Domain.DLS.set parsed_spec (Some (json, spec));
+      spec
+    | Error msg -> raise (Codec.Error msg))
 
 let role_to_u8 = function Worker -> 0 | Client -> 1
 

@@ -562,7 +562,10 @@ let test_rejected_assess_keeps_serving () =
 
 (* A fake coordinator: accept one real [Worker.run], ack its Hello with
    [telemetry], await its lease request and grant it [shard] of [spec].
-   [k] gets the channel; the worker must exit cleanly afterwards. *)
+   [k] gets the channel; the worker must exit cleanly afterwards.  The
+   worker asks for its next lease before computing the granted one, so
+   a [k] that wants the result reads it with [granted_result], which
+   leaves that prefetched request unanswered. *)
 let with_fake_coordinator ~tag ~telemetry ~spec ~shard k =
   let socket = temp_path tag ".sock" in
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -587,6 +590,12 @@ let with_fake_coordinator ~tag ~telemetry ~spec ~shard k =
   cleanup socket;
   r
 
+let rec granted_result ch =
+  match Msg.recv ~timeout:30. ch with
+  | `Msg (Msg.Lease_request _) -> granted_result ch
+  | `Msg (Msg.Cell_result r) -> r
+  | _ -> Alcotest.fail "expected the shard's result"
+
 let first_shard =
   (Campaign.Shard.plan ~cells:1 ~trials_per_cell:1 ~shard_size:1
      ~skip:(fun _ -> false)).(0)
@@ -607,10 +616,7 @@ let test_coordinator_gone_mid_lease () =
 let test_worker_telemetry_follows_ack () =
   let result telemetry =
     with_fake_coordinator ~tag:"ack" ~telemetry ~spec:tiny_spec
-      ~shard:first_shard (fun ch ->
-        match Msg.recv ~timeout:30. ch with
-        | `Msg (Msg.Cell_result r) -> r
-        | _ -> Alcotest.fail "expected the shard's result")
+      ~shard:first_shard granted_result
   in
   let off = result false and on = result true in
   check_true "told no: res_telemetry = []" (off.Msg.res_telemetry = []);
@@ -645,6 +651,22 @@ let test_worker_telemetry_follows_ack () =
   check_true "same aggregate either way"
     (off.Msg.res_aggregate = on.Msg.res_aggregate);
   check_true "= the in-process aggregate" (off.Msg.res_aggregate = inproc)
+
+(* A worker keeps one lease request in flight: on a grant it asks for
+   the next batch before it computes this one, so the request reaches
+   the coordinator ahead of the granted shard's result. *)
+let test_worker_prefetches_next_lease () =
+  with_fake_coordinator ~tag:"prefetch" ~telemetry:false ~spec:tiny_spec
+    ~shard:first_shard (fun ch ->
+      (match Msg.recv ~timeout:30. ch with
+      | `Msg (Msg.Lease_request { max }) ->
+        check_int "the prefetch asks for one batch" 1 max
+      | `Msg (Msg.Cell_result _) ->
+        Alcotest.fail "the result came before the next lease request"
+      | _ -> Alcotest.fail "expected the prefetched lease request");
+      let r = granted_result ch in
+      check_int "then the granted shard's result" first_shard.Campaign.Shard.id
+        r.Msg.res_shard)
 
 (* The grid of [make serve-smoke], whose journal is the committed
    [golden/campaign_smoke.jsonl] (compiled into the test binary as
@@ -747,4 +769,6 @@ let suite =
       test_worker_telemetry_follows_ack;
     case "a malformed result telemetry is refused and its shard requeued"
       test_malformed_telemetry_rejected;
+    case "a worker requests its next lease before computing this one"
+      test_worker_prefetches_next_lease;
   ]

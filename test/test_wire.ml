@@ -340,6 +340,77 @@ let test_channel_cap_governs_both_directions () =
   Unix.close a;
   Unix.close b
 
+(* --- the spec memo --- *)
+
+(* Two specs whose JSON differs. *)
+let spec_a = { Spec.default with Spec.seed = 11L }
+let spec_b = { Spec.default with Spec.seed = 12L; nus = [ 0.2 ] }
+
+let memo_shard =
+  {
+    Nakamoto_campaign.Shard.id = 5;
+    cell_index = 0;
+    trial_start = 5;
+    trial_stop = 6;
+    slot = 5;
+  }
+
+let grant_of spec =
+  Msg.Lease_grant { grants = [ { Msg.lease_id = 9; shard = memo_shard } ]; spec }
+
+(* The grant's payload written field by field with a fresh render. *)
+let fresh_grant_payload spec =
+  let w = Codec.writer () in
+  Codec.add_list w
+    (fun w (sh : Nakamoto_campaign.Shard.t) ->
+      Codec.add_int w 9;
+      List.iter (Codec.add_int w)
+        [ sh.id; sh.cell_index; sh.trial_start; sh.trial_stop; sh.slot ])
+    [ memo_shard ];
+  Codec.add_string w (Spec.to_json spec);
+  Codec.contents w
+
+let decoded_spec (tag, payload) =
+  match Msg.decode ~tag ~payload with
+  | Ok (Msg.Lease_grant { spec; _ }) -> spec
+  | Ok _ -> Alcotest.fail "decoded to a different constructor"
+  | Error e -> Alcotest.failf "grant decode failed: %s" e
+
+(* Encoding A, B, A — each spec evicting the memo's last entry — gives
+   the bytes of a fresh render each time, decoding them gives back
+   A, B, A, and a repeated A (a memo hit on both sides) still does. *)
+let test_spec_memo_is_pure () =
+  let specs = [ spec_a; spec_b; spec_a ] in
+  let frames = List.map (fun s -> Msg.encode (grant_of s)) specs in
+  List.iter2
+    (fun s (_, payload) ->
+      Alcotest.(check string) "grant bytes = a fresh render"
+        (fresh_grant_payload s) payload)
+    specs frames;
+  List.iter2
+    (fun s frame ->
+      check_true "decoded spec = the encoded one" (decoded_spec frame = s))
+    specs frames;
+  let again = Msg.encode (grant_of spec_a) in
+  check_true "a repeated grant decodes to the same spec"
+    (decoded_spec again = spec_a)
+
+(* The memos are per-domain: two domains encoding and decoding
+   different specs at the same time each get their own spec back. *)
+let test_spec_memo_per_domain () =
+  let churn spec () =
+    let ok = ref true in
+    for _ = 1 to 500 do
+      let tag, payload = Msg.encode (grant_of spec) in
+      ok := !ok && payload = fresh_grant_payload spec;
+      ok := !ok && decoded_spec (tag, payload) = spec
+    done;
+    !ok
+  in
+  let da = Domain.spawn (churn spec_a) and db = Domain.spawn (churn spec_b) in
+  check_true "domain A kept its spec" (Domain.join da);
+  check_true "domain B kept its spec" (Domain.join db)
+
 let suite =
   [
     case "codec primitives round-trip bit-exactly" test_codec_primitives;
@@ -360,4 +431,7 @@ let suite =
     case "channel write/read round-trips" test_channel_write_read_round_trip;
     case "the channel cap governs both directions"
       test_channel_cap_governs_both_directions;
+    case "the spec memo gives fresh-render bytes and values"
+      test_spec_memo_is_pure;
+    case "the spec memo is per-domain" test_spec_memo_per_domain;
   ]
