@@ -44,6 +44,17 @@ campaign-smoke:
 bench-exec-smoke:
 	dune exec bench/main.exe -- --execscale-smoke
 
+# Paper-artifact golden: every section `dune exec bench/main.exe` prints
+# (figures, tables, the theorem and lemma checks, and the ATK, PHASE,
+# SCALE, DECAY, EXT and EXT2 Exact simulations) must match the committed
+# output byte-for-byte, so a change to the executor or the closed forms
+# shows up here as a diff.  Regenerate after a deliberate change with
+#   dune exec bench/main.exe > test/golden/artifacts.txt
+artifacts-golden:
+	dune exec bench/main.exe > _artifacts.txt
+	cmp _artifacts.txt test/golden/artifacts.txt
+	rm -f _artifacts.txt
+
 # Markov floors at Delta = 500: GTH censoring must out-run the dense LU
 # stationary solve 10x and every solver must sit within 1e-9 of the
 # Eq. 37 closed form.  Prints the measured ratios.
@@ -238,8 +249,8 @@ bench-diff:
 	bash bench/perf/run.sh diff $(OLD) $(NEW)
 
 check: all test campaign-smoke faultinject-smoke telemetry-smoke \
-  serve-smoke bench-exec-smoke markov-smoke proptest-smoke cli-smoke \
-  perf-smoke
+  serve-smoke bench-exec-smoke markov-smoke artifacts-golden \
+  proptest-smoke cli-smoke perf-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -252,5 +263,5 @@ artifacts:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
 .PHONY: all test bench examples artifacts campaign-smoke faultinject-smoke \
-  telemetry-smoke serve-smoke bench-exec-smoke markov-smoke proptest-smoke \
-  cli-smoke perf-smoke bench-diff soak check
+  telemetry-smoke serve-smoke bench-exec-smoke markov-smoke artifacts-golden \
+  proptest-smoke cli-smoke perf-smoke bench-diff soak check

@@ -251,13 +251,19 @@ let result_digest (r : Sim.Execution.result) =
       r.processed_rounds;
     ]
 
-(* Fast-mode results over a spread of configurations: n from 4 to 64,
+(* Executor results over a spread of configurations: n from 4 to 64,
    both tie-breaks, every shared delay override and the strategy
    defaults, and Balance under a shared override (direct sends and the
-   crowd's retirement), each under Aggregate and Skip.  A change to how
-   the fast executors hold or deliver to miners must leave every one of
-   these results bit-identical.  Pins were produced by this build; a
-   drift prints the actuals. *)
+   crowd's retirement; under First_seen with Fixed 2, a far release due
+   in the same round as a broadcast sent after it, so the order a
+   miner's messages arrive in shows), each under Exact, Aggregate and
+   Skip; then two
+   configurations only Exact runs, Balance under its default
+   Per_recipient policy and Private_chain under a Uniform_random
+   override (per-recipient delays, no ring).  A change to how the
+   executor holds or delivers to miners must leave every one of these
+   results bit-identical.  Pins were produced by this build; a drift
+   prints the actuals. *)
 let test_fast_mode_result_pins () =
   let module Net = Nakamoto_net.Network in
   let drifted = ref [] in
@@ -282,8 +288,10 @@ let test_fast_mode_result_pins () =
   let first_seen = Nakamoto_chain.Block_tree.First_seen in
   let private_chain k = Sim.Adversary.Private_chain { reorg_target = k } in
   let balance g = Sim.Adversary.Balance { group_boundary = g } in
-  let pin name cfg expected =
-    let actual = result_digest (Sim.Execution.run cfg) in
+  let pin name mode cfg expected =
+    let actual =
+      result_digest (Sim.Execution.run { cfg with Sim.Config.mining_mode = mode })
+    in
     if actual <> expected then
       drifted :=
         Printf.sprintf "%s: result digest %LdL, pinned %LdL" name actual
@@ -291,68 +299,94 @@ let test_fast_mode_result_pins () =
         :: !drifted
   in
   List.iter
-    (fun (name, cfg, aggregate, skip) ->
-      pin (name ^ " aggregate")
-        { cfg with Sim.Config.mining_mode = Sim.Config.Aggregate }
-        aggregate;
-      pin (name ^ " skip")
-        { cfg with Sim.Config.mining_mode = Sim.Config.Skip }
-        skip)
+    (fun (name, cfg, exact, aggregate, skip) ->
+      pin (name ^ " exact") Sim.Config.Exact cfg exact;
+      pin (name ^ " aggregate") Sim.Config.Aggregate cfg aggregate;
+      pin (name ^ " skip") Sim.Config.Skip cfg skip)
     [
       ( "n4 idle",
         shape ~n:4 ~nu:0.25 ~delta:2 ~c:0.5 Sim.Adversary.Idle,
+        3172016597308629170L,
         -3350169513963174645L,
         -3512559804542542672L );
       ( "n5 private",
         shape ~n:5 ~nu:0.2 ~delta:1 ~c:0.5 (private_chain 2),
+        5930950812125241459L,
         9217779524758387882L,
         4362798051921407054L );
       ( "n7 private maximal",
         shape ~n:7 ~nu:0.3 ~delta:3 ~c:1. ~delay:Net.Maximal (private_chain 3),
+        -4594452725026253229L,
         -8183967523310541850L,
         6417854265912942436L );
       ( "n10 selfish first-seen",
         shape ~n:10 ~nu:0.3 ~delta:4 ~c:1.5 ~tie_break:first_seen
           Sim.Adversary.Selfish_mining,
+        5098327777262732562L,
         5976203093552993375L,
         1139255294708076679L );
       ( "n12 balance immediate first-seen",
         shape ~n:12 ~nu:0.25 ~delta:6 ~c:0.7 ~delay:Net.Immediate
           ~tie_break:first_seen (balance 5),
+        6121870899422042139L,
         -4448970317292998800L,
         -8020888742288558728L );
       ( "n16 private fixed first-seen",
         shape ~n:16 ~nu:0.2 ~delta:5 ~c:0.8 ~delay:(Net.Fixed 3)
           ~tie_break:first_seen (private_chain 4),
+        1930866274153961376L,
         -30975259659366102L,
         6794134340567132830L );
       ( "n20 selfish fixed",
         shape ~n:20 ~nu:0.45 ~delta:3 ~c:0.6 ~delay:(Net.Fixed 1)
           Sim.Adversary.Selfish_mining,
+        -9065309289254159627L,
         -6846111650984211736L,
         -5512328524626397444L );
       ( "n24 balance fixed",
         shape ~n:24 ~nu:0.3 ~delta:3 ~c:1. ~delay:(Net.Fixed 2) (balance 8),
+        -2455944008616062177L,
         -507164780956048397L,
         -6750725648018574899L );
+      ( "n24 balance fixed first-seen",
+        shape ~n:24 ~nu:0.3 ~delta:3 ~c:1. ~delay:(Net.Fixed 2)
+          ~tie_break:first_seen (balance 8),
+        2750918546231716316L,
+        1812506050644668371L,
+        6290013950620620422L );
       ( "n32 idle maximal first-seen",
         shape ~n:32 ~nu:0.1 ~delta:2 ~c:0.3 ~delay:Net.Maximal
           ~tie_break:first_seen Sim.Adversary.Idle,
+        -5034383947399551919L,
         -4200426675983620312L,
         -5977335637213540710L );
       ( "n40 private",
         shape ~n:40 ~nu:0.25 ~delta:4 ~c:1.25 (private_chain 12),
+        8306857783446767585L,
         -4545799131271607795L,
         1616863102451104413L );
       ( "n48 balance maximal",
         shape ~n:48 ~nu:0.35 ~delta:8 ~c:2. ~delay:Net.Maximal (balance 24),
+        -4171684963895352460L,
         8622102250969794637L,
         7412591022359192379L );
       ( "n64 selfish immediate",
         shape ~n:64 ~nu:0.4 ~delta:4 ~c:2. ~delay:Net.Immediate
           Sim.Adversary.Selfish_mining,
+        5618828161707259916L,
         2976570239187811690L,
         -6271262697896625046L );
+    ];
+  List.iter
+    (fun (name, cfg, exact) -> pin (name ^ " exact") Sim.Config.Exact cfg exact)
+    [
+      ( "n24 balance per-recipient",
+        shape ~n:24 ~nu:0.3 ~delta:3 ~c:1. (balance 8),
+        -7829161113368128650L );
+      ( "n16 private uniform-random first-seen",
+        shape ~n:16 ~nu:0.2 ~delta:5 ~c:0.8 ~delay:Net.Uniform_random
+          ~tie_break:first_seen (private_chain 4),
+        -1567523856996013310L );
     ];
   if !drifted <> [] then
     Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
