@@ -55,7 +55,7 @@ let create ~delta ~players ~policy ~rng =
 
 let delta t = t.delta
 
-let shared_policy = function
+let recipient_independent = function
   | Immediate | Fixed _ | Maximal -> true
   | Uniform_random | Per_recipient _ -> false
 
@@ -132,7 +132,7 @@ let ring_push t ring ~delay msg =
 
 let broadcast t msg =
   match t.ring with
-  | Some ring when shared_policy t.policy ->
+  | Some ring when recipient_independent t.policy ->
     ring_push t ring ~delay:(chosen_delay t ~recipient:(-1) msg) msg
   | Some _ | None ->
     for recipient = 0 to t.players - 1 do

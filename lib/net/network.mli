@@ -23,6 +23,11 @@ type delay_policy =
   | Per_recipient of (recipient:int -> message -> int)
       (** adaptive adversarial choice, still clamped to [1, delta] *)
 
+val recipient_independent : delay_policy -> bool
+(** [recipient_independent policy] holds for [Immediate], [Fixed] and
+    [Maximal]: the policies that draw nothing per recipient, so one
+    delay stands for every recipient of a broadcast. *)
+
 type t
 
 val create : delta:int -> players:int -> policy:delay_policy ->
@@ -43,9 +48,10 @@ val enable_ring : t -> unit
     {!broadcast_all} cost O(1) — one shared enqueue standing for
     [players - 1] deliveries — and are read back with {!deliver_shared}.
     [Uniform_random] and [Per_recipient] broadcasts and {!send_direct}
-    keep using the per-recipient event queues regardless.  The executor's
-    aggregate mode turns this on; the exact mode never does, so its
-    per-recipient delivery order is untouched.
+    keep using the per-recipient event queues regardless.  The executor
+    turns this on whenever its policy is {!recipient_independent}, in
+    every mining mode; a consumer that needs one recipient's queue order
+    merges the two lanes by [sent_round].
     @raise Invalid_argument if already enabled or after a send. *)
 
 val ring_enabled : t -> bool
@@ -53,7 +59,8 @@ val ring_enabled : t -> bool
 val enable_due_index : t -> unit
 (** [enable_due_index t] switches on an auxiliary index of direct-queue
     due times so {!next_due} can answer without scanning every inbox.
-    The fast executors turn this on; exact mode never needs it.
+    The executor always turns this on: it finds delivery-only rounds
+    with {!next_due}.
     @raise Invalid_argument if already enabled or after a send. *)
 
 val broadcast : t -> message -> unit
@@ -79,8 +86,8 @@ val send_direct : t -> recipient:int -> delay:int -> message -> unit
 val deliver : t -> recipient:int -> round:int -> message list
 (** [deliver t ~recipient ~round] removes and returns the queue-lane
     messages due at or before [round] for [recipient], in due order.
-    Ring-lane messages are not included — aggregate-mode consumers read
-    those once via {!deliver_shared} and fan them out themselves. *)
+    Ring-lane messages are not included — a consumer reads those once
+    via {!deliver_shared} and fans them out itself. *)
 
 val queued : t -> recipient:int -> int
 (** [queued t ~recipient] counts the queue-lane messages still in flight

@@ -55,20 +55,17 @@ let validate t =
   | Adversary.Idle | Adversary.Private_chain _ | Adversary.Balance _
   | Adversary.Selfish_mining ->
     ());
-  (* The fast modes route broadcasts through the network's shared Δ-ring
-     lane and fast-forward empty spans, so a delay chosen per recipient
-     ([Uniform_random], [Per_recipient]) has no round or recipient to
-     inspect.  Reject the combination here, typed, instead of silently
-     degrading. *)
-  match (t.mining_mode, delay_policy t) with
-  | Exact, _
-  | ( (Aggregate | Skip),
-      ( Nakamoto_net.Network.Immediate | Nakamoto_net.Network.Fixed _
-      | Nakamoto_net.Network.Maximal ) ) ->
+  (* The fast modes' O(events) cost rests on the network's shared Δ-ring
+     lane.  Under a delay chosen per recipient ([Uniform_random],
+     [Per_recipient]) the executor would materialize every miner and
+     enqueue each broadcast per recipient, as it does for Exact.  Reject
+     the combination here, typed, instead of silently degrading. *)
+  match t.mining_mode with
+  | Exact -> ()
+  | (Aggregate | Skip)
+    when Nakamoto_net.Network.recipient_independent (delay_policy t) ->
     ()
-  | ( ((Aggregate | Skip) as mode),
-      (Nakamoto_net.Network.Uniform_random | Nakamoto_net.Network.Per_recipient _)
-    ) ->
+  | (Aggregate | Skip) as mode ->
     raise
       (Incompatible
          {

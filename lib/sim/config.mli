@@ -7,9 +7,13 @@
 
 type mining_mode =
   | Exact
-      (** one H-query per honest miner per round and [nu n] sequential
-          adversary queries, every message enqueued per recipient —
-          bit-for-bit the historical executor, and the default *)
+      (** one H-query per honest miner per round, each on its own view's
+          tip, and [nu n] sequential adversary queries — the default.
+          It runs on the same executor body as the fast modes: under a
+          recipient-independent delay policy the miners whose view is the
+          shared crowd's query its tip and share its tree, and under
+          [Uniform_random] or [Per_recipient] every miner keeps its own
+          view and every message is enqueued per recipient *)
   | Aggregate
       (** the paper-scale fast path: per-round block counts are drawn
           from the same binomial laws the queries realize (honest

@@ -206,174 +206,52 @@ let adversary_acts adversary ~round ~successes =
 let blocks_of messages =
   List.concat_map (fun (m : Network.message) -> m.blocks) messages
 
-(* ------------------------------------------------------------------ *)
-(* Exact mode: one H-query per honest miner per round, nu n sequential
-   adversary queries, every message enqueued per recipient.  This path is
-   bit-for-bit the historical executor.                                 *)
-(* ------------------------------------------------------------------ *)
-
-let run_exact ?on_round ~instr config =
-  let honest_n = Config.honest_count config in
-  let adv_n = Config.adversary_count config in
-  let rng = Rng.create ~seed:config.seed in
-  let oracle = Pow.create ~seed:(Rng.bits64 rng) ~p:config.p in
-  let net_rng = Rng.split rng in
-  let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let network =
-    Network.create ~delta:config.delta ~players:honest_n
-      ~policy:(Config.delay_policy config) ~rng:net_rng
-  in
-  let miners =
-    Array.init honest_n (fun id -> Miner.create ~tie_break:config.tie_break ~id ())
-  in
-  let pattern = Pattern.create ~delta:config.delta in
-  let god = Adversary.view adversary in
-  let snapshots = ref [] in
-  let honest_blocks = ref 0 in
-  let adversary_blocks = ref 0 in
-  let h_rounds = ref 0 in
-  let h1_rounds = ref 0 in
-  let max_reorg = ref 0 in
-  let take_snapshot round =
-    snapshots :=
-      { round; tips = Array.map Miner.best_tip miners } :: !snapshots
-  in
-  (* The round's deepest rollback over every miner's delivery. *)
-  let deliver_round round =
-    let deepest = ref 0 in
-    for i = 0 to honest_n - 1 do
-      let miner = miners.(i) in
-      let inbox = Network.deliver network ~recipient:(Miner.id miner) ~round in
-      let rolled_back =
-        receive_tracked ~god ~max_reorg miner (blocks_of inbox) ~round
-      in
-      if rolled_back > !deepest then deepest := rolled_back
-    done;
-    !deepest
-  in
-  let best_height () =
-    Array.fold_left (fun acc m -> max acc (Miner.chain_length m)) 0 miners
-  in
-  let rec send_releases round = function
-    | [] -> ()
-    | { Adversary.audience; delay; blocks } :: rest ->
-      let msg = { Network.sender = -1; sent_round = round; blocks } in
-      (match audience with
-      | Adversary.All_honest -> Network.broadcast_all network ~delay msg
-      | Adversary.Only recipients ->
-        List.iter
-          (fun recipient -> Network.send_direct network ~recipient ~delay msg)
-          recipients);
-      send_releases round rest
-  in
-  for round = 1 to config.rounds do
-    (* Phase 1: delivery.  Record reorg depth when a miner abandons part of
-       its previously-best chain. *)
-    phase_start instr (fun i -> i.sp_delivery);
-    let round_reorg = deliver_round round in
-    phase_stop instr (fun i -> i.sp_delivery);
-    (* Phase 2: honest mining — one parallel H-query each (Section III's
-       oracle: the query digests the miner's current parent). *)
-    phase_start instr (fun i -> i.sp_mining);
-    let mined_this_round = ref [] in
-    for i = 0 to honest_n - 1 do
-      let miner = miners.(i) in
-      let parent = (Miner.best_tip miner).Block.hash in
-      match
-        Pow.query oracle ~parent ~miner:(Miner.id miner) ~round ~query_index:0
-      with
-      | None -> ()
-      | Some _proof ->
-        let block = Miner.extend_tip miner ~round ~nonce:(Miner.id miner) in
-        mined_this_round := block :: !mined_this_round;
-        Network.broadcast network
-          { Network.sender = Miner.id miner; sent_round = round; blocks = [ block ] }
-    done;
-    let h = List.length !mined_this_round in
-    phase_stop instr (fun i -> i.sp_mining);
-    honest_blocks := !honest_blocks + h;
-    if h > 0 then incr h_rounds;
-    if h = 1 then incr h1_rounds;
-    Pattern.observe pattern (Round_state.of_block_count h);
-    Adversary.observe adversary !mined_this_round;
-    (* Phase 3: the adversary's q = nu n sequential H-queries on its
-       strategy-chosen tip, then releases. *)
-    phase_start instr (fun i -> i.sp_adversary);
-    let successes =
-      Pow.successes oracle
-        ~parent:(Adversary.private_tip adversary).Block.hash ~miner:(-1)
-        ~round ~queries:adv_n
-    in
-    adversary_blocks := !adversary_blocks + successes;
-    let releases = adversary_acts adversary ~round ~successes in
-    send_releases round releases;
-    phase_stop instr (fun i -> i.sp_adversary);
-    observe_round ?on_round instr ~round ~h ~successes ~releases ~round_reorg
-      ~best_height
-      ~conv_count:(Pattern.count pattern)
-      ~conv_round:(Pattern.last_count_round pattern);
-    if round mod config.snapshot_interval = 0 || round = config.rounds then
-      take_snapshot round
-  done;
-  (* Quiesce: deliver the messages still in flight (at most delta rounds'
-     worth).  Without this, an adversary that reorders heavily can leave a
-     child block delivered but its parent still in transit at the cutoff,
-     stranding orphans that the model says must connect. *)
-  for round = config.rounds + 1 to config.rounds + config.delta do
-    ignore (deliver_round round)
-  done;
-  {
-    config;
-    snapshots = List.rev !snapshots;
-    god_view = god;
-    final_tips = Array.map Miner.best_tip miners;
-    convergence_opportunities = Pattern.count pattern;
-    adversary_blocks = !adversary_blocks;
-    honest_blocks = !honest_blocks;
-    h_rounds = !h_rounds;
-    h1_rounds = !h1_rounds;
-    max_reorg_depth = !max_reorg;
-    adversary_releases = Adversary.reorgs_caused adversary;
-    messages_sent = Network.messages_sent network;
-    orphans_remaining =
-      Array.fold_left (fun acc m -> acc + Miner.orphan_count m) 0 miners;
-    processed_rounds = config.rounds;
-  }
+(* A materialized miner's inbox in the order one per-recipient queue
+   would hold it: the ring's messages (minus the miner's own broadcasts)
+   merged with its direct queue by [sent_round], ring first within a
+   round.  Both lists are due this round and in send order, and within a
+   round every ring message goes out first: the honest broadcasts precede
+   the adversary's releases, and no strategy releases to some miners and
+   then to all in one round. *)
+let rec merge_by_sent (ring : Network.message list)
+    (direct : Network.message list) =
+  match (ring, direct) with
+  | [], rest | rest, [] -> rest
+  | r :: ring', d :: direct' ->
+    if d.sent_round < r.sent_round then d :: merge_by_sent ring direct'
+    else r :: merge_by_sent ring' direct
 
 (* ------------------------------------------------------------------ *)
-(* The fast modes, Aggregate and Skip: one event-stepped body.
+(* The executor: one event-stepped body for the three mining modes.
 
-   Per simulated round the cost is O(blocks mined + messages due)
-   instead of O(n):
+   Every honest miner whose view equals what the shared broadcast stream
+   built is one "crowd" view:
 
-   - A mining round's honest count comes from binom(mu n, p) (the law of
-     mu n independent H-queries) and *which* miners won is a partial
-     Fisher-Yates draw over the honest ids; the adversary's nu n
-     sequential queries collapse to one binom(nu n, p) count (all
-     Adversary.act consumes).  Round outcomes are distribution-identical
-     to Exact, not bit-identical.
-   - Broadcasts ride the network's shared Δ-ring lane (O(1) each); every
-     miner whose view equals what that shared stream built is one
-     "crowd" view.  A miner is materialized when it wins a block or is
-     targeted by a direct send: it becomes a clone whose tree is an
-     overlay of the crowd's, holding only the blocks it has beyond the
-     crowd's, and it consumes the ring (minus its own broadcasts) plus
-     its own queue.  Materialized miners receive before the crowd, so a
-     shared block lands in each overlay before the crowd's tree.  At the
-     end of a delivery round a materialized miner whose view has come
-     back to the crowd's (no orphans, the same best tip, no block the
-     crowd lacks, nothing direct in flight) folds back into the crowd;
-     a winner typically does so once its block has crossed the ring.
-     So a delivery costs the blocks delivered times the few miners
-     materialized at the time, not times every winner so far.  The
-     miners not materialized are exact replicas of the crowd, so
+   - Under a recipient-independent delay policy (Immediate, Fixed,
+     Maximal) broadcasts ride the network's shared Δ-ring lane (O(1)
+     each).  A miner is materialized when it wins a block or is targeted
+     by a direct send: it becomes a clone whose tree is an overlay of the
+     crowd's, holding only the blocks it has beyond the crowd's, and it
+     consumes the ring (minus its own broadcasts) merged with its own
+     queue ([merge_by_sent]).  Materialized miners receive before the
+     crowd, so a shared block lands in each overlay before the crowd's
+     tree.  At the end of a delivery round a materialized miner whose
+     view has come back to the crowd's (no orphans, the same best tip,
+     no block the crowd lacks, nothing direct in flight) folds back into
+     the crowd; a winner typically does so once its block has crossed
+     the ring.  So a delivery costs the blocks delivered times the few
+     miners materialized at the time, not times every honest miner.
+     The miners not materialized are exact replicas of the crowd, so
      snapshots and final tips fill their slots with the crowd tip and
-     [orphans_remaining] counts the crowd once.  The first time every
+     the crowd's orphans count once per replica.  The first time every
      miner is materialized at once (Balance's first release does it)
-     the crowd retires for good from delivery, reorg and orphan
-     accounting, and nothing folds back: it would otherwise receive ring
-     blocks whose direct-sent parents it never saw and report phantom
-     orphans no miner holds.
+     the crowd retires for good from delivery and reorg accounting, and
+     nothing folds back: it would otherwise receive ring blocks whose
+     direct-sent parents it never saw.
+   - Under a recipient-dependent policy (Uniform_random, Per_recipient)
+     the ring stays off and every honest id is materialized before round
+     1, so the crowd retires at once: each broadcast is enqueued per
+     recipient, drawing its delays in id order.
    - The loop steps from event to event.  The next simulated round is
      the earlier of the next mining round and the next due delivery
      (Network.next_due).  Because mining is i.i.d. per round, a drawn
@@ -388,36 +266,112 @@ let run_exact ?on_round ~instr config =
      the span to its round counter, and snapshot-cadence rounds inside it
      reuse the previous snapshot's tips array.
 
-   The mode supplies only the draws, as a [law]: the gap to the next
-   mining round, its honest count and its adversary count.  Aggregate's
-   gaps are all 0, so it simulates every round.  Skip's gap is
-   Geometric(1 - q0) on {0, 1, ...} where q0 = (1-p)^(mu n + nu n) is the
-   probability a round mines nothing on either side, and the mining
-   round's counts follow the conditional law (H, A) | H + A > 0: with
-   probability (1 - qh)/(1 - q0) a zero-truncated binom(mu n, p) honest
-   count with an unconditional binom(nu n, p) adversary count, else an
-   honest zero with a zero-truncated binom(nu n, p).  Multiplying out
-   recovers P(H = h) P(A = a) / (1 - q0), Aggregate's joint law
-   conditioned on a non-empty round, and empty rounds carry no other
-   randomness.  Skip is therefore distribution-identical to Aggregate,
-   not bit-identical: it consumes the RNG per event rather than per
-   round, and [on_round] fires only for simulated rounds.             *)
+   The mode supplies only its draws, as a [law]: the gap to the next
+   mining round, that round's honest winners and the adversary's count.
+
+   - Exact ([per_query]) has no gaps.  Each round every honest id makes
+     its one H-query on its own view's tip (the crowd's when it is not
+     materialized) and the adversary makes nu n sequential queries on its
+     private tip, all through the Pow oracle (Section III).
+   - Aggregate ([unit_gaps]) has no gaps either.  A round's honest count
+     comes from binom(mu n, p) (the law of mu n independent H-queries)
+     and *which* miners won is a partial Fisher-Yates draw over the
+     honest ids; the adversary's nu n sequential queries collapse to one
+     binom(nu n, p) count (all Adversary.act consumes).  Round outcomes
+     are distribution-identical to Exact, not bit-identical.
+   - Skip ([geometric_gaps]): the gap is Geometric(1 - q0) on {0, 1, ...}
+     where q0 = (1-p)^(mu n + nu n) is the probability a round mines
+     nothing on either side, and the mining round's counts follow the
+     conditional law (H, A) | H + A > 0: with probability
+     (1 - qh)/(1 - q0) a zero-truncated binom(mu n, p) honest count with
+     an unconditional binom(nu n, p) adversary count, else an honest
+     zero with a zero-truncated binom(nu n, p).  Multiplying out recovers
+     P(H = h) P(A = a) / (1 - q0), Aggregate's joint law conditioned on
+     a non-empty round, and empty rounds carry no other randomness.
+     Skip is therefore distribution-identical to Aggregate, not
+     bit-identical: it consumes the RNG per event rather than per round,
+     and [on_round] fires only for simulated rounds.                   *)
 (* ------------------------------------------------------------------ *)
 
 type law = {
   gap : unit -> int;  (** empty rounds before the next mining round *)
-  honest : unit -> int;  (** drawn before the winners are placed *)
-  adversary : unit -> int;  (** drawn after them *)
+  winners : round:int -> int list;
+      (** the mining round's honest winners, in mining order *)
+  adversary : round:int -> int;  (** drawn after the winners mined *)
 }
 
-let unit_gaps ~rng ~honest_dist ~adv_dist ~horizon:_ =
+(* What a law reads: the trial's draw stream, the oracle's seed (the
+   first draw of the stream), and the current tips. *)
+type source = {
+  rng : Rng.t;
+  oracle_seed : int64;
+  config : Config.t;
+  tip : int -> Block.t;  (** an honest id's view's tip *)
+  private_tip : unit -> Block.t;  (** where the adversary mines *)
+}
+
+let per_query { oracle_seed; config; tip; private_tip; _ } =
+  let oracle = Pow.create ~seed:oracle_seed ~p:config.p in
+  let honest_n = Config.honest_count config in
+  let adv_n = Config.adversary_count config in
   {
     gap = (fun () -> 0);
-    honest = (fun () -> Binomial.sample rng honest_dist);
-    adversary = (fun () -> Binomial.sample rng adv_dist);
+    winners =
+      (fun ~round ->
+        let won = ref [] in
+        for id = honest_n - 1 downto 0 do
+          match
+            Pow.query oracle ~parent:(tip id).Block.hash ~miner:id ~round
+              ~query_index:0
+          with
+          | None -> ()
+          | Some _proof -> won := id :: !won
+        done;
+        !won);
+    adversary =
+      (fun ~round ->
+        Pow.successes oracle ~parent:(private_tip ()).Block.hash ~miner:(-1)
+          ~round ~queries:adv_n);
   }
 
-let geometric_gaps ~rng ~honest_dist ~adv_dist ~horizon =
+(* [k] winners by a partial Fisher-Yates draw over a permutation of the
+   honest ids that persists across rounds.  Each draw's prefix is uniform
+   over k-subsets regardless of the permutation it starts from.  It is
+   stored sparsely: [displaced] holds only the positions a draw has
+   written, every other position holds its own id, so the pool costs
+   O(winners) rather than O(n) and draws exactly what a dense array
+   would. *)
+let fisher_yates rng ~honest_n =
+  let displaced : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let pool k = Option.value ~default:k (Hashtbl.find_opt displaced k) in
+  fun k ->
+    let won = ref [] in
+    for i = 0 to k - 1 do
+      let j = i + Rng.int rng ~bound:(honest_n - i) in
+      let winner = pool j in
+      Hashtbl.replace displaced j (pool i);
+      Hashtbl.replace displaced i winner;
+      won := winner :: !won
+    done;
+    List.rev !won
+
+let binomials config =
+  let binomial trials = Binomial.create ~trials ~p:config.Config.p in
+  (binomial (Config.honest_count config), binomial (Config.adversary_count config))
+
+let unit_gaps { rng; config; _ } =
+  let honest_dist, adv_dist = binomials config in
+  let draw = fisher_yates rng ~honest_n:(Config.honest_count config) in
+  {
+    gap = (fun () -> 0);
+    winners = (fun ~round:_ -> draw (Binomial.sample rng honest_dist));
+    adversary = (fun ~round:_ -> Binomial.sample rng adv_dist);
+  }
+
+let geometric_gaps { rng; config; _ } =
+  let honest_dist, adv_dist = binomials config in
+  let draw = fisher_yates rng ~honest_n:(Config.honest_count config) in
+  let horizon = config.rounds in
   let log_q0 =
     Binomial.log_prob_zero honest_dist +. Binomial.log_prob_zero adv_dist
   in
@@ -441,55 +395,51 @@ let geometric_gaps ~rng ~honest_dist ~adv_dist ~horizon =
           let g = Float.log u /. log_q0 in
           if g > float_of_int horizon then horizon else int_of_float g
         end);
-    honest =
-      (fun () ->
+    winners =
+      (fun ~round:_ ->
         if Rng.float rng < p_honest_branch then begin
           adversary := Binomial.sample rng adv_dist;
-          Binomial.sample_positive rng honest_dist
+          draw (Binomial.sample_positive rng honest_dist)
         end
         else begin
           adversary := Binomial.sample_positive rng adv_dist;
-          0
+          []
         end);
-    adversary = (fun () -> !adversary);
+    adversary = (fun ~round:_ -> !adversary);
   }
 
-let run_events ?on_round ~instr ~law config =
+let run ?on_round ?telemetry config =
+  Config.validate config;
+  let instr = Option.map make_instruments telemetry in
   let honest_n = Config.honest_count config in
   let rng = Rng.create ~seed:config.seed in
-  (* Keep the stream layout of exact mode (oracle seed, then the network
-     split) so the modes draw from decorrelated streams per seed. *)
-  let _oracle_seed = Rng.bits64 rng in
+  let oracle_seed = Rng.bits64 rng in
   let net_rng = Rng.split rng in
   let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
+  let policy = Config.delay_policy config in
   let network =
-    Network.create ~delta:config.delta ~players:honest_n
-      ~policy:(Config.delay_policy config) ~rng:net_rng
+    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
   in
-  Network.enable_ring network;
+  let ring = Network.recipient_independent policy in
+  if ring then Network.enable_ring network;
   (* Delivery-only rounds (between Skip's mining rounds, and in the
      quiesce) are found by next_due, whose direct lane needs the index. *)
   Network.enable_due_index network;
   let horizon = config.rounds in
-  let law =
-    let binomial trials = Binomial.create ~trials ~p:config.p in
-    law ~rng ~honest_dist:(binomial honest_n)
-      ~adv_dist:(binomial (Config.adversary_count config))
-      ~horizon
-  in
   (* The crowd's id is never a message sender, so it consumes the whole
      shared stream. *)
   let crowd = Miner.create ~tie_break:config.tie_break ~id:(-1) () in
-  let materialized : (int, Miner.t) Hashtbl.t = Hashtbl.create 64 in
-  (* Winner-selection pool: a permutation of the honest ids that persists
-     across rounds.  Each round's partial Fisher-Yates prefix is uniform
-     over k-subsets regardless of the permutation it starts from.  It is
-     stored sparsely: [displaced] holds only the positions a draw has
-     written, every other position holds its own id, so the pool costs
-     O(winners) rather than O(n) and draws exactly what a dense array
-     would. *)
-  let displaced : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let pool k = Option.value ~default:k (Hashtbl.find_opt displaced k) in
+  (* Each honest id's materialized clone, [None] while its view is the
+     crowd's.  [live] lists the materialized ids and [live_count] counts
+     them.  (Filled with the young [crowd] instead, [Array.make] would
+     force a minor collection per trial.) *)
+  let views = Array.make honest_n None in
+  let view id = match views.(id) with Some miner -> miner | None -> crowd in
+  let live = ref [] in
+  let live_count = ref 0 in
+  (* Once every miner is materialized at once, the crowd retires for good:
+     nothing folds back after that, so the count stays at [honest_n]. *)
+  let retired () = !live_count = honest_n in
   let pattern = Pattern.create ~delta:config.delta in
   let god = Adversary.view adversary in
   let snapshots = ref [] in
@@ -499,67 +449,88 @@ let run_events ?on_round ~instr ~law config =
   let h1_rounds = ref 0 in
   let max_reorg = ref 0 in
   let processed = ref 0 in
-  (* Set, for good, the first time every miner is materialized at once. *)
-  let retired = ref false in
   (* Materialized miners receive before the crowd (their overlays must
      see each shared block first); then the ones whose view is the
      crowd's again fold back into it. *)
   let deliver_round round =
     let shared = Network.deliver_shared network ~round in
     let deepest = ref 0 in
-    Hashtbl.iter
-      (fun id miner ->
-        let own_filtered =
-          if shared = [] then []
-          else
-            List.concat_map
-              (fun (m : Network.message) ->
-                if m.sender = id then [] else m.blocks)
-              shared
+    List.iter
+      (fun id ->
+        let others =
+          List.filter (fun (m : Network.message) -> m.sender <> id) shared
         in
-        let direct = Network.deliver network ~recipient:id ~round in
+        let inbox =
+          match Network.deliver network ~recipient:id ~round with
+          | [] -> others
+          | direct -> merge_by_sent others direct
+        in
         deepest :=
           max !deepest
-            (receive_tracked ~god ~max_reorg miner
-               (own_filtered @ blocks_of direct)
+            (receive_tracked ~god ~max_reorg (view id) (blocks_of inbox)
                ~round))
-      materialized;
-    if not !retired then begin
+      !live;
+    if not (retired ()) then begin
       deepest :=
         max !deepest
           (receive_tracked ~god ~max_reorg crowd (blocks_of shared) ~round);
-      Hashtbl.filter_map_inplace
-        (fun id miner ->
-          if
-            Network.queued network ~recipient:id = 0
-            && Miner.folds_into miner ~crowd
-          then None
-          else Some miner)
-        materialized
+      if !live <> [] then
+        live :=
+          List.filter
+            (fun id ->
+              let folds =
+                Network.queued network ~recipient:id = 0
+                && Miner.folds_into (view id) ~crowd
+              in
+              if folds then begin
+                views.(id) <- None;
+                decr live_count
+              end;
+              not folds)
+            !live
     end;
     !deepest
   in
   let materialize id =
-    match Hashtbl.find_opt materialized id with
+    match views.(id) with
     | Some miner -> miner
     | None ->
       let miner = Miner.clone crowd ~id in
-      Hashtbl.add materialized id miner;
-      if Hashtbl.length materialized = honest_n then retired := true;
+      views.(id) <- Some miner;
+      live := id :: !live;
+      incr live_count;
       miner
   in
-  (* Every slot holds the crowd tip except the materialized miners'. *)
+  if not ring then
+    for id = 0 to honest_n - 1 do
+      ignore (materialize id)
+    done;
+  let law =
+    let source =
+      {
+        rng;
+        oracle_seed;
+        config;
+        tip = (fun id -> Miner.best_tip (view id));
+        private_tip = (fun () -> Adversary.private_tip adversary);
+      }
+    in
+    match config.mining_mode with
+    | Config.Exact -> per_query source
+    | Config.Aggregate -> unit_gaps source
+    | Config.Skip -> geometric_gaps source
+  in
+  (* Every slot holds the crowd tip except the materialized miners':
+     filling the array costs far less than reading n views. *)
   let current_tips () =
     let tips = Array.make honest_n (Miner.best_tip crowd) in
-    Hashtbl.iter
-      (fun id miner -> tips.(id) <- Miner.best_tip miner)
-      materialized;
+    List.iter (fun id -> tips.(id) <- Miner.best_tip (view id)) !live;
     tips
   in
   let best_height () =
-    Hashtbl.fold
-      (fun _ m acc -> max acc (Miner.chain_length m))
-      materialized (Miner.chain_length crowd)
+    List.fold_left
+      (fun acc id -> max acc (Miner.chain_length (view id)))
+      (Miner.chain_length crowd) !live
   in
   let last_snap_round = ref 0 in
   (* The last snapshot's tips, dropped by every simulated round: tips
@@ -635,35 +606,37 @@ let run_events ?on_round ~instr ~law config =
       phase_start instr (fun i -> i.sp_delivery);
       let round_reorg = deliver_round round in
       phase_stop instr (fun i -> i.sp_delivery);
-      (* Phase 2: honest mining — the law's honest count, then a partial
-         Fisher-Yates draw for which miners won.  A delivery-only round
-         mines nothing and leaves the drawn mining round pending. *)
+      (* Phase 2: honest mining — the law's winners each extend their own
+         tip and broadcast.  A delivery-only round mines nothing and
+         leaves the drawn mining round pending. *)
       phase_start instr (fun i -> i.sp_mining);
       let mining = round = nm in
       if mining then next_mining := 0;
-      let h = if mining then law.honest () else 0 in
-      let mined_this_round = ref [] in
-      for i = 0 to h - 1 do
-        let j = i + Rng.int rng ~bound:(honest_n - i) in
-        let winner = pool j in
-        Hashtbl.replace displaced j (pool i);
-        Hashtbl.replace displaced i winner;
-        let miner = materialize winner in
-        let block = Miner.extend_tip miner ~round ~nonce:winner in
-        mined_this_round := block :: !mined_this_round;
-        Network.broadcast network
-          { Network.sender = winner; sent_round = round; blocks = [ block ] }
-      done;
+      let winners = if mining then law.winners ~round else [] in
+      let mined_this_round =
+        (* Matched first so that a round nobody won allocates no closure. *)
+        match winners with
+        | [] -> []
+        | _ :: _ ->
+          List.fold_left
+            (fun mined id ->
+              let block = Miner.extend_tip (materialize id) ~round ~nonce:id in
+              Network.broadcast network
+                { Network.sender = id; sent_round = round; blocks = [ block ] };
+              block :: mined)
+            [] winners
+      in
+      let h = List.length winners in
       phase_stop instr (fun i -> i.sp_mining);
       honest_blocks := !honest_blocks + h;
       if h > 0 then incr h_rounds;
       if h = 1 then incr h1_rounds;
       Pattern.observe pattern (Round_state.of_block_count h);
-      Adversary.observe adversary !mined_this_round;
+      Adversary.observe adversary mined_this_round;
       (* Phase 3: the adversary's count (only the count reaches the
          strategy), then releases. *)
       phase_start instr (fun i -> i.sp_adversary);
-      let successes = if mining then law.adversary () else 0 in
+      let successes = if mining then law.adversary ~round else 0 in
       adversary_blocks := !adversary_blocks + successes;
       let releases = adversary_acts adversary ~round ~successes in
       List.iter
@@ -689,8 +662,11 @@ let run_events ?on_round ~instr ~law config =
   done;
   emit_snapshots_through horizon;
   if horizon > 0 && !last_snap_round <> horizon then take_snapshot horizon;
-  (* Quiesce as exact mode does, visiting only the rounds with a delivery
-     due: the others would deliver nothing. *)
+  (* Quiesce: deliver the messages still in flight (at most delta rounds'
+     worth), visiting only the rounds with a delivery due.  Without this,
+     an adversary that reorders heavily can leave a child block delivered
+     but its parent still in transit at the cutoff, stranding orphans
+     that the model says must connect. *)
   let rec quiesce now =
     match Network.next_due network ~now with
     | Some round when round <= config.rounds + config.delta ->
@@ -713,17 +689,9 @@ let run_events ?on_round ~instr ~law config =
     adversary_releases = Adversary.reorgs_caused adversary;
     messages_sent = Network.messages_sent network;
     orphans_remaining =
-      Hashtbl.fold
-        (fun _ m acc -> acc + Miner.orphan_count m)
-        materialized
-        (if !retired then 0 else Miner.orphan_count crowd);
+      List.fold_left
+        (fun acc id -> acc + Miner.orphan_count (view id))
+        ((honest_n - !live_count) * Miner.orphan_count crowd)
+        !live;
     processed_rounds = !processed;
   }
-
-let run ?on_round ?telemetry config =
-  Config.validate config;
-  let instr = Option.map make_instruments telemetry in
-  match config.mining_mode with
-  | Config.Exact -> run_exact ?on_round ~instr config
-  | Config.Aggregate -> run_events ?on_round ~instr ~law:unit_gaps config
-  | Config.Skip -> run_events ?on_round ~instr ~law:geometric_gaps config

@@ -9,16 +9,19 @@
     tips are snapshotted on a configurable cadence for the consistency
     audit in {!Metrics}.
 
-    Three executors implement the same round semantics
-    (see {!Config.mining_mode}):
+    One event-stepped executor runs all three mining modes
+    (see {!Config.mining_mode}).  Every honest miner whose view equals
+    the shared broadcast stream's is one "crowd" view; a miner gets a
+    view of its own (an overlay of the crowd's tree) only while it
+    differs, and under a recipient-dependent delay policy every miner
+    does.  The modes differ only in their draws:
 
-    - [Exact] walks every honest miner and every sequential adversary
-      query individually — O(n) per round, bit-for-bit the historical
-      executor, and the mode behind the committed campaign goldens.
+    - [Exact] makes one [H]-query per honest miner on its own view's tip
+      and [nu n] sequential adversary queries, every round — O(n) per
+      round, the default, and the mode behind the committed campaign
+      goldens.
     - [Aggregate] draws per-round success {e counts} from the exact
-      binomial law, selects winners by partial Fisher–Yates, routes
-      broadcasts through the network's shared Δ-ring lane, and keeps one
-      shared "crowd" view for every miner never individually touched —
+      binomial law and selects winners by partial Fisher–Yates —
       O(blocks mined + messages due) per round.  Distribution-identical
       to [Exact] (same law for every statistic in {!result}), not
       bit-identical, and restricted to recipient-independent delay
@@ -31,18 +34,14 @@
       blocks appear or deliveries fall due are simulated — O(events)
       total.  Distribution-identical to [Aggregate]; [on_round] fires
       only for simulated rounds (compare [processed_rounds] with
-      [config.rounds]).
-
-    The two fast modes share one event-stepped body and differ only in
-    their draws: the gap to the next mining round (always 0 under
-    [Aggregate]) and that round's honest and adversary counts. *)
+      [config.rounds]). *)
 
 type snapshot = {
   round : int;
   tips : Nakamoto_chain.Block.t array;
       (** indexed by honest miner.  Consecutive snapshots may share one
-          physical array (the fast modes reuse it when no round was
-          simulated in between), so treat it as read-only. *)
+          physical array (reused when no round was simulated in
+          between), so treat it as read-only. *)
 }
 
 type result = {

@@ -21,9 +21,10 @@ val clone : t -> id:int -> t
     {!Nakamoto_chain.Block_tree.overlay} of [t]'s: the clone reads [t]'s
     blocks and stores only what it receives beyond them, and it never
     writes [t].  Its view stays exact while every block [t] gains reaches
-    the clone first.  The fast executors materialize a miner from the
-    shared crowd view this way when it wins a block or is targeted by a
-    direct send. *)
+    the clone first.  The executor materializes a miner from the shared
+    crowd view this way when it wins a block or is targeted by a direct
+    send, and every miner this way before the first round when the delay
+    policy depends on the recipient. *)
 
 val folds_into : t -> crowd:t -> bool
 (** [folds_into t ~crowd] holds when [t], a {!clone} of [crowd], has come

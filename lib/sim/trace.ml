@@ -53,6 +53,12 @@ let of_string s =
               int_of_string_opt d, int_of_string_opt e, int_of_string_opt f )
           with
           | Some round, Some hb, Some ab, Some rel, Some bh, Some rd ->
+            if round <= t.last_round then
+              failwith
+                (Printf.sprintf
+                   "Trace.of_string: rounds must be strictly increasing \
+                    (line %d)"
+                   (lineno + 1));
             record t
               {
                 round;

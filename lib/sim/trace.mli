@@ -40,8 +40,8 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Parse the v1 format.
-    @raise Failure on malformed input (wrong header, field count, or
-    non-numeric fields). *)
+    @raise Failure on malformed input (wrong header, field count,
+    non-numeric fields, or rounds that do not strictly increase). *)
 
 val equal : t -> t -> bool
 

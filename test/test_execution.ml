@@ -642,47 +642,64 @@ let test_pow_miss_allocation_floor () =
     (words <= 3.)
 
 (* An Exact trial allocates for its blocks, messages and snapshots, not
-   per query or per idle delivery.  At serve-mixed's cell (n = 8,
-   Delta = 2, p = 0.02, nu in {0.1, 0.3}, 200 rounds) a trial measured
-   12 929 words, and 80 009 with the boxed digest, the closure-based
-   queue drain and the per-round closures of the round loop; on the
-   default grid it measured 350 245 against ~2.67 million. *)
+   per query, per idle delivery or per honest miner.  At serve-mixed's
+   cell (n = 8, Delta = 2, p = 0.02, nu in {0.1, 0.3}, 200 rounds) a
+   trial measured 12 929 words, and 80 009 with the boxed digest, the
+   closure-based queue drain and the per-round closures of the round
+   loop; on the default grid it measured 350 245 against ~2.67 million.
+   At execscale-smoke's cell (n = 10^4, 50 rounds) it measured 2 580 949
+   while every miner held its own 256-bucket block table, and 32 699 once
+   the miners whose view is the crowd's shared the crowd's tree. *)
 let test_exact_allocation_floor () =
-  let words_per_trial spec =
-    let cells = Nakamoto_campaign.Spec.cells spec in
+  let words_per_trial configs =
     let before = allocated_words () in
-    Array.iter
-      (fun cell ->
-        for trial = 0 to spec.trials_per_cell - 1 do
-          ignore
-            (Sim.Execution.run
-               (Nakamoto_campaign.Spec.config_of_cell spec cell ~trial))
-        done)
-      cells;
-    (allocated_words () -. before)
-    /. float_of_int (Array.length cells * spec.trials_per_cell)
+    List.iter (fun cfg -> ignore (Sim.Execution.run cfg)) configs;
+    (allocated_words () -. before) /. float_of_int (List.length configs)
+  in
+  let trials (spec : Nakamoto_campaign.Spec.t) =
+    Array.to_list (Nakamoto_campaign.Spec.cells spec)
+    |> List.concat_map (fun cell ->
+           List.init spec.trials_per_cell (fun trial ->
+               Nakamoto_campaign.Spec.config_of_cell spec cell ~trial))
   in
   let default = Nakamoto_campaign.Spec.default in
   List.iter
-    (fun (name, spec, budget) ->
-      let words = words_per_trial spec in
+    (fun (name, configs, budget) ->
+      let words = words_per_trial configs in
       check_true
         (Printf.sprintf "%s: %.0f words per trial, budget %.0f" name words
            budget)
         (words <= budget))
     [
       ( "serve-mixed cell",
-        {
-          default with
-          ps = [ 0.02 ];
-          ns = [ 8 ];
-          deltas = [ 2 ];
-          nus = [ 0.1; 0.3 ];
-          rounds = 200;
-          trials_per_cell = 8;
-        },
+        trials
+          {
+            default with
+            ps = [ 0.02 ];
+            ns = [ 8 ];
+            deltas = [ 2 ];
+            nus = [ 0.1; 0.3 ];
+            rounds = 200;
+            trials_per_cell = 8;
+          },
         35_000. );
-      ("default grid", { default with trials_per_cell = 2 }, 1_000_000.);
+      ("default grid", trials { default with trials_per_cell = 2 }, 1_000_000.);
+      ( "execscale-smoke cell",
+        [
+          Sim.Config.with_c
+            {
+              Sim.Config.default with
+              n = 10_000;
+              nu = 0.25;
+              delta = 4;
+              rounds = 50;
+              seed = 17L;
+              snapshot_interval = 50;
+              delay_override = Some (Nakamoto_net.Network.Fixed 2);
+            }
+            ~c:2.5;
+        ],
+        88_000. );
     ]
 
 let suite =

@@ -69,6 +69,12 @@ let test_parse_error_messages () =
     "Trace.of_string: non-numeric field on line 2";
   (* Comment and blank lines are skipped, not line-number-shifting
      errors: the entry on (file) line 4 is reported as line 4. *)
+  expect_message "repeated round"
+    "# nakamoto trace v1\n1 0 0 0 1 0\n1 0 0 0 1 0\n"
+    "Trace.of_string: rounds must be strictly increasing (line 3)";
+  expect_message "decreasing round"
+    "# nakamoto trace v1\n# a comment\n5 0 0 0 1 0\n\n4 0 0 0 1 0\n"
+    "Trace.of_string: rounds must be strictly increasing (line 5)";
   expect_message "comments keep line numbers"
     "# nakamoto trace v1\n# a comment\n\n1 2 3\n"
     "Trace.of_string: expected 6 fields on line 4"
