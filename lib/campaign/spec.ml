@@ -62,11 +62,12 @@ let validate t =
   if t.rounds < 1 then invalid_arg "Spec: rounds must be >= 1";
   if t.truncate < 0 then invalid_arg "Spec: truncate must be nonnegative";
   if t.shard_size < 1 then invalid_arg "Spec: shard_size must be >= 1";
-  (* The fast executors ride the shared delivery lane, which requires a
-     recipient-independent delay policy; Balance's cross-group routing is
-     inherently per-recipient.  Reject at spec level so the operator hears
-     about it before any trial runs (Config.validate would re-raise, per
-     cell, with the typed Config.Incompatible for either mode). *)
+  (* The fast modes' O(events) cost rests on the shared delivery lane,
+     which needs a recipient-independent delay policy; Balance's
+     cross-group routing is inherently per-recipient.  Reject at spec
+     level so the operator hears about it before any trial runs
+     (Config.validate would re-raise, per cell, with the typed
+     Config.Incompatible for either mode). *)
   match (t.mode, t.mining_mode, t.strategy) with
   | Full_protocol, (Sim.Config.Aggregate | Sim.Config.Skip), Sim.Adversary.Balance _
     ->
