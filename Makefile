@@ -11,7 +11,9 @@ test:
 # rerunning the dune exec line with --out test/golden/campaign_smoke.jsonl.
 # The skip and aggregate legs run the same grid through the two fast
 # executors at two worker counts: per-trial rngs make the journal a pure
-# function of the spec, so --jobs must be invisible in the bytes.
+# function of the spec, so --jobs must be invisible in the bytes.  The
+# balance leg runs Skip under Balance's per-recipient delay policy (the
+# queue lane) and compares its two worker counts with each other.
 campaign-smoke:
 	dune exec bin/main.exe -- campaign -p 0.01 -n 40 --delta 3 --nu 0.15,0.4 \
 	  --trials 4 --rounds 400 --jobs 2 --seed 7 \
@@ -36,6 +38,16 @@ campaign-smoke:
 	  --out _campaign_smoke_aggregate.jsonl --progress-interval 0 >/dev/null
 	cmp _campaign_smoke_aggregate.jsonl test/golden/campaign_smoke_aggregate.jsonl
 	rm -f _campaign_smoke_aggregate.jsonl
+	dune exec bin/main.exe -- campaign -p 0.01 -n 40 --delta 3 --nu 0.15,0.4 \
+	  --trials 4 --rounds 400 --jobs 2 --seed 7 --mining skip \
+	  --strategy balance \
+	  --out _campaign_smoke_balance_j2.jsonl --progress-interval 0 >/dev/null
+	dune exec bin/main.exe -- campaign -p 0.01 -n 40 --delta 3 --nu 0.15,0.4 \
+	  --trials 4 --rounds 400 --jobs 1 --seed 7 --mining skip \
+	  --strategy balance \
+	  --out _campaign_smoke_balance_j1.jsonl --progress-interval 0 >/dev/null
+	cmp _campaign_smoke_balance_j2.jsonl _campaign_smoke_balance_j1.jsonl
+	rm -f _campaign_smoke_balance_j2.jsonl _campaign_smoke_balance_j1.jsonl
 
 # Executor floors: the aggregate executor must out-run exact mode at
 # n = 10^4, the Skip executor must run 20x Aggregate at the c = 8,

@@ -742,8 +742,7 @@ let campaign_cmd =
              ~doc:"Executor for full mode: exact (per-miner queries) | \
                    aggregate (binomial counts + shared delivery lane) | \
                    skip (aggregate that fast-forwards empty rounds; \
-                   O(events)).  aggregate and skip exclude the balance \
-                   strategy.")
+                   O(events)).  Every executor runs every strategy.")
   in
   let jobs_arg =
     Arg.(value & opt int 0

@@ -29,13 +29,10 @@ let () =
         pi solved.(i) powered.(i))
     closed;
 
-  (* Mixing: exact vs spectral estimate. *)
+  (* Mixing. *)
   (match Markov.Chain.mixing_time chain with
   | Some t -> Printf.printf "\n  1/8-mixing time (exact)      %d steps\n" t
   | None -> print_endline "  chain did not mix?!");
-  Printf.printf "  SLEM (power iteration)       %.6f\n" (Markov.Spectral.slem chain);
-  Printf.printf "  spectral mixing estimate     %.1f steps\n"
-    (Markov.Spectral.mixing_time_estimate chain);
 
   (* The walk itself: occupancy of Deep matches pi(Deep). *)
   let rng = Nakamoto_prob.Rng.create ~seed:1L in

@@ -36,46 +36,6 @@ let default =
     shard_size = 2;
   }
 
-let validate t =
-  let nonempty name = function
-    | [] -> invalid_arg (Printf.sprintf "Spec: %s axis is empty" name)
-    | _ -> ()
-  in
-  nonempty "p" t.ps;
-  nonempty "n" t.ns;
-  nonempty "delta" t.deltas;
-  nonempty "nu" t.nus;
-  List.iter
-    (fun p ->
-      if not (p > 0. && p < 1.) then invalid_arg "Spec: p must lie in (0, 1)")
-    t.ps;
-  List.iter (fun n -> if n < 4 then invalid_arg "Spec: n must be >= 4") t.ns;
-  List.iter
-    (fun d -> if d < 1 then invalid_arg "Spec: delta must be >= 1")
-    t.deltas;
-  List.iter
-    (fun nu ->
-      if not (nu >= 0. && nu < 0.5) then
-        invalid_arg "Spec: nu must lie in [0, 1/2)")
-    t.nus;
-  if t.trials_per_cell < 1 then invalid_arg "Spec: trials_per_cell must be >= 1";
-  if t.rounds < 1 then invalid_arg "Spec: rounds must be >= 1";
-  if t.truncate < 0 then invalid_arg "Spec: truncate must be nonnegative";
-  if t.shard_size < 1 then invalid_arg "Spec: shard_size must be >= 1";
-  (* The fast modes' O(events) cost rests on the shared delivery lane,
-     which needs a recipient-independent delay policy; Balance's
-     cross-group routing is inherently per-recipient.  Reject at spec
-     level so the operator hears about it before any trial runs
-     (Config.validate would re-raise, per cell, with the typed
-     Config.Incompatible for either mode). *)
-  match (t.mode, t.mining_mode, t.strategy) with
-  | Full_protocol, (Sim.Config.Aggregate | Sim.Config.Skip), Sim.Adversary.Balance _
-    ->
-    invalid_arg
-      "Spec: aggregate/skip mining is incompatible with the balance strategy \
-       (its delay policy is per-recipient)"
-  | _ -> ()
-
 let cells t =
   let acc = ref [] in
   let index = ref 0 in
@@ -122,6 +82,41 @@ let config_of_cell t cell ~trial =
     snapshot_interval = snapshot_interval_for t.rounds;
     truncate = t.truncate;
   }
+
+(* The spec's own rules come first; every rule a run needs (ranges, the
+   strategy's fit to a cell's honest count) is Config.validate's, applied
+   to each cell before any trial runs or any journal is opened.  State
+   mode runs no adversary strategy, so its cells are checked without one. *)
+let validate t =
+  let nonempty name = function
+    | [] -> invalid_arg (Printf.sprintf "Spec: %s axis is empty" name)
+    | _ -> ()
+  in
+  nonempty "p" t.ps;
+  nonempty "n" t.ns;
+  nonempty "delta" t.deltas;
+  nonempty "nu" t.nus;
+  List.iter
+    (fun p -> if not (p < 1.) then invalid_arg "Spec: p must be < 1")
+    t.ps;
+  if t.trials_per_cell < 1 then invalid_arg "Spec: trials_per_cell must be >= 1";
+  if t.rounds < 1 then invalid_arg "Spec: rounds must be >= 1";
+  if t.shard_size < 1 then invalid_arg "Spec: shard_size must be >= 1";
+  Array.iter
+    (fun cell ->
+      let config = config_of_cell t cell ~trial:0 in
+      let config =
+        match t.mode with
+        | Full_protocol -> config
+        | State_process -> { config with strategy = Sim.Adversary.Idle }
+      in
+      try Sim.Config.validate config
+      with Invalid_argument m ->
+        invalid_arg
+          (Printf.sprintf
+             "Spec: cell %d (p = %g, n = %d, delta = %d, nu = %g): %s"
+             cell.index cell.p cell.n cell.delta cell.nu m))
+    (cells t)
 
 let state_config_of_cell cell =
   let adversarial = int_of_float (cell.nu *. float_of_int cell.n) in

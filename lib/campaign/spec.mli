@@ -49,9 +49,14 @@ val default : t
     [Delta], three [nu] regimes). *)
 
 val validate : t -> unit
-(** @raise Invalid_argument when any axis is empty or out of range, or
-    when a fast mining mode ([Aggregate]/[Skip]) is paired with the
-    balance strategy, whose delay policy is per-recipient. *)
+(** [validate t] checks the spec's own rules (non-empty axes, [p < 1],
+    [trials_per_cell], [rounds] and [shard_size] at least 1), then every
+    cell's configuration ({!config_of_cell} at trial 0) with
+    {!Nakamoto_sim.Config.validate}: the ranges of [n], [nu], [p],
+    [delta] and [truncate], and the strategy's fit to the cell's honest
+    count.  A [State_process] spec runs no strategy, so its cells are
+    checked without one.
+    @raise Invalid_argument naming the first rule broken (and its cell). *)
 
 val cells : t -> cell array
 (** [cells t] enumerates the grid in the canonical order. *)

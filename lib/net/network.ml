@@ -31,13 +31,18 @@ type t = {
      broadcasts all ride the ring pays for the recipients it sent to
      directly, not for every player. *)
   inboxes : message Event_queue.t option array;
-  mutable ring : ring option;
-  (* Opt-in index of direct-queue due times, so [next_due] can answer in
+  (* Present exactly under a recipient-independent policy. *)
+  ring : ring option;
+  (* Index of direct-queue due times, so [next_due] can answer in
      O(log pending) instead of scanning every inbox.  Entries are never
      removed on delivery; [next_due] lazily drops the stale prefix. *)
-  mutable due_index : unit Event_queue.t option;
+  due_index : unit Event_queue.t;
   mutable sent : int;
 }
+
+let recipient_independent = function
+  | Immediate | Fixed _ | Maximal -> true
+  | Uniform_random | Per_recipient _ -> false
 
 let create ~delta ~players ~policy ~rng =
   if delta < 1 then invalid_arg "Network.create: delta must be >= 1";
@@ -48,37 +53,20 @@ let create ~delta ~players ~policy ~rng =
     policy;
     rng;
     inboxes = Array.make players None;
-    ring = None;
-    due_index = None;
+    ring =
+      (if recipient_independent policy then
+         Some
+           {
+             buckets = Array.make (delta + 1) [];
+             drained_through = 0;
+             ring_pending = 0;
+           }
+       else None);
+    due_index = Event_queue.create ();
     sent = 0;
   }
 
 let delta t = t.delta
-
-let recipient_independent = function
-  | Immediate | Fixed _ | Maximal -> true
-  | Uniform_random | Per_recipient _ -> false
-
-let enable_ring t =
-  if t.ring <> None then invalid_arg "Network.enable_ring: already enabled";
-  if t.sent > 0 then
-    invalid_arg "Network.enable_ring: messages already in flight";
-  t.ring <-
-    Some
-      {
-        buckets = Array.make (t.delta + 1) [];
-        drained_through = 0;
-        ring_pending = 0;
-      }
-
-let ring_enabled t = t.ring <> None
-
-let enable_due_index t =
-  if t.due_index <> None then
-    invalid_arg "Network.enable_due_index: already enabled";
-  if t.sent > 0 then
-    invalid_arg "Network.enable_due_index: messages already in flight";
-  t.due_index <- Some (Event_queue.create ())
 
 let clamp_delay t d = max 1 (min t.delta d)
 
@@ -104,9 +92,7 @@ let inbox t recipient =
 let enqueue t ~recipient ~delay msg =
   let time = msg.sent_round + delay in
   Event_queue.push (inbox t recipient) ~time msg;
-  (match t.due_index with
-  | None -> ()
-  | Some idx -> Event_queue.push idx ~time ());
+  Event_queue.push t.due_index ~time ();
   t.sent <- t.sent + 1
 
 (* A shared enqueue stands for one delivery per player, minus the sender's
@@ -132,9 +118,9 @@ let ring_push t ring ~delay msg =
 
 let broadcast t msg =
   match t.ring with
-  | Some ring when recipient_independent t.policy ->
+  | Some ring ->
     ring_push t ring ~delay:(chosen_delay t ~recipient:(-1) msg) msg
-  | Some _ | None ->
+  | None ->
     for recipient = 0 to t.players - 1 do
       if recipient <> msg.sender then
         enqueue t ~recipient ~delay:(chosen_delay t ~recipient msg) msg
@@ -209,11 +195,8 @@ let next_due t ~now =
       !best
   in
   let direct_due =
-    match t.due_index with
-    | None -> max_int
-    | Some idx -> (
-      ignore (Event_queue.drop_due idx ~now);
-      match Event_queue.peek_time idx with Some d -> d | None -> max_int)
+    ignore (Event_queue.drop_due t.due_index ~now);
+    match Event_queue.peek_time t.due_index with Some d -> d | None -> max_int
   in
   let due = min ring_due direct_due in
   if due = max_int then None else Some due

@@ -32,49 +32,37 @@ type t
 
 val create : delta:int -> players:int -> policy:delay_policy ->
   rng:Nakamoto_prob.Rng.t -> t
-(** [create ~delta ~players ~policy ~rng] builds an empty network.  A
-    recipient's inbox (its per-recipient event queue) is created by the
-    first queue-lane send to it, so a fresh network holds one empty slot
-    per player and nothing more; a recipient never sent anything reads
-    back as empty.
+(** [create ~delta ~players ~policy ~rng] builds an empty network.  The
+    policy picks the lane of every {!broadcast} and {!broadcast_all}:
+    - under a {!recipient_independent} policy the network keeps a Δ-ring,
+      a shared ring of [delta + 1] per-round buckets.  A broadcast is one
+      shared enqueue standing for [players - 1] deliveries (O(1)), read
+      back once with {!deliver_shared};
+    - under [Uniform_random] or [Per_recipient] there is no ring, and a
+      broadcast is [players - 1] per-recipient enqueues, read back with
+      {!deliver}.
+    {!send_direct} always uses the per-recipient queues, so a consumer
+    that needs one recipient's queue order merges the two lanes by
+    [sent_round].  A recipient's inbox (its event queue) is created by
+    the first queue-lane send to it, so a fresh network holds one empty
+    slot per player, plus the ring's [delta + 1] buckets when it has a
+    ring; a recipient never sent anything reads back as empty.
     @raise Invalid_argument if [delta < 1] or [players <= 0]. *)
 
 val delta : t -> int
 
-val enable_ring : t -> unit
-(** [enable_ring t] switches on the Δ-ring broadcast lane: a shared ring
-    of [delta + 1] per-round buckets.  Afterwards, a {!broadcast} under a
-    recipient-independent policy ([Immediate], [Fixed], [Maximal]) and any
-    {!broadcast_all} cost O(1) — one shared enqueue standing for
-    [players - 1] deliveries — and are read back with {!deliver_shared}.
-    [Uniform_random] and [Per_recipient] broadcasts and {!send_direct}
-    keep using the per-recipient event queues regardless.  The executor
-    turns this on whenever its policy is {!recipient_independent}, in
-    every mining mode; a consumer that needs one recipient's queue order
-    merges the two lanes by [sent_round].
-    @raise Invalid_argument if already enabled or after a send. *)
-
-val ring_enabled : t -> bool
-
-val enable_due_index : t -> unit
-(** [enable_due_index t] switches on an auxiliary index of direct-queue
-    due times so {!next_due} can answer without scanning every inbox.
-    The executor always turns this on: it finds delivery-only rounds
-    with {!next_due}.
-    @raise Invalid_argument if already enabled or after a send. *)
-
 val broadcast : t -> message -> unit
 (** [broadcast t msg] sends [msg] to every player except the sender, with
-    per-recipient delays chosen by the policy (clamped to [[1, delta]]).
-    With the ring enabled and a recipient-independent policy this is one
-    ring insertion; otherwise [players - 1] queue enqueues. *)
+    per-recipient delays chosen by the policy (clamped to [[1, delta]]):
+    one ring insertion under a recipient-independent policy, [players - 1]
+    queue enqueues otherwise. *)
 
 val broadcast_all : t -> delay:int -> message -> unit
 (** [broadcast_all t ~delay msg] sends to every player except the sender
     at one explicit delay (clamped to [[1, delta]]) — the adversary's
-    release-to-everyone, which is a broadcast in all but name.  Uses the
-    ring when enabled (even under a queue-lane policy: the ring is keyed
-    by absolute due round, so mixed delays coexist), per-recipient queues
+    release-to-everyone, which is a broadcast in all but name.  It takes
+    {!broadcast}'s lane: the ring when the network has one (keyed by
+    absolute due round, so mixed delays coexist), per-recipient queues
     otherwise. *)
 
 val send_direct : t -> recipient:int -> delay:int -> message -> unit
@@ -98,14 +86,14 @@ val deliver_shared : t -> round:int -> message list
     to and including [round] (in due order, send-stable within a round)
     and returns their messages.  Each message is returned exactly once;
     the caller routes it to every player except its sender.  Returns [[]]
-    when the ring is disabled or [round] was already drained. *)
+    when the network has no ring or [round] was already drained. *)
 
 val next_due : t -> now:int -> int option
 (** [next_due t ~now] is the earliest round strictly after [now] at which
     some delivery is due — ring lane or direct queues — or [None] when
     nothing is in flight.  The ring side scans at most [delta + 1] slots;
-    the direct side needs {!enable_due_index} (without it only the ring
-    lane is reported).  Callers must have drained everything due at or
+    the direct side reads an index of queued due times in
+    O(log pending).  Callers must have drained everything due at or
     before [now]: a still-pending ring due [<= now] raises
     [Invalid_argument]. *)
 

@@ -25,17 +25,25 @@ type t = {
   mutable nonce : int;
 }
 
+let check_fit strategy ~honest_count =
+  match strategy with
+  | Private_chain { reorg_target } ->
+    if reorg_target < 1 then
+      invalid_arg
+        (Printf.sprintf "Adversary: reorg_target %d must be >= 1" reorg_target)
+  | Balance { group_boundary } ->
+    if group_boundary < 1 || group_boundary >= honest_count then
+      invalid_arg
+        (Printf.sprintf
+           "Adversary: balance group_boundary %d outside [1, honest_count - \
+            1] = [1, %d]"
+           group_boundary (honest_count - 1))
+  | Idle | Selfish_mining -> ()
+
 let create ~strategy ~honest_count =
   if honest_count <= 0 then
     invalid_arg "Adversary.create: honest_count must be positive";
-  (match strategy with
-  | Private_chain { reorg_target } ->
-    if reorg_target < 1 then
-      invalid_arg "Adversary.create: reorg_target must be >= 1"
-  | Balance { group_boundary } ->
-    if group_boundary < 1 || group_boundary >= honest_count then
-      invalid_arg "Adversary.create: group_boundary outside [1, honest_count-1]"
-  | Idle | Selfish_mining -> ());
+  check_fit strategy ~honest_count;
   {
     strategy;
     honest_count;

@@ -47,9 +47,16 @@ type strategy =
 
 type t
 
+val check_fit : strategy -> honest_count:int -> unit
+(** [check_fit strategy ~honest_count] checks that [strategy] can run
+    against [honest_count] honest miners; [Config.validate] and
+    {!create} both apply it.
+    @raise Invalid_argument on a [reorg_target < 1], or a
+    [group_boundary] outside [1, honest_count - 1]. *)
+
 val create : strategy:strategy -> honest_count:int -> t
-(** @raise Invalid_argument if [honest_count <= 0], a [reorg_target < 1],
-    or a [group_boundary] outside [1, honest_count - 1]. *)
+(** @raise Invalid_argument if [honest_count <= 0] or {!check_fit}
+    fails. *)
 
 val strategy : t -> strategy
 

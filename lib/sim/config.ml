@@ -1,19 +1,5 @@
 type mining_mode = Exact | Aggregate | Skip
 
-exception Incompatible of { mode : mining_mode; reason : string }
-
-let mode_name = function
-  | Exact -> "exact"
-  | Aggregate -> "aggregate"
-  | Skip -> "skip"
-
-let () =
-  Printexc.register_printer (function
-    | Incompatible { mode; reason } ->
-      Some
-        (Printf.sprintf "Config.Incompatible(%s): %s" (mode_name mode) reason)
-    | _ -> None)
-
 type t = {
   n : int;
   nu : float;
@@ -51,31 +37,7 @@ let validate t =
     invalid_arg "Config: snapshot_interval must be >= 1";
   if t.truncate < 0 then invalid_arg "Config: truncate must be nonnegative";
   if honest_count t <= 0 then invalid_arg "Config: no honest miners left";
-  (match t.strategy with
-  | Adversary.Idle | Adversary.Private_chain _ | Adversary.Balance _
-  | Adversary.Selfish_mining ->
-    ());
-  (* The fast modes' O(events) cost rests on the network's shared Δ-ring
-     lane.  Under a delay chosen per recipient ([Uniform_random],
-     [Per_recipient]) the executor would materialize every miner and
-     enqueue each broadcast per recipient, as it does for Exact.  Reject
-     the combination here, typed, instead of silently degrading. *)
-  match t.mining_mode with
-  | Exact -> ()
-  | (Aggregate | Skip)
-    when Nakamoto_net.Network.recipient_independent (delay_policy t) ->
-    ()
-  | (Aggregate | Skip) as mode ->
-    raise
-      (Incompatible
-         {
-           mode;
-           reason =
-             String.capitalize_ascii (mode_name mode)
-             ^ " mining requires a recipient-independent delay policy \
-                (Immediate, Fixed or Maximal); the effective policy needs \
-                per-round inspection";
-         })
+  Adversary.check_fit t.strategy ~honest_count:(honest_count t)
 
 let c t = 1. /. (t.p *. float_of_int t.n *. float_of_int t.delta)
 

@@ -5,28 +5,29 @@
     worst case (the adversary always at its cap, Section III) is the only
     case simulated. *)
 
+(** Every mode runs every delay policy on the same executor body; the
+    policy picks the network's lane ({!Nakamoto_net.Network.create}).
+    Under a recipient-independent policy ([Immediate], [Fixed],
+    [Maximal]) broadcasts ride the shared Δ-ring and the miners whose
+    view is the crowd's share its tree, which is where the fast modes'
+    O(events) cost comes from.  Under [Uniform_random] or [Per_recipient]
+    (e.g. [Balance]'s default) every honest miner keeps its own view
+    from round 1 and every message is enqueued per recipient, so each
+    broadcast costs O(n) in every mode. *)
 type mining_mode =
   | Exact
       (** one H-query per honest miner per round, each on its own view's
-          tip, and [nu n] sequential adversary queries — the default.
-          It runs on the same executor body as the fast modes: under a
-          recipient-independent delay policy the miners whose view is the
-          shared crowd's query its tip and share its tree, and under
-          [Uniform_random] or [Per_recipient] every miner keeps its own
-          view and every message is enqueued per recipient *)
+          tip, and [nu n] sequential adversary queries — the default *)
   | Aggregate
       (** the paper-scale fast path: per-round block counts are drawn
           from the same binomial laws the queries realize (honest
           winners chosen by partial Fisher–Yates, so the round outcome
-          is distribution-identical), broadcasts ride the shared Δ-ring
-          lane, and only miners whose view currently differs from the
-          crowd's (recent winners and direct-send recipients) are
-          materialized, each as an overlay of the crowd's tree that
-          folds back into the crowd once its view is the crowd's again.
-          Round cost is O(blocks mined + messages due) instead of O(n).
-          Requires a recipient-independent delay policy ([Immediate],
-          [Fixed] or [Maximal]), enforced as a typed {!Incompatible}
-          error at {!validate} time *)
+          is distribution-identical), and only miners whose view
+          currently differs from the crowd's (recent winners and
+          direct-send recipients) are materialized, each as an overlay
+          of the crowd's tree that folds back into the crowd once its
+          view is the crowd's again.  Round cost is O(blocks mined +
+          messages due) instead of O(n) *)
   | Skip
       (** the O(events) path on top of [Aggregate]: the executor never
           iterates empty rounds.  It samples the gap to the next
@@ -36,15 +37,7 @@ type mining_mode =
           span in O(1), and simulates only rounds where blocks appear or
           deliveries fall due.  Distribution-identical to [Aggregate]
           (not bit-identical: the RNG is consumed per event, not per
-          round); [on_round] fires only for simulated rounds.  Same
-          delay-policy restriction as [Aggregate] *)
-
-exception Incompatible of { mode : mining_mode; reason : string }
-(** Raised by {!validate} when a mining mode cannot faithfully execute
-    the configuration (rather than silently degrading) — currently
-    [Aggregate] or [Skip] with a recipient-dependent delay policy
-    ([Uniform_random] or [Per_recipient], whether from [delay_override]
-    or the strategy's default, e.g. [Balance]). *)
+          round); [on_round] fires only for simulated rounds *)
 
 type t = {
   n : int;  (** total miners; the paper requires [n >= 4] *)
@@ -70,11 +63,12 @@ type t = {
 }
 
 val validate : t -> unit
-(** @raise Invalid_argument on any out-of-range field.  [nu = 0.] is
-    allowed (pure honest run) even though the paper's theorems assume
-    [nu > 0].
-    @raise Incompatible when [mining_mode] cannot execute the
-    configuration faithfully (see {!Incompatible}). *)
+(** [validate t] holds every rule a run needs: the range of each field
+    and the fit of the strategy to the honest count
+    ({!Adversary.check_fit}: [reorg_target >= 1], [Balance]'s
+    [group_boundary] in [1, honest_count - 1]).  [nu = 0.] is allowed
+    (pure honest run) even though the paper's theorems assume [nu > 0].
+    @raise Invalid_argument on the first rule broken. *)
 
 val delay_policy : t -> Nakamoto_net.Network.delay_policy
 (** The policy every executor runs under: [delay_override], else the

@@ -249,9 +249,9 @@ let rec merge_by_sent (ring : Network.message list)
      nothing folds back: it would otherwise receive ring blocks whose
      direct-sent parents it never saw.
    - Under a recipient-dependent policy (Uniform_random, Per_recipient)
-     the ring stays off and every honest id is materialized before round
-     1, so the crowd retires at once: each broadcast is enqueued per
-     recipient, drawing its delays in id order.
+     the network has no ring and every honest id is materialized before
+     round 1, so the crowd retires at once: each broadcast is enqueued
+     per recipient, drawing its delays in id order.
    - The loop steps from event to event.  The next simulated round is
      the earlier of the next mining round and the next due delivery
      (Network.next_due).  Because mining is i.i.d. per round, a drawn
@@ -420,11 +420,6 @@ let run ?on_round ?telemetry config =
   let network =
     Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
   in
-  let ring = Network.recipient_independent policy in
-  if ring then Network.enable_ring network;
-  (* Delivery-only rounds (between Skip's mining rounds, and in the
-     quiesce) are found by next_due, whose direct lane needs the index. *)
-  Network.enable_due_index network;
   let horizon = config.rounds in
   (* The crowd's id is never a message sender, so it consumes the whole
      shared stream. *)
@@ -501,7 +496,7 @@ let run ?on_round ?telemetry config =
       incr live_count;
       miner
   in
-  if not ring then
+  if not (Network.recipient_independent policy) then
     for id = 0 to honest_n - 1 do
       ignore (materialize id)
     done;

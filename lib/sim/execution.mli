@@ -24,8 +24,7 @@
       binomial law and selects winners by partial Fisher–Yates —
       O(blocks mined + messages due) per round.  Distribution-identical
       to [Exact] (same law for every statistic in {!result}), not
-      bit-identical, and restricted to recipient-independent delay
-      policies ([Immediate], [Fixed], [Maximal]).
+      bit-identical.
     - [Skip] is Aggregate that never iterates an empty round: the gap to
       the next block-bearing round is sampled from
       Geometric(1 - (1-p)^(mu n + nu n)) jointly with the conditional
@@ -98,7 +97,4 @@ val run :
     {!result}, and the {!round_report} sequence are bit-identical with
     and without it.  When absent, the hot path performs no clock reads
     and no allocation on its behalf.
-    @raise Invalid_argument when the configuration is invalid.
-    @raise Config.Incompatible when [config.mining_mode] is [Aggregate] or
-    [Skip] and the effective delay policy depends on the recipient
-    ([Uniform_random] or [Per_recipient]). *)
+    @raise Invalid_argument when {!Config.validate} rejects [config]. *)

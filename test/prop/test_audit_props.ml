@@ -113,15 +113,13 @@ let report_to_string (r : Metrics.consistency_report) =
   Printf.sprintf "{T=%d; pairs=%d; violations=%d; worst=%d}" r.truncate
     r.pairs_checked r.violations r.worst_violation_depth
 
-(* The lanes a spec admits: Exact always; Aggregate and Skip whenever the
-   configuration validates under them (recipient-independent delays, no
-   balance attack). *)
+(* The lanes a spec admits: each mode whose configuration validates. *)
 let lanes (spec : Scenarios.spec) =
   List.filter_map
     (fun mode ->
       match Scenarios.of_spec { spec with mining_mode = mode } with
       | cfg -> Some cfg
-      | exception (Invalid_argument _ | Config.Incompatible _) -> None)
+      | exception Invalid_argument _ -> None)
     [ Config.Exact; Config.Aggregate; Config.Skip ]
 
 let violating_cases = ref 0

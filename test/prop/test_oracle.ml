@@ -170,14 +170,24 @@ let delivery_key (m : Network.message) =
 
 let keys msgs = List.sort compare (List.map delivery_key msgs)
 
+(* The reference keeps every message on the queue lane: a
+   [Per_recipient] policy picking, for every recipient, the one delay the
+   schedule's recipient-independent policy picks. *)
 let prop_ring_matches_queues s =
-  let mk () =
-    Network.create ~delta:s.delta ~players:s.players ~policy:s.policy
+  let mk policy =
+    Network.create ~delta:s.delta ~players:s.players ~policy
       ~rng:(Rng.create ~seed:1L)
   in
-  let queue_net = mk () in
-  let ring_net = mk () in
-  Network.enable_ring ring_net;
+  let d =
+    match s.policy with
+    | Network.Immediate -> 1
+    | Network.Fixed d -> d
+    | Network.Maximal -> s.delta
+    | Network.Uniform_random | Network.Per_recipient _ ->
+      invalid_arg "prop_ring_matches_queues: a queue-lane policy"
+  in
+  let queue_net = mk (Network.Per_recipient (fun ~recipient:_ _ -> d)) in
+  let ring_net = mk s.policy in
   let horizon =
     List.fold_left (fun acc (r, _) -> max acc r) 0 s.events + s.delta + 2
   in
@@ -284,12 +294,11 @@ let test_skip_gap_law () =
 
 (* --- end-to-end cross-lane distribution equality per strategy --- *)
 
-(* Selfish mining and the private-chain attack run under all three full
-   executors (their delay policies are recipient-independent); [runs]
-   paired executions per lane must agree on every pooled statistic.  The
-   balance attack is queue-lane-only by construction — its ring-lane leg
-   is the schedule property above, which exercises exactly the traffic
-   shapes it emits (split [Direct] views plus [Release] catch-ups). *)
+(* Each strategy runs under all three full executors with its default
+   delay policy; [runs] paired executions per lane must agree on every
+   pooled statistic.  Selfish mining and the private-chain attack ride
+   the ring; the balance attack's per-recipient policy keeps every
+   message on the queue lane. *)
 let cross_lane_strategy ~label ~strategy ~tie_break () =
   let base =
     {
@@ -382,4 +391,8 @@ let suite =
       (cross_lane_strategy ~label:"private chain"
          ~strategy:(Adversary.Private_chain { reorg_target = 3 })
          ~tie_break:Nakamoto_chain.Block_tree.First_seen);
+    case "balance attack: Exact, Aggregate and Skip lanes agree"
+      (cross_lane_strategy ~label:"balance"
+         ~strategy:(Adversary.Balance { group_boundary = 13 })
+         ~tie_break:Nakamoto_chain.Block_tree.Prefer_honest);
   ]

@@ -74,23 +74,14 @@ let delay_override ~allow_recipient_dependent rng =
     else [])
     rng
 
-(* A spec is usable only if the whole executor surface accepts it:
-   [of_spec] validates the configuration, including the fast modes'
-   recipient-independence requirement (typed, as [Config.Incompatible]),
-   but strategy construction (a balance boundary must fit the honest
-   count) only surfaces at [Execution.run] time — check it here so
-   generation and shrinking never manufacture a configuration error out
-   of a behavioral one. *)
+(* A spec is usable only if [of_spec] accepts it: its validation holds
+   every rule a run needs, the strategy's fit to the honest count
+   included, so generation and shrinking never manufacture a
+   configuration error out of a behavioral one. *)
 let spec_valid s =
-  match
-    let cfg = Scenarios.of_spec s in
-    ignore
-      (Adversary.create ~strategy:s.Scenarios.strategy
-         ~honest_count:(Config.honest_count cfg))
-  with
-  | () -> true
+  match Scenarios.of_spec s with
+  | _ -> true
   | exception Invalid_argument _ -> false
-  | exception Config.Incompatible _ -> false
 
 (* Record shrinking: simplify one dimension at a time (strategy to Idle,
    overrides off, numbers toward their floors), keeping only candidates
@@ -164,24 +155,18 @@ let spec_gen ~dual_mode rng =
     else Gen.oneof_value [ Config.Exact; Config.Aggregate; Config.Skip ] rng
   in
   let seed = Rng.bits64 rng in
-  let s =
-    {
-      Scenarios.n;
-      nu;
-      c;
-      delta;
-      rounds;
-      seed;
-      strategy;
-      delay;
-      tie_break;
-      mining_mode;
-    }
-  in
-  (* Balance's cross-group policy and Uniform_random are queue-lane-only;
-     when the roll paired them with the aggregate executor, fall back to
-     the exact one rather than rejecting the trial. *)
-  if spec_valid s then s else { s with mining_mode = Config.Exact }
+  {
+    Scenarios.n;
+    nu;
+    c;
+    delta;
+    rounds;
+    seed;
+    strategy;
+    delay;
+    tie_break;
+    mining_mode;
+  }
 
 let exec_spec =
   Arbitrary.make ~print:Scenarios.spec_to_string ~shrink:shrink_spec

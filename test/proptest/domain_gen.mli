@@ -1,10 +1,9 @@
 (** Generators over the paper's valid parameter region.
 
-    Two spec distributions matter: {!exec_spec} ranges over everything a
-    single executor accepts (including queue-lane-only features like the
-    balance attack and [Uniform_random] delays), while {!oracle_spec} is
-    restricted to scenarios every executor lane can run — the
-    differential oracle's common ground.  Both shrink toward the smallest
+    Two spec distributions matter: {!exec_spec} ranges over everything an
+    executor accepts (including queue-lane features like the balance
+    attack and [Uniform_random] delays), while {!oracle_spec} is
+    restricted to the differential oracle's common ground.  Both shrink toward the smallest
     idle exact-mode configuration that still fails, and only through
     candidates that remain valid configurations. *)
 
@@ -21,9 +20,8 @@ val explicit_chain_point : delta_max:int -> (int * Nakamoto_core.Params.t) Arbit
     @raise Invalid_argument unless [delta_max] lies in [1, 6]. *)
 
 val exec_spec : Nakamoto_sim.Scenarios.spec Arbitrary.t
-(** Any single-executor scenario: all strategies, all delay policies,
-    both tie-breaks, both mining modes (falling back to [Exact] when the
-    roll pairs aggregate mining with a queue-lane-only feature). *)
+(** Any executor scenario: all strategies, all delay policies, both
+    tie-breaks, all three mining modes. *)
 
 val oracle_spec : Nakamoto_sim.Scenarios.spec Arbitrary.t
 (** Scenarios runnable by Exact, Aggregate, and the state process alike:

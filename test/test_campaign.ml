@@ -74,7 +74,36 @@ let test_spec_validation () =
   check_raises_invalid "no trials" (fun () ->
       Spec.validate { tiny_spec with Spec.trials_per_cell = 0 });
   check_raises_invalid "bad shard size" (fun () ->
-      Spec.validate { tiny_spec with Spec.shard_size = 0 })
+      Spec.validate { tiny_spec with Spec.shard_size = 0 });
+  (* Every cell's configuration is vetted before any trial runs or any
+     journal is opened: Balance's boundary 15 fits the 32 honest miners
+     of n = 40 at nu = 0.2, not the 8 of n = 10, so the whole spec is
+     refused and no journal is left behind. *)
+  let unfit =
+    {
+      tiny_spec with
+      Spec.ns = [ 10; 40 ];
+      nus = [ 0.2 ];
+      strategy = Nakamoto_sim.Adversary.Balance { group_boundary = 15 };
+    }
+  in
+  Spec.validate { unfit with Spec.ns = [ 40 ] };
+  (match Spec.validate unfit with
+  | () -> Alcotest.fail "a cell the strategy cannot fit must be refused"
+  | exception Invalid_argument m ->
+    check_true ("names the boundary: " ^ m)
+      (contains_substring ~affix:"group_boundary" m));
+  let journal = temp_journal "unfit" in
+  check_raises_invalid "Campaign.run refuses it" (fun () ->
+      ignore
+        (Campaign.Campaign.run ~jobs:1 ~journal_path:journal ~log:ignore
+           unfit));
+  check_false "no journal opened" (Sys.file_exists journal);
+  cleanup journal;
+  (* State mode runs no strategy, and every mining mode runs Balance. *)
+  Spec.validate { unfit with Spec.mode = Spec.State_process };
+  Spec.validate
+    { unfit with Spec.ns = [ 40 ]; mining_mode = Nakamoto_sim.Config.Skip }
 
 let test_spec_fingerprint () =
   let fp = Spec.fingerprint tiny_spec in

@@ -25,6 +25,25 @@ let test_config_validation () =
       Sim.Config.validate { Sim.Config.default with delta = 0 });
   check_raises_invalid "bad snapshot interval" (fun () ->
       Sim.Config.validate { Sim.Config.default with snapshot_interval = 0 });
+  check_raises_invalid "reorg_target < 1" (fun () ->
+      Sim.Config.validate
+        {
+          Sim.Config.default with
+          strategy = Sim.Adversary.Private_chain { reorg_target = 0 };
+        });
+  (* 40 miners at nu = 0.25 leave 30 honest: boundary 30 leaves group B
+     empty. *)
+  check_raises_invalid "balance boundary outside [1, honest - 1]" (fun () ->
+      Sim.Config.validate
+        {
+          Sim.Config.default with
+          strategy = Sim.Adversary.Balance { group_boundary = 30 };
+        });
+  Sim.Config.validate
+    {
+      Sim.Config.default with
+      strategy = Sim.Adversary.Balance { group_boundary = 29 };
+    };
   Sim.Config.validate Sim.Config.default
 
 let test_config_derivations () =
@@ -243,39 +262,36 @@ let test_aggregate_determinism () =
   check_true "aggregate deterministic per seed"
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
-(* A fast mining mode must refuse a recipient-dependent delay policy with
-   the typed Config.Incompatible, naming the mode and saying why. *)
-let expect_fast_mode_incompatible ~name mining_mode =
-  let expected =
-    name
-    ^ " mining requires a recipient-independent delay policy \
-       (Immediate, Fixed or Maximal); the effective policy needs \
-       per-round inspection"
+(* A fast mining mode runs a recipient-dependent delay policy on the
+   queue lane, every miner materialized: Balance's default Per_recipient
+   policy and a Uniform_random override both quiesce with no orphans and
+   every honest block in the god view. *)
+let expect_fast_mode_runs_queue_lane mining_mode =
+  let runs label (cfg : Sim.Config.t) =
+    let r = Sim.Execution.run { cfg with mining_mode } in
+    check_int (label ^ ": no orphans") 0 r.orphans_remaining;
+    check_true (label ^ ": honest blocks mined") (r.honest_blocks > 0);
+    let counted = ref 0 in
+    Block_tree.iter_blocks r.god_view (fun b ->
+        if (not (Block.is_genesis b)) && b.Block.miner_class = Block.Honest
+        then incr counted);
+    check_int (label ^ ": honest block conservation") r.honest_blocks !counted
   in
-  let expect_incompatible label (cfg : Sim.Config.t) =
-    match ignore (Sim.Execution.run cfg) with
-    | () -> Alcotest.fail (label ^ ": expected Config.Incompatible")
-    | exception Sim.Config.Incompatible { mode; reason } ->
-      check_true (label ^ ": mode is " ^ name) (mode = mining_mode);
-      Alcotest.(check string) (label ^ ": actionable reason") expected reason
-  in
-  expect_incompatible "balance default policy"
+  runs "balance default policy"
+    (aggregate_config ~nu:0.3
+       ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
+       ());
+  runs "uniform-random override"
     {
       (aggregate_config
-         ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
+         ~strategy:(Sim.Adversary.Private_chain { reorg_target = 4 })
          ())
       with
-      mining_mode;
-    };
-  expect_incompatible "uniform-random override"
-    {
-      (aggregate_config ()) with
-      mining_mode;
       delay_override = Some Nakamoto_net.Network.Uniform_random;
     }
 
-let test_aggregate_rejects_recipient_dependent_policies () =
-  expect_fast_mode_incompatible ~name:"Aggregate" Sim.Config.Aggregate
+let test_aggregate_runs_recipient_dependent_policies () =
+  expect_fast_mode_runs_queue_lane Sim.Config.Aggregate
 
 let test_aggregate_matches_exact_in_distribution () =
   (* Same configuration, long horizon, different executors: every counter
@@ -397,9 +413,8 @@ let test_aggregate_balance_no_phantom_orphans () =
 
 (* ------------------------------------------------------------------ *)
 (* Skip-mode tests: the round-skipping executor must be deterministic,
-   reject recipient-dependent delays with the typed error, match the
-   aggregate path in distribution, and report how few rounds it actually
-   simulated.                                                           *)
+   run recipient-dependent delays, match the aggregate path in
+   distribution, and report how few rounds it actually simulated.       *)
 (* ------------------------------------------------------------------ *)
 
 let skip_config ?(nu = 0.25) ?(rounds = 800) ?(strategy = Sim.Adversary.Idle)
@@ -432,8 +447,8 @@ let test_skip_determinism () =
   check_true "skip deterministic per seed"
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
-let test_skip_typed_incompatibility_error () =
-  expect_fast_mode_incompatible ~name:"Skip" Sim.Config.Skip
+let test_skip_runs_recipient_dependent_policies () =
+  expect_fast_mode_runs_queue_lane Sim.Config.Skip
 
 let test_skip_matches_aggregate_in_distribution () =
   (* Same bounds rationale as the exact-vs-aggregate test: every counter
@@ -718,8 +733,8 @@ let suite =
     case "run validates config" test_invalid_config_rejected_by_run;
     case "exact-mode regression pins" test_exact_mode_regression_pins;
     case "aggregate determinism" test_aggregate_determinism;
-    case "aggregate rejects recipient-dependent policies"
-      test_aggregate_rejects_recipient_dependent_policies;
+    case "aggregate runs recipient-dependent policies"
+      test_aggregate_runs_recipient_dependent_policies;
     case "aggregate matches exact in distribution"
       test_aggregate_matches_exact_in_distribution;
     case "aggregate invariants" test_aggregate_invariants;
@@ -728,8 +743,8 @@ let suite =
     case "aggregate balance has no phantom crowd orphans"
       test_aggregate_balance_no_phantom_orphans;
     case "skip determinism" test_skip_determinism;
-    case "skip raises the typed incompatibility error"
-      test_skip_typed_incompatibility_error;
+    case "skip runs recipient-dependent policies"
+      test_skip_runs_recipient_dependent_policies;
     case "skip matches aggregate in distribution"
       test_skip_matches_aggregate_in_distribution;
     case "skip invariants" test_skip_invariants;

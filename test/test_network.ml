@@ -5,6 +5,11 @@ module Block = Nakamoto_chain.Block
 let make ?(delta = 4) ?(players = 3) ?(policy = Network.Immediate) () =
   Network.create ~delta ~players ~policy ~rng:(rng ())
 
+(* A recipient-dependent policy that picks the same delay [d] for every
+   recipient: the queue lane carrying what [Fixed d] would put on the
+   ring. *)
+let queued d = Network.Per_recipient (fun ~recipient:_ _ -> d)
+
 let msg ?(sender = 0) ~round () =
   { Network.sender; sent_round = round; blocks = [ Block.genesis ] }
 
@@ -14,7 +19,7 @@ let test_create_validation () =
   check_raises_invalid "no players" (fun () -> ignore (make ~players:0 ()))
 
 let test_broadcast_excludes_sender () =
-  let n = make () in
+  let n = make ~policy:(queued 1) () in
   Network.broadcast n (msg ~sender:1 ~round:1 ());
   check_int "two recipients" 2 (Network.messages_sent n);
   check_true "sender gets nothing"
@@ -22,32 +27,63 @@ let test_broadcast_excludes_sender () =
   check_int "others get it" 1
     (List.length (Network.deliver n ~recipient:0 ~round:100))
 
+(* Immediate, Maximal and Fixed broadcasts ride the ring; each delay is
+   also checked on the queue lane through its constant [queued] twin. *)
 let test_immediate_delivery_next_round () =
   let n = make () in
+  (* The ring takes sends at its drain frontier, as the executor makes
+     them. *)
+  ignore (Network.deliver_shared n ~round:4);
   Network.broadcast n (msg ~round:5 ());
-  check_true "not yet at round 5" (Network.deliver n ~recipient:1 ~round:5 = []);
+  check_true "not yet at round 5" (Network.deliver_shared n ~round:5 = []);
   check_int "delivered at round 6" 1
-    (List.length (Network.deliver n ~recipient:1 ~round:6))
+    (List.length (Network.deliver_shared n ~round:6));
+  let q = make ~policy:(queued 1) () in
+  Network.broadcast q (msg ~round:5 ());
+  check_true "queued: not yet at round 5"
+    (Network.deliver q ~recipient:1 ~round:5 = []);
+  check_int "queued: delivered at round 6" 1
+    (List.length (Network.deliver q ~recipient:1 ~round:6))
 
 let test_maximal_policy_delays_delta () =
   let n = make ~delta:4 ~policy:Network.Maximal () in
+  ignore (Network.deliver_shared n ~round:9);
   Network.broadcast n (msg ~round:10 ());
-  check_true "not at 13" (Network.deliver n ~recipient:1 ~round:13 = []);
-  check_int "at 14" 1 (List.length (Network.deliver n ~recipient:1 ~round:14))
+  check_true "not at 13" (Network.deliver_shared n ~round:13 = []);
+  check_int "at 14" 1 (List.length (Network.deliver_shared n ~round:14));
+  let q = make ~delta:4 ~policy:(queued 4) () in
+  Network.broadcast q (msg ~round:10 ());
+  check_true "queued: not at 13"
+    (Network.deliver q ~recipient:1 ~round:13 = []);
+  check_int "queued: at 14" 1
+    (List.length (Network.deliver q ~recipient:1 ~round:14))
 
 let test_fixed_policy_clamped () =
-  (* Fixed 100 with delta 4 must clamp to 4. *)
+  (* Fixed 100 with delta 4 must clamp to 4, on either lane. *)
   let n = make ~delta:4 ~policy:(Network.Fixed 100) () in
   Network.broadcast n (msg ~round:1 ());
+  check_true "not before delta" (Network.deliver_shared n ~round:4 = []);
   check_int "clamped to delta" 1
-    (List.length (Network.deliver n ~recipient:1 ~round:5));
+    (List.length (Network.deliver_shared n ~round:5));
+  let q = make ~delta:4 ~policy:(queued 100) () in
+  Network.broadcast q (msg ~round:1 ());
+  check_true "queued: not before delta"
+    (Network.deliver q ~recipient:1 ~round:4 = []);
+  check_int "queued: clamped to delta" 1
+    (List.length (Network.deliver q ~recipient:1 ~round:5));
   (* Fixed 0 clamps up to 1. *)
   let n0 = make ~delta:4 ~policy:(Network.Fixed 0) () in
   Network.broadcast n0 (msg ~round:1 ());
   check_true "same-round delivery impossible"
-    (Network.deliver n0 ~recipient:1 ~round:1 = []);
+    (Network.deliver_shared n0 ~round:1 = []);
   check_int "clamped to 1" 1
-    (List.length (Network.deliver n0 ~recipient:1 ~round:2))
+    (List.length (Network.deliver_shared n0 ~round:2));
+  let q0 = make ~delta:4 ~policy:(queued 0) () in
+  Network.broadcast q0 (msg ~round:1 ());
+  check_true "queued: same-round delivery impossible"
+    (Network.deliver q0 ~recipient:1 ~round:1 = []);
+  check_int "queued: clamped to 1" 1
+    (List.length (Network.deliver q0 ~recipient:1 ~round:2))
 
 let test_uniform_policy_within_bounds () =
   let n = make ~delta:6 ~policy:Network.Uniform_random ~players:2 () in
@@ -115,20 +151,8 @@ let test_messages_never_lost () =
 (* Δ-ring broadcast lane                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_enable_rules () =
-  let n = make () in
-  check_false "off by default" (Network.ring_enabled n);
-  Network.enable_ring n;
-  check_true "enabled" (Network.ring_enabled n);
-  check_raises_invalid "double enable" (fun () -> Network.enable_ring n);
-  let late = make () in
-  Network.broadcast late (msg ~round:1 ());
-  check_raises_invalid "enable after a send" (fun () ->
-      Network.enable_ring late)
-
 let test_ring_broadcast_and_drain () =
   let n = make ~delta:4 ~players:5 ~policy:(Network.Fixed 2) () in
-  Network.enable_ring n;
   Network.broadcast n (msg ~sender:1 ~round:3 ());
   (* One ring insertion stands for players - 1 = 4 deliveries. *)
   check_int "fan-out counted" 4 (Network.messages_sent n);
@@ -144,7 +168,6 @@ let test_ring_broadcast_and_drain () =
 
 let test_ring_order_and_skipped_rounds () =
   let n = make ~delta:4 ~players:3 ~policy:Network.Immediate () in
-  Network.enable_ring n;
   (* Mixed delays via broadcast_all, plus policy broadcasts; drain with a
      jump over several rounds: due order, send-stable within a round. *)
   Network.broadcast_all n ~delay:3
@@ -166,7 +189,6 @@ let test_ring_adversary_fanout () =
   (* A sender outside the player set (the adversary) reaches everyone:
      fan-out players, not players - 1. *)
   let n = make ~delta:4 ~players:3 ~policy:Network.Maximal () in
-  Network.enable_ring n;
   Network.broadcast_all n ~delay:1
     { Network.sender = -1; sent_round = 1; blocks = [] };
   check_int "full fan-out counted" 3 (Network.messages_sent n);
@@ -178,7 +200,6 @@ let test_ring_direct_sends_stay_queued () =
   (* send_direct keeps using the per-recipient queues even with the ring
      on — the two lanes coexist. *)
   let n = make ~delta:4 ~players:3 ~policy:Network.Immediate () in
-  Network.enable_ring n;
   Network.send_direct n ~recipient:2 ~delay:2 (msg ~sender:(-1) ~round:1 ());
   Network.broadcast n (msg ~sender:0 ~round:1 ());
   check_int "queued + ring pending" 3 (Network.pending n);
@@ -190,25 +211,26 @@ let test_ring_direct_sends_stay_queued () =
 
 let test_ring_recipient_dependent_policy_stays_queued () =
   (* Under Uniform_random the ring cannot represent per-recipient delays:
-     broadcast falls back to the queue lane even with the ring enabled. *)
+     the network keeps no ring, and broadcasts and releases to everyone
+     take the queue lane. *)
   let n = make ~delta:3 ~players:4 ~policy:Network.Uniform_random () in
-  Network.enable_ring n;
   Network.broadcast n (msg ~sender:0 ~round:1 ());
+  Network.broadcast_all n ~delay:2
+    { Network.sender = -1; sent_round = 1; blocks = [] };
   check_true "ring lane empty" (Network.deliver_shared n ~round:10 = []);
   let got = ref 0 in
-  for recipient = 1 to 3 do
+  for recipient = 0 to 3 do
     for r = 1 to 10 do
       got := !got + List.length (Network.deliver n ~recipient ~round:r)
     done
   done;
-  check_int "all copies through the queues" 3 !got
+  check_int "all copies through the queues" 7 !got
 
 let test_ring_fast_forward_equals_single_steps () =
   (* Skipping k >> delta rounds in one deliver_shared call yields the
      same messages, in the same order, as k single-round drains — the
      Skip executor's fast-forward contract. *)
   let fill n =
-    Network.enable_ring n;
     Network.broadcast n (msg ~sender:0 ~round:1 ());
     Network.broadcast_all n ~delay:3
       { Network.sender = -1; sent_round = 1; blocks = [] };
@@ -235,8 +257,6 @@ let test_ring_fast_forward_equals_single_steps () =
 
 let test_next_due () =
   let n = make ~delta:4 ~players:3 ~policy:Network.Maximal () in
-  Network.enable_ring n;
-  Network.enable_due_index n;
   check_true "idle network: no due" (Network.next_due n ~now:0 = None);
   Network.broadcast n (msg ~sender:0 ~round:1 ());
   (* Maximal policy: due at 1 + delta = 5, via the ring lane. *)
@@ -250,16 +270,6 @@ let test_next_due () =
       ignore (Network.next_due n ~now:5));
   ignore (Network.deliver_shared n ~round:5);
   check_true "fully drained: no due" (Network.next_due n ~now:5 = None)
-
-let test_due_index_guards () =
-  let n = make ~delta:4 ~players:3 ~policy:Network.Immediate () in
-  Network.enable_due_index n;
-  check_raises_invalid "double enable" (fun () ->
-      Network.enable_due_index n);
-  let busy = make ~delta:4 ~players:3 ~policy:Network.Immediate () in
-  Network.broadcast busy (msg ~sender:0 ~round:1 ());
-  check_raises_invalid "enable after traffic" (fun () ->
-      Network.enable_due_index busy)
 
 (* A fresh network holds one empty inbox slot per player and nothing
    else: each recipient's queue is created by the first send to it. *)
@@ -293,7 +303,6 @@ let suite =
     case "send_direct" test_send_direct;
     case "same-round delivery order" test_delivery_order;
     case "messages never lost (capability 1)" test_messages_never_lost;
-    case "ring enable rules" test_ring_enable_rules;
     case "ring broadcast and drain" test_ring_broadcast_and_drain;
     case "ring order and skipped rounds" test_ring_order_and_skipped_rounds;
     case "ring adversary fan-out" test_ring_adversary_fanout;
@@ -303,7 +312,6 @@ let suite =
     case "ring fast-forward equals single-round drains"
       test_ring_fast_forward_equals_single_steps;
     case "next_due across both lanes" test_next_due;
-    case "due-index enable rules" test_due_index_guards;
     case "a fresh network is one slot per player"
       test_fresh_network_is_one_slot_per_player;
   ]

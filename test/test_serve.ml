@@ -506,9 +506,10 @@ let test_protocol_edges () =
   cleanup journal;
   cleanup socket
 
-(* A journal path the daemon cannot open is the submitter's problem, not
-   the daemon's: a typed Error to that client, and the next submission
-   on the same daemon still runs to the oracle journal. *)
+(* A journal path the daemon cannot open, or a spec it refuses, is the
+   submitter's problem, not the daemon's: a typed Error to that client,
+   and the next submission on the same daemon still runs to the oracle
+   journal. *)
 let test_bad_journal_path () =
   let socket = temp_path "badjournal" ".sock" in
   let addr = Serve.Conn.Unix_path socket in
@@ -521,6 +522,22 @@ let test_bad_journal_path () =
   | Error e ->
     check_true "the refusal names the path"
       (contains_substring ~affix:"/nonexistent_dir/j.jsonl" e));
+  (* A spec with a cell its strategy cannot fit (Balance's boundary 6
+     against the 6 honest miners of n = 8 at nu = 0.3) is refused the
+     same way, before any worker leases a shard of it. *)
+  let unfit_journal = temp_path "unfit" ".jsonl" in
+  (match
+     Serve.Client.submit ~addr ~journal:unfit_journal
+       {
+         tiny_spec with
+         Spec.strategy = Nakamoto_sim.Adversary.Balance { group_boundary = 6 };
+       }
+   with
+  | Ok _ -> Alcotest.fail "a cell the strategy cannot fit must be refused"
+  | Error e ->
+    check_true ("the refusal names the boundary: " ^ e)
+      (contains_substring ~affix:"group_boundary" e));
+  check_false "no journal opened" (Sys.file_exists unfit_journal);
   let journal = temp_path "badjournal" ".jsonl" in
   submit ~addr ~journal ();
   Alcotest.(check string) "the daemon kept serving" (Lazy.force oracle)
